@@ -14,6 +14,9 @@ is within the relative classification tolerance of zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +100,17 @@ class BoundReport:
     branch: str
 
 
+class SelectionBounds(NamedTuple):
+    """Every product pairing sum of one selection (see selection_bounds)."""
+
+    lower: float
+    upper: float
+    kap: int
+    split_upper: float
+    t1: float
+    t2: float
+
+
 @dataclass(frozen=True)
 class SplitPair:
     """Spectral split A = positive_part + negative_part sharing A's eigenvectors."""
@@ -121,9 +135,12 @@ def classification_scale(spec: Spectrum) -> float:
 
 def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k: int, base: float = TOL_VERIFY_BASE) -> float:
     """Slack tolerance scaled to the magnitude of a k-term product bound."""
-    mag_a = max(abs(spec_a[0]), abs(spec_a[-1]))
-    mag_b = max(abs(spec_b[0]), abs(spec_b[-1]))
-    return base * (1.0 + mag_a * mag_b * k)
+    return base * (1.0 + _radius(spec_a) * _radius(spec_b) * k)
+
+
+def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k: int, base: float = TOL_VERIFY_BASE) -> float:
+    """Slack tolerance scaled to the magnitude of a k-term bound for A + B."""
+    return base * (1.0 + (_radius(spec_a) + _radius(spec_b)) * k)
 
 
 def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
@@ -148,10 +165,7 @@ def count_selected_nonnegative(spec: Spectrum, idx: IndexSequence, tol: float = 
 def selected_sum(spec: Spectrum, idx: IndexSequence) -> float:
     """Sum of the selected eigenvalues."""
     _require_indexable(spec, idx)
-    total = 0.0
-    for i in idx.indices:
-        total += spec[i - 1]
-    return total
+    return reduce(add, _selected(spec, idx), 0.0)
 
 
 def main_bounds(
@@ -172,23 +186,34 @@ def main_bounds(
 
     Returns (lower, upper, kap).  spec_b is clamped to nonnegative values.
     """
+    return selection_bounds(spec_a, spec_b, idx, tol)[:3]
+
+
+def selection_bounds(
+    spec_a: Spectrum,
+    spec_b: Spectrum,
+    idx: IndexSequence,
+    tol: float = TOL_CLASS,
+) -> SelectionBounds:
+    """All product pairing sums of one selection, sharing kap, nu and clamped B.
+
+    Returns the main bracket (main_bounds), the splitting upper bound
+    (splitting_upper_bound) and the second summations T1, T2 of the
+    dominance comparison (compare_split_vs_main).
+    """
     _require_same_dim(spec_a, spec_b)
     _require_indexable(spec_a, idx)
-    a = spec_a.values
-    b = _clamped(spec_b)
     n, k = idx.n, idx.k
+    sel = _selected(spec_a, idx)
+    b = _clamped(spec_b)
     kap = count_selected_nonnegative(spec_a, idx, tol)
-    upper = 0.0
-    lower = 0.0
-    for t in range(1, kap + 1):
-        sel = a[idx.indices[t - 1] - 1]
-        upper += sel * b[t - 1]
-        lower += sel * b[n - t]
-    for t in range(kap + 1, k + 1):
-        sel = a[idx.indices[t - 1] - 1]
-        upper += sel * b[n - k + t - 1]
-        lower += sel * b[k - t]
-    return lower, upper, kap
+    nu = inertia_of(spec_a, tol).nonnegative
+    # The splitting bound's second summation: a[nu+1..k] against b[n-k+nu+1..n].
+    rest_a, rest_b = spec_a.values[nu:k], b[n - k + nu:]
+    lower, upper = _bracket(sel, b, kap)
+    split_upper = _pair_sum(sel[:kap] + rest_a, b[:kap] + rest_b)
+    t1 = _pair_sum(sel[kap:], b[n - k + kap:])
+    return SelectionBounds(lower, upper, kap, split_upper, t1, _pair_sum(rest_a, rest_b))
 
 
 def main_bound_report(
@@ -234,16 +259,7 @@ def psd_product_bounds(
     cut = tol * classification_scale(spec_a)
     if spec_a[-1] < -cut:
         raise NotNonnegative(f"spectrum has negative entry {spec_a[-1]:.6g}")
-    a = spec_a.values
-    b = _clamped(spec_b)
-    n, k = idx.n, idx.k
-    upper = 0.0
-    lower = 0.0
-    for t in range(1, k + 1):
-        sel = a[idx.indices[t - 1] - 1]
-        upper += sel * b[t - 1]
-        lower += sel * b[n - t]
-    return lower, upper
+    return _bracket(_selected(spec_a, idx), _clamped(spec_b), idx.k)
 
 
 def stable_bounds(
@@ -264,16 +280,7 @@ def stable_bounds(
     cut = tol * classification_scale(spec_a)
     if spec_a[0] > cut:
         raise NotStable(f"spectrum has positive entry {spec_a[0]:.6g}")
-    a = spec_a.values
-    b = _clamped(spec_b)
-    n, k = idx.n, idx.k
-    upper = 0.0
-    lower = 0.0
-    for t in range(1, k + 1):
-        sel = a[idx.indices[t - 1] - 1]
-        upper += sel * b[n - k + t - 1]
-        lower += sel * b[k - t]
-    return lower, upper
+    return _bracket(_selected(spec_a, idx), _clamped(spec_b), 0)
 
 
 def wielandt_sum_bounds(
@@ -285,28 +292,14 @@ def wielandt_sum_bounds(
     _require_same_dim(spec_a, spec_b)
     _require_indexable(spec_a, idx)
     b = spec_b.values
-    n, k = idx.n, idx.k
     base = selected_sum(spec_a, idx)
-    upper = base
-    lower = base
-    for t in range(1, k + 1):
-        upper += b[t - 1]
-        lower += b[n - t]
-    return lower, upper
+    return reduce(add, b[::-1][:idx.k], base), reduce(add, b[:idx.k], base)
 
 
 def trace_bounds(spec_a: Spectrum, spec_b: Spectrum) -> tuple[float, float]:
     """Full-trace bracket: sorted-against-reversed and sorted-against-sorted pairings."""
     _require_same_dim(spec_a, spec_b)
-    a = spec_a.values
-    b = spec_b.values
-    n = len(a)
-    upper = 0.0
-    lower = 0.0
-    for t in range(1, n + 1):
-        upper += a[t - 1] * b[t - 1]
-        lower += a[t - 1] * b[n - t]
-    return lower, upper
+    return _bracket(spec_a.values, spec_b.values, len(spec_a))
 
 
 def spectral_split(a: HermitianMatrix) -> SplitPair:
@@ -335,19 +328,7 @@ def splitting_upper_bound(
     where nu counts the nonnegative eigenvalues of the whole spectrum.
     Never tighter than the main upper bound.
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_indexable(spec_a, idx)
-    a = spec_a.values
-    b = _clamped(spec_b)
-    n, k = idx.n, idx.k
-    kap = count_selected_nonnegative(spec_a, idx, tol)
-    nu = inertia_of(spec_a, tol).nonnegative
-    bound = 0.0
-    for t in range(1, kap + 1):
-        bound += a[idx.indices[t - 1] - 1] * b[t - 1]
-    for t in range(nu + 1, k + 1):
-        bound += a[t - 1] * b[n - k + t - 1]
-    return bound
+    return selection_bounds(spec_a, spec_b, idx, tol).split_upper
 
 
 def compare_split_vs_main(
@@ -363,22 +344,10 @@ def compare_split_vs_main(
     statement that the main upper bound is at least as tight as the
     splitting one.  Returns (T1, T2, dominance_ok).
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_indexable(spec_a, idx)
-    a = spec_a.values
-    b = _clamped(spec_b)
-    n, k = idx.n, idx.k
-    kap = count_selected_nonnegative(spec_a, idx, tol)
-    nu = inertia_of(spec_a, tol).nonnegative
-    t1 = 0.0
-    for t in range(kap + 1, k + 1):
-        t1 += a[idx.indices[t - 1] - 1] * b[n - k + t - 1]
-    t2 = 0.0
-    for t in range(nu + 1, k + 1):
-        t2 += a[t - 1] * b[n - k + t - 1]
+    bounds = selection_bounds(spec_a, spec_b, idx, tol)
     if verify_tol is None:
-        verify_tol = verify_tolerance(spec_a, spec_b, k)
-    return t1, t2, t1 <= t2 + verify_tol
+        verify_tol = verify_tolerance(spec_a, spec_b, idx.k)
+    return bounds.t1, bounds.t2, bounds.t1 <= bounds.t2 + verify_tol
 
 
 def pair_bounds(
@@ -475,8 +444,38 @@ def ostrowski_ratios(
     return OstrowskiReport(ratios=tuple(ratios), low=spec_b[-1], high=spec_b[0])
 
 
+def _pair_sum(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
+    """The pairing kernel: sum of xs[t] * ys[t], accumulated left to right."""
+    total = 0.0
+    for x, y in zip(xs, ys, strict=True):
+        total += x * y
+    return total
+
+
+def _bracket(sel: tuple[float, ...], b: tuple[float, ...], kap: int) -> tuple[float, float]:
+    """(lower, upper) pairing sel with reversed b / b in the pattern b[:kap] + b[n-k+kap:].
+
+    kap = k gives the both-PSD bracket, kap = 0 the stable one, and
+    sel = a with kap = k = n the trace one.
+    """
+    n, k = len(b), len(sel)
+    rev = b[::-1]
+    return (
+        _pair_sum(sel, rev[:kap] + rev[n - k + kap:]),
+        _pair_sum(sel, b[:kap] + b[n - k + kap:]),
+    )
+
+
+def _selected(spec: Spectrum, idx: IndexSequence) -> tuple[float, ...]:
+    return tuple(spec[i - 1] for i in idx.indices)
+
+
 def _clamped(spec: Spectrum) -> tuple[float, ...]:
     return tuple(max(v, 0.0) for v in spec.values)
+
+
+def _radius(spec: Spectrum) -> float:
+    return max(abs(spec[0]), abs(spec[-1]))
 
 
 def _require_same_dim(spec_a: Spectrum, spec_b: Spectrum) -> None:

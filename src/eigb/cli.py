@@ -44,12 +44,7 @@ class CliConfig:
     tol_class: float = bnd.TOL_CLASS
     tol_verify: float = bnd.TOL_VERIFY_BASE
     tol_herm: float = 1e-9
-    output_mode: str = "human"
-    seed: int | None = None
-
-    @property
-    def json(self) -> bool:
-        return self.output_mode == "json"
+    json: bool = False
 
     def tolerances(self) -> harness.Tolerances:
         return harness.Tolerances(tol_class=self.tol_class, verify_base=self.tol_verify)
@@ -93,8 +88,7 @@ def _config(args) -> CliConfig:
         tol_class=args.tol_class,
         tol_verify=args.tol_verify,
         tol_herm=args.tol_herm,
-        output_mode="json" if args.json else "human",
-        seed=getattr(args, "seed", None),
+        json=args.json,
     )
 
 
@@ -215,11 +209,7 @@ def cmd_verify(args) -> int:
         print(f"checking all {len(sequences)} selections on n={n}")
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        seen = set()
-        while len(seen) < _VERIFY_SAMPLE_COUNT:
-            k = int(rng.integers(1, n + 1))
-            seen.add(tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())))
-        sequences = [bnd.IndexSequence(indices=c, n=n) for c in sorted(seen)]
+        sequences = harness.sample_index_sequences(rng, n, _VERIFY_SAMPLE_COUNT)
         print(f"checking {len(sequences)} sampled selections on n={n}")
 
     violations = []

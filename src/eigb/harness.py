@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,17 +23,16 @@ from .bounds import (
     TOL_CLASS,
     TOL_VERIFY_BASE,
     classification_scale,
-    compare_split_vs_main,
-    count_selected_nonnegative,
     gap_bound,
     inertia_of,
-    main_bounds,
     ostrowski_ratios,
     psd_product_bounds,
     selected_sum,
-    splitting_upper_bound,
+    selection_bounds,
     stable_bounds,
+    sum_tolerance,
     trace_bounds,
+    verify_tolerance,
     wielandt_sum_bounds,
 )
 from .errors import (
@@ -56,6 +55,11 @@ from .linalg import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# Campaign instances up to this dimension check every selection; larger
+# ones check SAMPLED_SEQUENCES sampled selections.
+EXHAUSTIVE_MAX_N = 6
+SAMPLED_SEQUENCES = 12
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -303,25 +307,21 @@ def run_checks(
     checks: list[CheckResult] = []
     spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
     n, k = idx.n, idx.k
-    kap = count_selected_nonnegative(spec_a, idx, tol.tol_class)
+    sums = selection_bounds(spec_a, spec_b, idx, tol.tol_class)
+    lower, upper = sums.lower, sums.upper
     inertia = inertia_of(spec_a, tol.tol_class)
-    tau = tol.verify_base * (
-        1.0
-        + max(abs(spec_a[0]), abs(spec_a[-1]))
-        * max(abs(spec_b[0]), abs(spec_b[-1]))
-        * k
-    )
+    tau = verify_tolerance(spec_a, spec_b, k, tol.verify_base)
 
     try:
-        lower, upper, _ = main_bounds(spec_a, spec_b, idx, tol.tol_class)
         actual = selected_sum(spec_ab, idx)
         checks.append(_bracket_check("main-bounds", lower, actual, upper, tau))
-
-        split_up = splitting_upper_bound(spec_a, spec_b, idx, tol.tol_class)
-        t1, t2, _ = compare_split_vs_main(spec_a, spec_b, idx, tol.tol_class, tau)
         checks.append(
             _upper_check(
-                "dominance", upper, split_up, tau, detail=f"T1={t1!r} T2={t2!r}"
+                "dominance",
+                upper,
+                sums.split_upper,
+                tau,
+                detail=f"T1={sums.t1!r} T2={sums.t2!r}",
             )
         )
 
@@ -384,11 +384,7 @@ def run_checks(
 
         w_lo, w_up = wielandt_sum_bounds(spec_a, sp.spec_b_raw, idx)
         w_actual = selected_sum(sp.spec_sum, idx)
-        tau_sum = tol.verify_base * (
-            1.0
-            + (max(abs(spec_a[0]), abs(spec_a[-1])) + max(abs(spec_b[0]), abs(spec_b[-1])))
-            * k
-        )
+        tau_sum = sum_tolerance(spec_a, spec_b, k, tol.verify_base)
         checks.append(_bracket_check("wielandt", w_lo, w_actual, w_up, tau_sum))
     except EigbError as exc:
         checks.append(
@@ -405,7 +401,7 @@ def run_checks(
         seed=seed,
         n=n,
         indices=idx.indices,
-        selected_nonneg=kap,
+        selected_nonneg=sums.kap,
         inertia=inertia.as_tuple(),
         checks=tuple(checks),
     )
@@ -470,8 +466,6 @@ class CampaignConfig:
     n_max: int = 8
     eigenvalue_range: tuple[float, float] = (0.1, 10.0)
     inertia: tuple[int, int, int] | None = None
-    exhaustive_max_n: int = 6
-    sampled_sequences: int = 12
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -526,7 +520,6 @@ def _family_sequences(
 ) -> list[IndexSequence]:
     """Sampled selections for large n: inside, beyond, and straddling the
     nonnegative block, padded with random subsets."""
-    count = min(count, 2**n - 1)
     chosen: set[tuple[int, ...]] = set()
     if family >= 2:
         if nu >= 1:
@@ -539,6 +532,16 @@ def _family_sequences(
             lo = int(rng.integers(1, nu + 1))
             hi = int(rng.integers(nu + 1, n + 1))
             chosen.add((lo, hi))
+    return sample_index_sequences(rng, n, count, chosen)
+
+
+def sample_index_sequences(
+    rng: np.random.Generator, n: int, count: int, chosen: Iterable[tuple[int, ...]] = ()
+) -> list[IndexSequence]:
+    """Pad `chosen` with random nonempty subsets of 1..n up to `count`
+    distinct selections (at most 2^n - 1); returned in lexicographic order."""
+    chosen = set(chosen)
+    count = min(count, 2**n - 1)
     while len(chosen) < count:
         k = int(rng.integers(1, n + 1))
         chosen.add(tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())))
@@ -604,10 +607,10 @@ def run_campaign(
             st.min_slack = min(st.min_slack, 0.0)
             continue
         nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
-        if n <= config.exhaustive_max_n:
+        if n <= EXHAUSTIVE_MAX_N:
             sequences = list(all_index_sequences(n))
         else:
-            sequences = _family_sequences(rng, i % 5, n, nu, config.sampled_sequences)
+            sequences = _family_sequences(rng, i % 5, n, nu, SAMPLED_SEQUENCES)
         for idx in sequences:
             record = run_checks(sp, idx, tol, instance_id=i, seed=seed_i)
             total += 1

@@ -196,6 +196,22 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = s * phase * vec_p + c * vec_q
 
 
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m / 2^e, e) with 2^e the power of two just above the largest |re| or |im|.
+
+    A power of two scales exactly, so a computation on the scaled copy
+    scaled back by 2^e is bit-identical to one on m wherever that one
+    neither overflows nor underflows.  ldexp, not a multiplication by
+    2.0 ** -e, which overflows for a subnormal peak.
+    """
+    peak = max(np.max(np.abs(m.real), initial=0.0), np.max(np.abs(m.imag), initial=0.0))
+    exponent = int(np.frexp(peak)[1])
+    scaled = np.empty_like(m, dtype=np.complex128)
+    scaled.real = np.ldexp(m.real, -exponent)
+    scaled.imag = np.ldexp(m.imag, -exponent)
+    return scaled, exponent
+
+
 def _off_norm(a: np.ndarray) -> float:
     # Summed directly over off-diagonal entries: subtracting the diagonal
     # mass from the total norm would cancel catastrophically once the
@@ -213,13 +229,17 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
     NoConvergence if JACOBI_MAX_SWEEPS sweeps do not reach the target
     (which for Hermitian input they always should: convergence is
     quadratic once the off-diagonal mass is small).
+
+    The sweeps run on A / 2^e (see _unit_scaled), so ||A||_F neither
+    overflows nor underflows however A is scaled; the eigenvalues are
+    scaled back by 2^e.
     """
-    work = a.matrix.astype(np.complex128, copy=True)
+    work, exponent = _unit_scaled(a.matrix)
     n = work.shape[0]
     vectors = np.eye(n, dtype=np.complex128)
     norm = float(np.linalg.norm(work))
     if n == 1 or norm == 0.0:
-        return _finish_eig(work, vectors)
+        return _finish_eig(work, vectors, exponent)
 
     target = JACOBI_TOL * norm
     # Skipping rotations below this per-element threshold still guarantees
@@ -228,7 +248,7 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
     sweeps = 0
     while sweeps < JACOBI_MAX_SWEEPS:
         if _off_norm(work) <= target:
-            return _finish_eig(work, vectors)
+            return _finish_eig(work, vectors, exponent)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if abs(work[p, q]) > threshold:
@@ -236,12 +256,15 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
         sweeps += 1
     residual = _off_norm(work)
     if residual <= target:
-        return _finish_eig(work, vectors)
-    raise NoConvergence(sweeps, residual)
+        return _finish_eig(work, vectors, exponent)
+    raise NoConvergence(sweeps, float(np.ldexp(residual, exponent)))
 
 
-def _finish_eig(work: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
-    values = work.diagonal().real.copy()
+def _finish_eig(work: np.ndarray, vectors: np.ndarray, exponent: int) -> EigenDecomposition:
+    with np.errstate(over="ignore"):
+        values = np.ldexp(work.diagonal().real, exponent)
+    if not np.all(np.isfinite(values)):
+        raise NonFinite("eigenvalues exceed the floating-point range")
     order = np.argsort(-values, kind="stable")
     spectrum = Spectrum(tuple(float(v) for v in values[order]))
     return EigenDecomposition(spectrum=spectrum, vectors=vectors[:, order])
@@ -273,20 +296,7 @@ def product_spectrum(a: HermitianMatrix, b: PSDMatrix) -> Spectrum:
     return hermitian_eig(validate_hermitian(conjugated)).spectrum
 
 
-def matrix_product(x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {x.shape} and {y.shape}")
-    return x @ y
-
-
-def trace(x) -> complex:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionMismatch(f"trace needs a square matrix, got shape {x.shape}")
-    return complex(np.trace(x))
-
-
 def frobenius_norm(x) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=np.complex128)))
+    scaled, exponent = _unit_scaled(np.asarray(x, dtype=np.complex128))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled), exponent))

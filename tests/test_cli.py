@@ -113,6 +113,17 @@ class TestVerify:
         a, b = example_files
         assert main(["verify", "--a", a, "--b", b, "--tol-verify", "-1"]) == 2
 
+    @pytest.mark.parametrize("b_scale", [1.0, 1e-200])
+    def test_extreme_scale(self, tmp_path, capsys, b_scale):
+        # A at 1e200 against B at 1 or 1e-200 (product about 1e200 or 1).  A
+        # at 1e-200 against a moderate B is no test of the solver: all its
+        # sums lie below the absolute floor of the slack tolerance.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, 1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        save_matrix(b_path, b_scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
+        assert "all inequalities hold" in capsys.readouterr().out
+
 
 class TestFuzz:
     def test_small_campaign_passes(self, capsys):
@@ -202,6 +213,14 @@ class TestSpectrum:
         np.testing.assert_allclose(data["spectrum_b"], [3, 2, 1], atol=1e-9)
         np.testing.assert_allclose(data["spectrum_ab"], [3, -3, -8], atol=1e-9)
         assert data["inertia_a"] == [1, 2, 0]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale(self, tmp_path, capsys, scale):
+        path = tmp_path / "a.mat"
+        save_matrix(path, np.array([[0.0, scale], [scale, 0.0]]))
+        code, data = run_json(capsys, ["spectrum", "--a", str(path)])
+        assert code == 0
+        np.testing.assert_allclose(data["spectrum_a"], [scale, -scale], rtol=1e-12)
 
     def test_non_hermitian_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.mat"

@@ -224,7 +224,7 @@ class TestRunCampaign:
         assert report.total == 4 * 15
 
     def test_sampled_beyond_exhaustive_cutoff(self):
-        config = CampaignConfig(n_min=8, n_max=8, exhaustive_max_n=6, sampled_sequences=12)
+        config = CampaignConfig(n_min=8, n_max=8)
         report = run_campaign(5, config, master_seed=2)
         assert report.total == 5 * 12
 

@@ -14,10 +14,8 @@ from eigb.linalg import (
     Spectrum,
     frobenius_norm,
     hermitian_eig,
-    matrix_product,
     product_spectrum,
     psd_sqrt,
-    trace,
     validate_hermitian,
     validate_psd,
 )
@@ -146,6 +144,24 @@ class TestHermitianEig:
         d = hermitian_eig(validate_hermitian(np.zeros((3, 3))))
         assert d.spectrum.values == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_extreme_scale(self, scale):
+        # ||A||_F overflows at 1e200 and underflows at 1e-200; 1e-310 is subnormal.
+        d = hermitian_eig(validate_hermitian([[0.0, scale], [scale, 0.0]]))
+        np.testing.assert_allclose(d.spectrum.values, [scale, -scale], rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_random(self, scale):
+        h = random_hermitian(np.random.default_rng(9), 6)
+        want = np.sort(np.linalg.eigvalsh(h.matrix))[::-1]
+        got = np.array(hermitian_eig(validate_hermitian(scale * h.matrix)).spectrum.values)
+        np.testing.assert_allclose(got / scale, want, atol=1e-10 * np.abs(want).max())
+
+    def test_eigenvalue_overflow_raises(self):
+        # The eigenvalues 2.4e308, 0, 0 exceed the largest double.
+        with pytest.raises(NonFinite):
+            hermitian_eig(validate_hermitian(np.full((3, 3), 8e307)))
+
     @pytest.mark.parametrize(
         "targets",
         [
@@ -265,37 +281,39 @@ class TestProductSpectrum:
         with pytest.raises(DimensionMismatch):
             product_spectrum(validate_hermitian(np.eye(2)), validate_psd(np.eye(3)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale(self, scale):
+        # A and B commute: A has eigenvalues 3, -1 and B 3, 1 on the same vectors.
+        a = validate_hermitian(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        b = validate_psd([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(product_spectrum(a, b).values, [9 * scale, -scale], rtol=1e-12)
+
     def test_sum_matches_trace(self):
         rng = np.random.default_rng(13)
         a = random_hermitian(rng, 6)
         b = random_psd(rng, 6)
         spec_sum = product_spectrum(a, b).sum()
-        tr = trace(matrix_product(a.matrix, b.matrix))
+        tr = np.trace(a.matrix @ b.matrix)
         scale = 1 + frobenius_norm(a.matrix) * frobenius_norm(b.matrix)
         assert abs(tr.imag) <= 1e-9 * scale
         assert abs(spec_sum - tr.real) <= 1e-9 * scale
 
 
 class TestSmallOps:
-    def test_trace_identity(self):
-        assert trace(np.eye(3)) == 3.0
-
     def test_example_trace(self):
-        prod = matrix_product(np.array(A3, dtype=complex), np.array(B3, dtype=complex))
-        assert trace(prod) == pytest.approx(-8.0, abs=1e-12)
+        prod = np.array(A3, dtype=complex) @ np.array(B3, dtype=complex)
+        assert np.trace(prod) == pytest.approx(-8.0, abs=1e-12)
         spec = product_spectrum(validate_hermitian(A3), validate_psd(B3))
         assert spec.sum() == pytest.approx(-8.0, abs=1e-9)
 
     def test_frobenius_zero(self):
         assert frobenius_norm(np.zeros((2, 2))) == 0.0
 
-    def test_product_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matrix_product(np.eye(2), np.eye(3))
-
-    def test_trace_needs_square(self):
-        with pytest.raises(DimensionMismatch):
-            trace(np.ones((2, 3)))
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_frobenius_extreme_scale(self, scale):
+        # The sum of squares overflows (underflows) at these scales.
+        got = frobenius_norm(np.full((2, 2), 3.0 * scale))
+        assert got == pytest.approx(6.0 * scale, rel=1e-15, abs=0.0)
 
 
 class TestSpectrum:

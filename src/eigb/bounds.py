@@ -138,6 +138,11 @@ def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k: int, base: float = T
     return base * (1.0 + _radius(spec_a) * _radius(spec_b) * k)
 
 
+def ratio_tolerance(spec_b: Spectrum, base: float = TOL_VERIFY_BASE) -> float:
+    """Slack tolerance for ratios bracketed by the spectrum of B (Ostrowski)."""
+    return base * (1.0 + _radius(spec_b))
+
+
 def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k: int, base: float = TOL_VERIFY_BASE) -> float:
     """Slack tolerance scaled to the magnitude of a k-term bound for A + B."""
     return base * (1.0 + (_radius(spec_a) + _radius(spec_b)) * k)

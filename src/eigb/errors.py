@@ -38,13 +38,7 @@ class NotPositiveSemidefinite(EigbError):
 
 
 class NoConvergence(EigbError):
-    def __init__(self, sweeps: int, residual: float):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.sweeps = sweeps
-        self.residual = residual
+    pass
 
 
 class DimensionMismatch(EigbError):

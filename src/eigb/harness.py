@@ -27,6 +27,7 @@ from .bounds import (
     inertia_of,
     ostrowski_ratios,
     psd_product_bounds,
+    ratio_tolerance,
     selected_sum,
     selection_bounds,
     stable_bounds,
@@ -367,6 +368,7 @@ def run_checks(
                 worst_low = min(r - rep.low for _, r in rep.ratios)
                 worst_high = min(rep.high - r for _, r in rep.ratios)
                 offender = min(rep.ratios, key=lambda tr: min(tr[1] - rep.low, rep.high - tr[1]))
+                tau_ratio = ratio_tolerance(spec_b, tol.verify_base)
                 checks.append(
                     CheckResult(
                         name="ostrowski",
@@ -375,8 +377,7 @@ def run_checks(
                         upper=rep.high,
                         lower_slack=worst_low,
                         upper_slack=worst_high,
-                        passed=worst_low >= -tol.verify_base
-                        and worst_high >= -tol.verify_base,
+                        passed=worst_low >= -tau_ratio and worst_high >= -tau_ratio,
                     )
                 )
         except NotPositiveDefinite:

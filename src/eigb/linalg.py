@@ -1,11 +1,16 @@
 """Dense complex-matrix foundation.
 
-Validated Hermitian and positive-semidefinite matrix types, a cyclic
-complex Jacobi eigensolver, the PSD square root, and the real spectrum of
-a Hermitian times PSD product computed through the symmetric conjugation
-B^(1/2) A B^(1/2).  The product spectrum is never obtained from a general
-eigensolver on A@B: conjugating keeps the problem Hermitian, so realness
-of the result is structural rather than numerical.
+Validated Hermitian and positive-semidefinite matrix types, the Hermitian
+eigensolver (LAPACK zheevd through numpy.linalg.eigh), the PSD square
+root, and the real spectrum of a Hermitian times PSD product computed
+through the symmetric conjugation B^(1/2) A B^(1/2).  The product spectrum
+is never obtained from a general eigensolver on A@B: conjugating keeps the
+problem Hermitian, so realness of the result is structural rather than
+numerical.
+
+A cyclic complex Jacobi solver, `jacobi_eig`, is kept as an independent
+oracle for the tests: it shares no algorithm with LAPACK and is the more
+accurate of the two on graded matrices (Demmel & Veselic, 1992).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from math import sqrt
 from typing import Iterator
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigh
 
 from .errors import (
     DimensionMismatch,
@@ -139,7 +145,14 @@ def validate_hermitian(entries, tol: float = TOL_HERM) -> HermitianMatrix:
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     if defect > tol * scale:
         raise NotHermitian(defect, tol * scale)
-    sym = (m + m.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (m + m.conj().T) / 2.0
+    # The sum overflows for entries above about 9e307.  Halving first is
+    # exact at that magnitude, but rounds subnormals, so only the
+    # overflowed entries are recomputed that way.
+    overflowed = ~np.isfinite(sym)
+    if overflowed.any():
+        sym[overflowed] = m[overflowed] / 2.0 + m.conj().T[overflowed] / 2.0
     # Diagonal of (M + M*)/2 is real in exact arithmetic; force it so.
     np.fill_diagonal(sym, sym.diagonal().real)
     return HermitianMatrix(matrix=sym, hermiticity_defect=defect)
@@ -222,7 +235,25 @@ def _off_norm(a: np.ndarray) -> float:
 
 
 def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
+    """Full eigendecomposition by LAPACK (numpy.linalg.eigh, zheevd).
+
+    LAPACK runs on A / 2^e (see _unit_scaled) and the eigenvalues are
+    scaled back by 2^e, so the result does not depend on how A is scaled
+    until the eigenvalues themselves leave the floating-point range
+    (NonFinite).  A LAPACK failure surfaces as NoConvergence.
+    """
+    work, exponent = _unit_scaled(a.matrix)
+    try:
+        values, vectors = eigh(work)
+    except LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
+    return _finish_eig(values, vectors, exponent)
+
+
+def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
     """Full eigendecomposition by cyclic complex Jacobi rotations.
+
+    The test oracle for hermitian_eig; nothing in the package calls it.
 
     Sweeps annihilate every off-diagonal pair in turn until the
     off-diagonal Frobenius norm drops below JACOBI_TOL * ||A||_F.  Raises
@@ -239,7 +270,7 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
     vectors = np.eye(n, dtype=np.complex128)
     norm = float(np.linalg.norm(work))
     if n == 1 or norm == 0.0:
-        return _finish_eig(work, vectors, exponent)
+        return _finish_eig(work.diagonal().real, vectors, exponent)
 
     target = JACOBI_TOL * norm
     # Skipping rotations below this per-element threshold still guarantees
@@ -248,7 +279,7 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
     sweeps = 0
     while sweeps < JACOBI_MAX_SWEEPS:
         if _off_norm(work) <= target:
-            return _finish_eig(work, vectors, exponent)
+            return _finish_eig(work.diagonal().real, vectors, exponent)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if abs(work[p, q]) > threshold:
@@ -256,13 +287,17 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
         sweeps += 1
     residual = _off_norm(work)
     if residual <= target:
-        return _finish_eig(work, vectors, exponent)
-    raise NoConvergence(sweeps, float(np.ldexp(residual, exponent)))
+        return _finish_eig(work.diagonal().real, vectors, exponent)
+    raise NoConvergence(
+        f"Jacobi eigensolver did not converge after {sweeps} sweeps "
+        f"(off-diagonal residual {float(np.ldexp(residual, exponent)):.3e})"
+    )
 
 
-def _finish_eig(work: np.ndarray, vectors: np.ndarray, exponent: int) -> EigenDecomposition:
+def _finish_eig(values: np.ndarray, vectors: np.ndarray, exponent: int) -> EigenDecomposition:
+    """Scale eigenvalues of A / 2^e back by 2^e; sort descending with their vectors."""
     with np.errstate(over="ignore"):
-        values = np.ldexp(work.diagonal().real, exponent)
+        values = np.ldexp(values, exponent)
     if not np.all(np.isfinite(values)):
         raise NonFinite("eigenvalues exceed the floating-point range")
     order = np.argsort(-values, kind="stable")
@@ -273,10 +308,15 @@ def _finish_eig(work: np.ndarray, vectors: np.ndarray, exponent: int) -> EigenDe
 def psd_sqrt(b: PSDMatrix) -> HermitianMatrix:
     """Unique PSD square root via the cached eigendecomposition of B.
 
-    Within-tolerance negative eigenvalues are clamped to zero before the
-    square root, so the result is real-spectrum PSD by construction.
+    Eigenvalues at or below the rounding floor n * eps * lambda_1(B) are
+    set to zero before the square root: a zero eigenvalue of B comes out of
+    the eigensolver as about +-n * eps * lambda_1, and its square root
+    (about 1e-8 * sqrt(lambda_1)) would otherwise land in B^(1/2).  The
+    result is real-spectrum PSD by construction.
     """
-    vals = np.array([max(v, 0.0) for v in b.eig.spectrum])
+    vals = np.array(b.eig.spectrum.values)
+    floor = b.n * np.finfo(np.float64).eps * vals[0]
+    vals[vals <= floor] = 0.0
     vecs = b.eig.vectors
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return validate_hermitian(root)

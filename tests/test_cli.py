@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from eigb.cli import main
-from eigb.harness import GeneratorSpec, gen_hermitian, gen_psd
+from eigb.harness import (
+    GeneratorSpec,
+    Tolerances,
+    all_index_sequences,
+    gen_hermitian,
+    gen_psd,
+    instance_spectra,
+    run_checks,
+)
 from eigb.matfile import save_matrix
 
 EXAMPLE_A_TEXT = "3\n1 2 0\n2 1 0\n0 0 -4\n"
@@ -82,11 +90,22 @@ class TestVerify:
         a, b = example_files
         assert main(["verify", "--a", a, "--b", b, "--indices", "1,3"]) == 0
 
+    @staticmethod
+    def _instance_with_negative_slack():
+        """First generated n = 4 pair with a rounding-level negative slack."""
+        for seed in range(100):
+            a = gen_hermitian(GeneratorSpec(n=4, seed=seed, inertia_target=(2, 2, 0)))
+            b = gen_psd(GeneratorSpec(n=4, seed=1000 + seed))
+            sp = instance_spectra(a, b)
+            for idx in all_index_sequences(4):
+                if not run_checks(sp, idx, Tolerances(verify_base=0.0)).passed:
+                    return a, b
+        raise AssertionError("no instance with a negative slack among seeds 0..99")
+
     def test_zero_tolerance_gate(self, tmp_path, capsys):
-        # fp-level slack is negative somewhere among the selections of this
-        # instance, so a zero verification tolerance must flag it.
-        a = gen_hermitian(GeneratorSpec(n=4, seed=0, inertia_target=(2, 2, 0)))
-        b = gen_psd(GeneratorSpec(n=4, seed=1000))
+        # A zero verification tolerance must flag a negative slack that the
+        # default tolerance forgives.
+        a, b = self._instance_with_negative_slack()
         a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
         save_matrix(a_path, a.matrix)
         save_matrix(b_path, b.matrix)
@@ -121,6 +140,15 @@ class TestVerify:
         a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
         save_matrix(a_path, 1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
         save_matrix(b_path, b_scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
+        assert "all inequalities hold" in capsys.readouterr().out
+
+    def test_ostrowski_tolerance_scales_with_b(self, tmp_path, capsys):
+        # The Ostrowski ratios are about 1e200 here, so their rounding error
+        # (about 1e184) must be judged against a tolerance scaled by B.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        save_matrix(b_path, 1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
         assert "all inequalities hold" in capsys.readouterr().out
 

@@ -1,4 +1,4 @@
-"""Core linear algebra: validation, Jacobi eigensolver, PSD sqrt, product spectrum."""
+"""Core linear algebra: validation, eigensolvers, PSD sqrt, product spectrum."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from eigb.linalg import (
     Spectrum,
     frobenius_norm,
     hermitian_eig,
+    jacobi_eig,
     product_spectrum,
     psd_sqrt,
     validate_hermitian,
@@ -82,6 +83,25 @@ class TestValidateHermitian:
         h = validate_hermitian([[1 + 1e-12j, 0], [0, 2]])
         assert h.matrix[0, 0].imag == 0.0
 
+    def test_entries_near_overflow(self):
+        # (M + M*) / 2 overflows above about 9e307.
+        h = validate_hermitian([[0.0, 1e308], [1e308, 0.0]])
+        np.testing.assert_array_equal(h.matrix, [[0.0, 1e308], [1e308, 0.0]])
+        assert hermitian_eig(h).spectrum.values == pytest.approx((1e308, -1e308), rel=1e-15)
+
+    def test_symmetrization_bits_unchanged(self):
+        # Wherever (M + M*) / 2 does not overflow it is the result, to the
+        # bit: halving first would round the subnormal (5e-324 + 1e-323) / 2.
+        # tol=2 accepts any matrix, so the entries can be drawn freely.
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        m = z * np.power(10.0, rng.integers(-320, 300, size=(6, 6)))
+        m[0, 1], m[1, 0] = 5e-324, 1e-323
+        m[2, 3], m[3, 2] = -0.0 + 5e-324j, 0.0 + 1e-323j
+        want = (m + m.conj().T) / 2.0
+        np.fill_diagonal(want, want.diagonal().real)
+        assert validate_hermitian(m, tol=2.0).matrix.tobytes() == want.tobytes()
+
 
 class TestValidatePsd:
     def test_small_negative_clamped(self):
@@ -95,13 +115,15 @@ class TestValidatePsd:
 
 
 class TestHermitianEig:
+    solve = staticmethod(hermitian_eig)
+
     def test_scrambled_diagonal(self):
-        d = hermitian_eig(validate_hermitian(np.diag([-1.0, 3.0, -4.0])))
+        d = self.solve(validate_hermitian(np.diag([-1.0, 3.0, -4.0])))
         assert d.spectrum.values == (3.0, -1.0, -4.0)
 
     def test_example_spectra(self):
-        sa = hermitian_eig(validate_hermitian(A3)).spectrum
-        sb = hermitian_eig(validate_hermitian(B3)).spectrum
+        sa = self.solve(validate_hermitian(A3)).spectrum
+        sb = self.solve(validate_hermitian(B3)).spectrum
         np.testing.assert_allclose(sa.values, [3, -1, -4], atol=1e-9)
         np.testing.assert_allclose(sb.values, [3, 2, 1], atol=1e-9)
 
@@ -110,7 +132,7 @@ class TestHermitianEig:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 17))
         h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 50)))
-        d = hermitian_eig(h)
+        d = self.solve(h)
         v = d.vectors
         lam = np.array(d.spectrum.values)
         recon = (v * lam) @ v.conj().T
@@ -122,45 +144,45 @@ class TestHermitianEig:
     def test_matches_numpy_eigh(self, seed):
         rng = np.random.default_rng(100 + seed)
         h = random_hermitian(rng, 6)
-        ours = hermitian_eig(h).spectrum.values
+        ours = self.solve(h).spectrum.values
         theirs = np.sort(np.linalg.eigvalsh(h.matrix))[::-1]
         np.testing.assert_allclose(ours, theirs, atol=1e-10)
 
     def test_scaling_positive(self):
         rng = np.random.default_rng(7)
         h = random_hermitian(rng, 5)
-        base = np.array(hermitian_eig(h).spectrum.values)
-        scaled = np.array(hermitian_eig(validate_hermitian(2.5 * h.matrix)).spectrum.values)
+        base = np.array(self.solve(h).spectrum.values)
+        scaled = np.array(self.solve(validate_hermitian(2.5 * h.matrix)).spectrum.values)
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-10, atol=1e-12)
 
     def test_scaling_negative_reverses(self):
         rng = np.random.default_rng(8)
         h = random_hermitian(rng, 5)
-        base = np.array(hermitian_eig(h).spectrum.values)
-        flipped = np.array(hermitian_eig(validate_hermitian(-h.matrix)).spectrum.values)
+        base = np.array(self.solve(h).spectrum.values)
+        flipped = np.array(self.solve(validate_hermitian(-h.matrix)).spectrum.values)
         np.testing.assert_allclose(flipped, -base[::-1], rtol=1e-10, atol=1e-12)
 
     def test_zero_matrix(self):
-        d = hermitian_eig(validate_hermitian(np.zeros((3, 3))))
+        d = self.solve(validate_hermitian(np.zeros((3, 3))))
         assert d.spectrum.values == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
     def test_extreme_scale(self, scale):
         # ||A||_F overflows at 1e200 and underflows at 1e-200; 1e-310 is subnormal.
-        d = hermitian_eig(validate_hermitian([[0.0, scale], [scale, 0.0]]))
+        d = self.solve(validate_hermitian([[0.0, scale], [scale, 0.0]]))
         np.testing.assert_allclose(d.spectrum.values, [scale, -scale], rtol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scale_random(self, scale):
         h = random_hermitian(np.random.default_rng(9), 6)
         want = np.sort(np.linalg.eigvalsh(h.matrix))[::-1]
-        got = np.array(hermitian_eig(validate_hermitian(scale * h.matrix)).spectrum.values)
+        got = np.array(self.solve(validate_hermitian(scale * h.matrix)).spectrum.values)
         np.testing.assert_allclose(got / scale, want, atol=1e-10 * np.abs(want).max())
 
     def test_eigenvalue_overflow_raises(self):
         # The eigenvalues 2.4e308, 0, 0 exceed the largest double.
         with pytest.raises(NonFinite):
-            hermitian_eig(validate_hermitian(np.full((3, 3), 8e307)))
+            self.solve(validate_hermitian(np.full((3, 3), 8e307)))
 
     @pytest.mark.parametrize(
         "targets",
@@ -179,12 +201,44 @@ class TestHermitianEig:
         vals = np.array(targets)
         q = _haar_unitary(rng, len(vals))
         h = validate_hermitian((q * vals) @ q.conj().T)
-        d = hermitian_eig(h)
+        d = self.solve(h)
         got = np.array(d.spectrum.values)
         want = np.sort(vals)[::-1]
         assert np.max(np.abs(got - want)) <= 1e-10 * (1 + np.abs(vals).max())
         v = d.vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(len(vals)))) <= 1e-10
+
+
+class TestJacobiOracle(TestHermitianEig):
+    """The same bar for the Jacobi solver the tests use as an oracle."""
+
+    solve = staticmethod(jacobi_eig)
+
+
+class TestSolverDifferential:
+    """LAPACK and Jacobi spectra agree to 1e-10 relative to the largest eigenvalue."""
+
+    @staticmethod
+    def assert_agree(h):
+        lapack = np.array(hermitian_eig(h).spectrum.values)
+        jacobi = np.array(jacobi_eig(h).spectrum.values)
+        assert np.max(np.abs(lapack - jacobi)) <= 1e-10 * np.abs(jacobi).max()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_random(self, n):
+        rng = np.random.default_rng(600 + n)
+        self.assert_agree(random_hermitian(rng, n, scale=float(rng.uniform(0.1, 50))))
+
+    @pytest.mark.parametrize("decades", [4, 8, 12])
+    def test_graded(self, decades):
+        # D M D with D running over `decades` orders of magnitude: eigenvalues
+        # spread over twice that range, where Jacobi keeps more relative
+        # accuracy in the small ones than LAPACK.
+        rng = np.random.default_rng(700 + decades)
+        n = 8
+        d = np.logspace(0, -decades / 2, n)
+        m = random_psd(rng, n).matrix + n * np.eye(n)
+        self.assert_agree(validate_hermitian(d[:, None] * m * d[None, :]))
 
 
 class TestPsdSqrt:
@@ -235,6 +289,17 @@ class TestEigensolverEdges:
         from eigb.errors import NoConvergence
 
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence):
+            linalg.jacobi_eig(validate_hermitian([[1, 1], [1, 1]]))
+
+    def test_lapack_failure_surface(self, monkeypatch):
+        import eigb.linalg as linalg
+        from eigb.errors import NoConvergence
+
+        def failing_eigh(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg, "eigh", failing_eigh)
         with pytest.raises(NoConvergence):
             linalg.hermitian_eig(validate_hermitian([[1, 1], [1, 1]]))
 

@@ -133,8 +133,12 @@ def classification_scale(spec: Spectrum) -> float:
     return max(1.0, abs(spec[0]), abs(spec[-1]))
 
 
-def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k: int, base: float = TOL_VERIFY_BASE) -> float:
-    """Slack tolerance scaled to the magnitude of a k-term product bound."""
+def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
+    """Slack tolerance scaled to the magnitude of a k-term product bound.
+
+    k may be an integer array; the result is then an array, entry by entry
+    equal to the scalar one.
+    """
     return base * (1.0 + _radius(spec_a) * _radius(spec_b) * k)
 
 
@@ -143,8 +147,9 @@ def ratio_tolerance(spec_b: Spectrum, base: float = TOL_VERIFY_BASE) -> float:
     return base * (1.0 + _radius(spec_b))
 
 
-def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k: int, base: float = TOL_VERIFY_BASE) -> float:
-    """Slack tolerance scaled to the magnitude of a k-term bound for A + B."""
+def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
+    """Slack tolerance scaled to the magnitude of a k-term bound for A + B
+    (k may be an integer array, as in verify_tolerance)."""
     return base * (1.0 + (_radius(spec_a) + _radius(spec_b)) * k)
 
 
@@ -469,6 +474,127 @@ def _bracket(sel: tuple[float, ...], b: tuple[float, ...], kap: int) -> tuple[fl
         _pair_sum(sel, rev[:kap] + rev[n - k + kap:]),
         _pair_sum(sel, b[:kap] + b[n - k + kap:]),
     )
+
+
+class SelectionBoundsBatch(NamedTuple):
+    """selection_bounds of m selections, one array entry per selection, plus
+    the both-PSD (kap = k) and stable (kap = 0) brackets the reductions use."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    kap: np.ndarray
+    split_upper: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    psd_lower: np.ndarray
+    psd_upper: np.ndarray
+    stable_lower: np.ndarray
+    stable_upper: np.ndarray
+
+
+def selection_bounds_batch(
+    spec_a: Spectrum,
+    spec_b: Spectrum,
+    rows: np.ndarray,
+    ks: np.ndarray,
+    tol: float = TOL_CLASS,
+) -> SelectionBoundsBatch:
+    """selection_bounds, psd_product_bounds and stable_bounds of m selections.
+
+    rows is an (m x n) integer matrix: row r holds the 1-based indices of
+    one selection in its first ks[r] columns and zeros after them.  Every
+    sum adds the terms of the scalar formula in the same order (_row_sums),
+    so each entry equals the scalar result for that selection bit for bit.
+    """
+    _require_same_dim(spec_a, spec_b)
+    n = len(spec_a)
+    b = np.array(_clamped(spec_b))
+    live, sel = _gathered(spec_a, rows)
+    kap = (live & (sel >= -tol * classification_scale(spec_a))).sum(axis=1)
+    nu = inertia_of(spec_a, tol).nonnegative
+    t = np.arange(n)
+    ks = ks[:, None]
+    head = t < kap[:, None]
+    tail = live & ~head
+    # The four pairings of _bracket: b[t], b[n-1-t], b[n-k+t] and b[k-1-t].
+    # sel is 0.0 outside each selection and b is finite, so the products are too.
+    top = sel * b
+    bottom = sel * b[::-1]
+    late = sel * b.take(n - ks + t, mode="clip")
+    early = sel * b.take(ks - 1 - t, mode="clip")
+    lower, upper, t1, first, psd_lower, psd_upper, stable_lower, stable_upper = _row_sums(
+        np.stack([
+            np.where(head, bottom, early),
+            np.where(head, top, late),
+            np.where(tail, late, 0.0),
+            np.where(head, top, 0.0),
+            bottom,
+            top,
+            early,
+            late,
+        ])
+    )
+    # The splitting bound's second summation: a[nu+1..k] against b[n-k+nu+1..n],
+    # added onto the same running total as its first kap terms.
+    j = np.arange(n - nu)
+    a_rest = np.array(spec_a.values[nu:])
+    rest = np.where(j < ks - nu, a_rest * b.take(n - ks + nu + j, mode="clip"), 0.0)
+    return SelectionBoundsBatch(
+        lower=lower,
+        upper=upper,
+        kap=kap,
+        split_upper=_row_sums(rest, first),
+        t1=t1,
+        t2=_row_sums(rest),
+        psd_lower=psd_lower,
+        psd_upper=psd_upper,
+        stable_lower=stable_lower,
+        stable_upper=stable_upper,
+    )
+
+
+def wielandt_sum_bounds_batch(
+    spec_a: Spectrum, spec_b: Spectrum, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """wielandt_sum_bounds of every selection in rows (see selection_bounds_batch)."""
+    _require_same_dim(spec_a, spec_b)
+    base = selected_sums(spec_a, rows)
+    live = rows > 0
+    b = np.array(spec_b.values)
+    return (
+        _row_sums(np.where(live, b[::-1], 0.0), base),
+        _row_sums(np.where(live, b, 0.0), base),
+    )
+
+
+def selected_sums(spec: Spectrum, rows: np.ndarray) -> np.ndarray:
+    """selected_sum of every selection in rows (see selection_bounds_batch)."""
+    if rows.shape[1] != len(spec):
+        raise IndexOutOfRange(
+            f"index sequence is for dimension {rows.shape[1]}, spectrum has {len(spec)}"
+        )
+    return _row_sums(_gathered(spec, rows)[1])
+
+
+def _row_sums(terms: np.ndarray, start=0.0) -> np.ndarray:
+    """The batched pairing kernel: sums over the last axis, added column by
+    column, left to right, onto start, exactly as _pair_sum adds.
+
+    Terms outside a selection must be zero.  Adding 0.0 leaves a running
+    total unchanged unless the total is -0.0, which a sum started from
+    +0.0 (or from such a sum) never is.
+    """
+    total = np.empty(terms.shape[:-1])
+    total[...] = start
+    for t in range(terms.shape[-1]):
+        total += terms[..., t]
+    return total
+
+
+def _gathered(spec: Spectrum, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(live, values): where rows holds an index, and the spectrum there (0.0 elsewhere)."""
+    live = rows > 0
+    return live, np.where(live, np.array(spec.values)[rows - 1], 0.0)
 
 
 def _selected(spec: Spectrum, idx: IndexSequence) -> tuple[float, ...]:

@@ -59,7 +59,13 @@ def _fmt_seq(values) -> str:
 
 
 def _default_tol_verify() -> float:
-    return float(os.environ.get("EIGB_TOL_VERIFY", bnd.TOL_VERIFY_BASE))
+    text = os.environ.get("EIGB_TOL_VERIFY")
+    if text is None:
+        return bnd.TOL_VERIFY_BASE
+    try:
+        return float(text)
+    except ValueError:
+        raise EigbError(f"EIGB_TOL_VERIFY must be a number, got {text!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -202,22 +208,17 @@ def cmd_verify(args) -> int:
     tol = config.tolerances()
 
     if args.indices is not None:
-        sequences = [_parse_indices(args.indices, n)]
+        selections = [_parse_indices(args.indices, n).indices]
         print(f"checking 1 selection on n={n}")
     elif n <= _VERIFY_EXHAUSTIVE_MAX_N:
-        sequences = list(harness.all_index_sequences(n))
-        print(f"checking all {len(sequences)} selections on n={n}")
+        selections = harness.all_selections(n)
+        print(f"checking all {len(selections)} selections on n={n}")
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        sequences = harness.sample_index_sequences(rng, n, _VERIFY_SAMPLE_COUNT)
-        print(f"checking {len(sequences)} sampled selections on n={n}")
+        selections = harness.sample_selections(rng, n, _VERIFY_SAMPLE_COUNT)
+        print(f"checking {len(selections)} sampled selections on n={n}")
 
-    violations = []
-    for idx in sequences:
-        record = harness.run_checks(sp, idx, tol)
-        if not record.passed:
-            violations.append(record)
-
+    violations = harness.check_selections(sp, selections, tol).failures
     if not violations:
         print("all inequalities hold")
         return 0
@@ -395,10 +396,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (EigbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator
+from functools import reduce
+from itertools import chain, combinations
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,12 +31,15 @@ from .bounds import (
     psd_product_bounds,
     ratio_tolerance,
     selected_sum,
+    selected_sums,
     selection_bounds,
+    selection_bounds_batch,
     stable_bounds,
     sum_tolerance,
     trace_bounds,
     verify_tolerance,
     wielandt_sum_bounds,
+    wielandt_sum_bounds_batch,
 )
 from .errors import (
     EigbError,
@@ -166,9 +171,14 @@ def enumerate_index_sequences(n: int, k: int) -> Iterator[IndexSequence]:
         yield IndexSequence(indices=combo, n=n)
 
 
+def all_selections(n: int) -> list[tuple[int, ...]]:
+    """Every nonempty selection of 1..n as an index tuple: by size, then lexicographic."""
+    return [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+
+
 def all_index_sequences(n: int) -> Iterator[IndexSequence]:
-    for k in range(1, n + 1):
-        yield from enumerate_index_sequences(n, k)
+    for c in all_selections(n):
+        yield IndexSequence(indices=c, n=n)
 
 
 @dataclass(frozen=True)
@@ -345,16 +355,7 @@ def run_checks(
                 )
 
         if k == n:
-            tr_lo, tr_up = trace_bounds(spec_a, spec_b)
-            checks.append(
-                _bracket_check("trace-bracket", tr_lo, sp.trace_product, tr_up, tau)
-            )
-            agreement = abs(sp.trace_product - spec_ab.sum())
-            checks.append(
-                _upper_check(
-                    "trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0
-                )
-            )
+            checks.extend(_trace_checks(sp, tau))
 
         try:
             _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
@@ -362,26 +363,9 @@ def run_checks(
         except NoSignChange:
             pass
 
-        try:
-            rep = ostrowski_ratios(spec_a, spec_ab, spec_b, tol.tol_class)
-            if rep.ratios:
-                worst_low = min(r - rep.low for _, r in rep.ratios)
-                worst_high = min(rep.high - r for _, r in rep.ratios)
-                offender = min(rep.ratios, key=lambda tr: min(tr[1] - rep.low, rep.high - tr[1]))
-                tau_ratio = ratio_tolerance(spec_b, tol.verify_base)
-                checks.append(
-                    CheckResult(
-                        name="ostrowski",
-                        actual=offender[1],
-                        lower=rep.low,
-                        upper=rep.high,
-                        lower_slack=worst_low,
-                        upper_slack=worst_high,
-                        passed=worst_low >= -tau_ratio and worst_high >= -tau_ratio,
-                    )
-                )
-        except NotPositiveDefinite:
-            pass
+        ostrowski = _ostrowski_check(sp, tol)
+        if ostrowski is not None:
+            checks.append(ostrowski)
 
         w_lo, w_up = wielandt_sum_bounds(spec_a, sp.spec_b_raw, idx)
         w_actual = selected_sum(sp.spec_sum, idx)
@@ -406,6 +390,184 @@ def run_checks(
         inertia=inertia.as_tuple(),
         checks=tuple(checks),
     )
+
+
+def _trace_checks(sp: InstanceSpectra, tau: float) -> tuple[CheckResult, CheckResult]:
+    """The checks of the full selection: trace bracket and trace consistency."""
+    tr_lo, tr_up = trace_bounds(sp.spec_a, sp.spec_b)
+    agreement = abs(sp.trace_product - sp.spec_ab.sum())
+    return (
+        _bracket_check("trace-bracket", tr_lo, sp.trace_product, tr_up, tau),
+        _upper_check("trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0),
+    )
+
+
+def _ostrowski_check(sp: InstanceSpectra, tol: Tolerances) -> CheckResult | None:
+    """The Ostrowski check, or None when B is singular or no ratio is defined."""
+    try:
+        rep = ostrowski_ratios(sp.spec_a, sp.spec_ab, sp.spec_b, tol.tol_class)
+    except NotPositiveDefinite:
+        return None
+    if not rep.ratios:
+        return None
+    worst_low = min(r - rep.low for _, r in rep.ratios)
+    worst_high = min(rep.high - r for _, r in rep.ratios)
+    offender = min(rep.ratios, key=lambda tr: min(tr[1] - rep.low, rep.high - tr[1]))
+    tau_ratio = ratio_tolerance(sp.spec_b, tol.verify_base)
+    return CheckResult(
+        name="ostrowski",
+        actual=offender[1],
+        lower=rep.low,
+        upper=rep.high,
+        lower_slack=worst_low,
+        upper_slack=worst_high,
+        passed=worst_low >= -tau_ratio and worst_high >= -tau_ratio,
+    )
+
+
+@dataclass(frozen=True)
+class CheckColumn:
+    """One check across a batch of selections: where it applies and, there,
+    whether it passed and its worst slack (CheckResult.passed and .worst())."""
+
+    name: str
+    applies: np.ndarray
+    passed: np.ndarray
+    worst: np.ndarray
+
+
+@dataclass(frozen=True)
+class SelectionChecks:
+    """Result of check_selections: the check columns in run_checks order,
+    each selection's overall pass flag, and the failing selections' records."""
+
+    columns: tuple[CheckColumn, ...]
+    passed: np.ndarray
+    failures: list[VerificationRecord]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_selections(
+    sp: InstanceSpectra,
+    selections: Sequence[tuple[int, ...]],
+    tol: Tolerances = Tolerances(),
+    instance_id: int = 0,
+    seed: int = 0,
+) -> SelectionChecks:
+    """run_checks for every selection of one instance, in one numpy pass.
+
+    Each column's flags and slacks equal, bit for bit, what run_checks gives
+    for each selection (overflow to inf and nan included, silently as with
+    Python floats).  The checks that do not depend on the selection (gap,
+    Ostrowski and the trace pair) are evaluated once.  Full records are
+    built, by run_checks, only for the failing selections.
+    """
+    spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
+    n = len(spec_a)
+    rows, ks = _index_matrix(selections, n)
+    every = np.ones(len(rows), dtype=bool)
+    sums = selection_bounds_batch(spec_a, spec_b, rows, ks, tol.tol_class)
+    inertia = inertia_of(spec_a, tol.tol_class)
+    tau = verify_tolerance(spec_a, spec_b, ks, tol.verify_base)
+    columns: list[CheckColumn] = []
+
+    try:
+        actual = selected_sums(spec_ab, rows)
+        columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
+        columns.append(_upper_column("dominance", sums.upper, sums.split_upper, tau, every))
+        if inertia.negative == 0:
+            columns.append(
+                _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, every)
+            )
+        if inertia.positive == 0:
+            cut = tol.tol_class * classification_scale(spec_a)
+            sel = np.array(spec_a.values)[rows - 1]
+            exact = ~np.any((rows > 0) & (sel >= -cut) & (sel != 0.0), axis=1)
+            columns.append(
+                _reduction_column(
+                    "reduction-stable", sums, sums.stable_lower, sums.stable_upper, exact
+                )
+            )
+        full = ks == n
+        if full.any():
+            tau_full = verify_tolerance(spec_a, spec_b, n, tol.verify_base)
+            columns.extend(_broadcast(c, full) for c in _trace_checks(sp, tau_full))
+
+        try:
+            _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
+            columns.append(_upper_column("gap", gap, bound, tau, every))
+        except NoSignChange:
+            pass
+
+        ostrowski = _ostrowski_check(sp, tol)
+        if ostrowski is not None:
+            columns.append(_broadcast(ostrowski, every))
+
+        w_lo, w_up = wielandt_sum_bounds_batch(spec_a, sp.spec_b_raw, rows)
+        w_actual = selected_sums(sp.spec_sum, rows)
+        tau_sum = sum_tolerance(spec_a, spec_b, ks, tol.verify_base)
+        columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, every))
+    except EigbError:
+        columns.append(CheckColumn("computation", every, ~every, np.zeros(len(rows))))
+
+    passed = np.logical_and.reduce([c.passed | ~c.applies for c in columns])
+    failures = [
+        run_checks(sp, IndexSequence(indices=selections[r], n=n), tol, instance_id, seed)
+        for r in np.flatnonzero(~passed)
+    ]
+    return SelectionChecks(columns=tuple(columns), passed=passed, failures=failures)
+
+
+def _index_matrix(
+    selections: Sequence[tuple[int, ...]], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, ks): selections as rows of 1-based indices, left-aligned and
+    padded with zeros, and each selection's size."""
+    ks = np.fromiter(map(len, selections), dtype=np.intp, count=len(selections))
+    rows = np.zeros((len(selections), n), dtype=np.intp)
+    rows[np.arange(n) < ks[:, None]] = np.fromiter(chain.from_iterable(selections), dtype=np.intp)
+    return rows, ks
+
+
+def _bracket_column(name, lower, actual, upper, tol, applies) -> CheckColumn:
+    """_bracket_check for arrays."""
+    lo_slack = actual - lower
+    up_slack = upper - actual
+    return CheckColumn(
+        name=name,
+        applies=applies,
+        passed=(lo_slack >= -tol) & (up_slack >= -tol),
+        worst=np.where(up_slack < lo_slack, up_slack, lo_slack),
+    )
+
+
+def _upper_column(name, actual, upper, tol, applies) -> CheckColumn:
+    """_upper_check for arrays; scalar inputs are broadcast over the batch."""
+    slack = upper - actual
+    return CheckColumn(
+        name=name,
+        applies=applies,
+        passed=np.full(applies.shape, slack >= -tol),
+        worst=np.full(applies.shape, slack),
+    )
+
+
+def _broadcast(check: CheckResult, applies: np.ndarray) -> CheckColumn:
+    """A check evaluated once, as a column over the batch."""
+    return CheckColumn(
+        name=check.name,
+        applies=applies,
+        passed=np.full(applies.shape, check.passed),
+        worst=np.full(applies.shape, check.worst()),
+    )
+
+
+def _reduction_column(name, sums, lower, upper, applies) -> CheckColumn:
+    """An exact reduction identity: the bracket (lower, upper) must equal the
+    main one.  The deviation is max(x, y) as Python's max picks it (y only
+    if y > x), as in run_checks."""
+    x, y = abs(lower - sums.lower), abs(upper - sums.upper)
+    return _upper_column(name, np.where(y > x, y, x), 0.0, 0.0, applies)
 
 
 def _error_record(
@@ -457,6 +619,14 @@ class CheckStats:
     @property
     def mean_slack(self) -> float:
         return self.sum_slack / self.count if self.count else 0.0
+
+    def add(self, passed: np.ndarray, worst: np.ndarray) -> None:
+        """Count evaluations in order, with the same min and += as one at a time."""
+        slacks = worst.tolist()
+        self.count += len(slacks)
+        self.failed += int(np.count_nonzero(~passed))
+        self.min_slack = min([self.min_slack, *slacks])
+        self.sum_slack = reduce(add, slacks, self.sum_slack)
 
 
 @dataclass(frozen=True)
@@ -516,9 +686,9 @@ def _family_inertia(rng: np.random.Generator, family: int, n: int) -> tuple[int,
     return (pos, n - pos, 0)
 
 
-def _family_sequences(
+def _family_selections(
     rng: np.random.Generator, family: int, n: int, nu: int, count: int
-) -> list[IndexSequence]:
+) -> list[tuple[int, ...]]:
     """Sampled selections for large n: inside, beyond, and straddling the
     nonnegative block, padded with random subsets."""
     chosen: set[tuple[int, ...]] = set()
@@ -533,12 +703,12 @@ def _family_sequences(
             lo = int(rng.integers(1, nu + 1))
             hi = int(rng.integers(nu + 1, n + 1))
             chosen.add((lo, hi))
-    return sample_index_sequences(rng, n, count, chosen)
+    return sample_selections(rng, n, count, chosen)
 
 
-def sample_index_sequences(
+def sample_selections(
     rng: np.random.Generator, n: int, count: int, chosen: Iterable[tuple[int, ...]] = ()
-) -> list[IndexSequence]:
+) -> list[tuple[int, ...]]:
     """Pad `chosen` with random nonempty subsets of 1..n up to `count`
     distinct selections (at most 2^n - 1); returned in lexicographic order."""
     chosen = set(chosen)
@@ -546,7 +716,7 @@ def sample_index_sequences(
     while len(chosen) < count:
         k = int(rng.integers(1, n + 1))
         chosen.add(tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())))
-    return [IndexSequence(indices=c, n=n) for c in sorted(chosen)]
+    return sorted(chosen)
 
 
 def run_campaign(
@@ -609,24 +779,17 @@ def run_campaign(
             continue
         nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
         if n <= EXHAUSTIVE_MAX_N:
-            sequences = list(all_index_sequences(n))
+            selections = all_selections(n)
         else:
-            sequences = _family_sequences(rng, i % 5, n, nu, SAMPLED_SEQUENCES)
-        for idx in sequences:
-            record = run_checks(sp, idx, tol, instance_id=i, seed=seed_i)
-            total += 1
-            if record.passed:
-                passed += 1
-            else:
-                failures.append(record)
-            for c in record.checks:
-                st = stats.setdefault(c.name, CheckStats(name=c.name))
-                st.count += 1
-                if not c.passed:
-                    st.failed += 1
-                worst = c.worst()
-                st.min_slack = min(st.min_slack, worst)
-                st.sum_slack += worst
+            selections = _family_selections(rng, i % 5, n, nu, SAMPLED_SEQUENCES)
+        checked = check_selections(sp, selections, tol, instance_id=i, seed=seed_i)
+        total += len(selections)
+        passed += int(np.count_nonzero(checked.passed))
+        failures.extend(checked.failures)
+        for column in checked.columns:
+            if column.applies.any():
+                st = stats.setdefault(column.name, CheckStats(name=column.name))
+                st.add(column.passed[column.applies], column.worst[column.applies])
 
     return CampaignReport(
         total=total,

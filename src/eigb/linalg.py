@@ -138,13 +138,29 @@ def validate_hermitian(entries, tol: float = TOL_HERM) -> HermitianMatrix:
     """Symmetrize and accept a matrix as Hermitian within `tol` (relative).
 
     The defect max|M - M*| is measured before symmetrization; rejection
-    threshold is tol * max(1, max|entry|).
+    threshold is tol * max|entry|.  The two are compared on the scale of
+    M / 2^e (see _unit_scaled), because the modulus of an entry, and so the
+    defect, can exceed the largest double.
     """
     m = ensure_matrix(entries)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if defect > tol * scale:
-        raise NotHermitian(defect, tol * scale)
+    herm = _symmetrized(m)
+    scaled, exponent = _unit_scaled(m)
+    limit = tol * float(np.max(np.abs(scaled)))
+    if np.ldexp(herm.hermiticity_defect, -exponent) > limit:
+        raise NotHermitian(herm.hermiticity_defect, float(np.ldexp(limit, exponent)))
+    return herm
+
+
+def _symmetrized(m: np.ndarray) -> HermitianMatrix:
+    """(M + M*)/2 and the defect max|M - M*|, for any finite square M.
+
+    The matrices eigb builds itself (B^(1/2), B^(1/2) A B^(1/2)) are
+    Hermitian up to rounding and skip validate_hermitian's acceptance test:
+    where the exact product is zero, every entry is rounding and the
+    defect is as large as the entries.
+    """
+    with np.errstate(over="ignore"):
+        defect = float(np.max(np.abs(m - m.conj().T)))
     with np.errstate(over="ignore", invalid="ignore"):
         sym = (m + m.conj().T) / 2.0
     # The sum overflows for entries above about 9e307.  Halving first is
@@ -159,11 +175,11 @@ def validate_hermitian(entries, tol: float = TOL_HERM) -> HermitianMatrix:
 
 
 def validate_psd(entries, tol: float = TOL_PSD, herm_tol: float = TOL_HERM) -> PSDMatrix:
-    """Accept a Hermitian matrix as PSD within `tol` (relative to max(1, lambda_1))."""
+    """Accept a Hermitian matrix as PSD within `tol` (relative to its spectral radius)."""
     herm = entries if isinstance(entries, HermitianMatrix) else validate_hermitian(entries, herm_tol)
     eig = hermitian_eig(herm)
     lo = eig.spectrum[-1]
-    threshold = tol * max(1.0, eig.spectrum[0])
+    threshold = tol * max(eig.spectrum[0], -lo)
     if lo < -threshold:
         raise NotPositiveSemidefinite(lo, threshold)
     return PSDMatrix(hermitian=herm, eig=eig, min_eigenvalue=lo)
@@ -319,7 +335,7 @@ def psd_sqrt(b: PSDMatrix) -> HermitianMatrix:
     vals[vals <= floor] = 0.0
     vecs = b.eig.vectors
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return validate_hermitian(root)
+    return _symmetrized(ensure_matrix(root))
 
 
 def product_spectrum(a: HermitianMatrix, b: PSDMatrix) -> Spectrum:
@@ -333,7 +349,7 @@ def product_spectrum(a: HermitianMatrix, b: PSDMatrix) -> Spectrum:
         raise DimensionMismatch(f"A is {a.n}x{a.n} but B is {b.n}x{b.n}")
     root = psd_sqrt(b).matrix
     conjugated = root @ a.matrix @ root
-    return hermitian_eig(validate_hermitian(conjugated)).spectrum
+    return hermitian_eig(_symmetrized(ensure_matrix(conjugated))).spectrum
 
 
 def frobenius_norm(x) -> float:

@@ -1,11 +1,14 @@
 """Bound formulas: frozen values from the 3x3 integer case, formula identities,
 and property-based checks over random sorted spectra."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigb import bounds
 from eigb.bounds import (
     IndexSequence,
     compare_split_vs_main,
@@ -18,12 +21,16 @@ from eigb.bounds import (
     pair_bounds,
     psd_product_bounds,
     selected_sum,
+    selected_sums,
+    selection_bounds,
+    selection_bounds_batch,
     spectral_split,
     splitting_upper_bound,
     stable_bounds,
     trace_bounds,
     verify_tolerance,
     wielandt_sum_bounds,
+    wielandt_sum_bounds_batch,
 )
 from eigb.errors import (
     DimensionMismatch,
@@ -546,3 +553,58 @@ class TestSignBoundsK1:
         else:
             assert upper == val * spec_b[n - 1]
             assert lower == val * spec_b[0]
+
+
+class TestSelectionBoundsBatch:
+    """The batched kernel against the scalar formulas, every selection, to the bit."""
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectra(min_n=1, max_n=7), st.data())
+    def test_matches_scalar(self, spec_a, data):
+        self.assert_matches(spec_a, data.draw(spectra(n=len(spec_a), lo=-1.0)))
+
+    def test_value_on_the_zero_cut(self):
+        # -1e-9 is exactly -cut: kap counts it as nonnegative, inertia as negative.
+        self.assert_matches(Spectrum(values=(1.0, -1e-9, -1.0)), SB)
+
+    def assert_matches(self, spec_a, spec_b):
+        n = len(spec_a)
+        seqs = [
+            IndexSequence(indices=c, n=n)
+            for k in range(1, n + 1)
+            for c in combinations(range(1, n + 1), k)
+        ]
+        rows = np.zeros((len(seqs), n), dtype=np.intp)
+        for r, idx in enumerate(seqs):
+            rows[r, : idx.k] = idx.indices
+        ks = np.array([idx.k for idx in seqs])
+        batch = selection_bounds_batch(spec_a, spec_b, rows, ks)
+        scalar = [selection_bounds(spec_a, spec_b, idx) for idx in seqs]
+        for field in ("lower", "upper", "split_upper", "t1", "t2"):
+            assert self.bits(getattr(batch, field)) == self.bits(getattr(s, field) for s in scalar)
+        assert batch.kap.tolist() == [s.kap for s in scalar]
+        b = bounds._clamped(spec_b)
+        psd = [bounds._bracket(bounds._selected(spec_a, idx), b, idx.k) for idx in seqs]
+        stable = [bounds._bracket(bounds._selected(spec_a, idx), b, 0) for idx in seqs]
+        assert self.bits(batch.psd_lower) == self.bits(lo for lo, _ in psd)
+        assert self.bits(batch.psd_upper) == self.bits(up for _, up in psd)
+        assert self.bits(batch.stable_lower) == self.bits(lo for lo, _ in stable)
+        assert self.bits(batch.stable_upper) == self.bits(up for _, up in stable)
+        w_lo, w_up = wielandt_sum_bounds_batch(spec_a, spec_b, rows)
+        wielandt = [wielandt_sum_bounds(spec_a, spec_b, idx) for idx in seqs]
+        assert self.bits(w_lo) == self.bits(lo for lo, _ in wielandt)
+        assert self.bits(w_up) == self.bits(up for _, up in wielandt)
+        assert self.bits(selected_sums(spec_a, rows)) == self.bits(
+            selected_sum(spec_a, idx) for idx in seqs
+        )
+
+    def test_dimension_guard(self):
+        rows = np.array([[1, 2, 0]])
+        with pytest.raises(IndexOutOfRange):
+            selected_sums(Spectrum(values=(1.0, 0.0)), rows)
+        with pytest.raises(DimensionMismatch):
+            wielandt_sum_bounds_batch(SA, Spectrum(values=(1.0, 0.0)), rows)

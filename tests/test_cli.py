@@ -192,6 +192,11 @@ class TestFuzz:
         argv = ["fuzz", "--count", "10", "--seed", "0", "--n-min", "2", "--n-max", "5"]
         assert main(argv) == 1
 
+    def test_env_tolerance_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("EIGB_TOL_VERIFY", "abc")
+        assert main(["example"]) == 2
+        assert capsys.readouterr().err.startswith("error: EIGB_TOL_VERIFY")
+
     def test_forced_inertia(self, capsys):
         code, data = run_json(
             capsys, ["fuzz", "--count", "5", "--seed", "3", "--inertia", "2,2,0"]

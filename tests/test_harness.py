@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from eigb.bounds import IndexSequence, inertia_of
-from eigb.errors import InvalidCount, InvalidRange, InvalidSpec
+from eigb.bounds import TOL_VERIFY_BASE, IndexSequence, gap_bound, inertia_of
+from eigb.errors import ConsistencyError, InvalidCount, InvalidRange, InvalidSpec
 from eigb.harness import (
     CampaignConfig,
     GeneratorSpec,
+    InstanceSpectra,
+    Tolerances,
     all_index_sequences,
+    all_selections,
     check_instance,
+    check_selections,
     derive_seed,
     enumerate_index_sequences,
     gen_hermitian,
@@ -19,7 +25,7 @@ from eigb.harness import (
     run_checks,
     _target_values,
 )
-from eigb.linalg import hermitian_eig, validate_hermitian, validate_psd
+from eigb.linalg import Spectrum, hermitian_eig, validate_hermitian, validate_psd
 
 A3 = [[1, 2, 0], [2, 1, 0], [0, 0, -4]]
 B3 = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
@@ -200,6 +206,86 @@ class TestBoundaryEigenvalues:
             sp = instance_spectra(a, b)
             for idx in all_index_sequences(4):
                 assert run_checks(sp, idx).passed
+
+
+def assert_batch_matches(sp, selections, tol=Tolerances()):
+    """check_selections gives, on every selection, the checks run_checks gives,
+    in the same order, with the same pass flags and worst slacks to the bit,
+    and the same records for the failing selections."""
+    n = len(sp.spec_a)
+    batch = check_selections(sp, selections, tol)
+    records = [run_checks(sp, IndexSequence(indices=c, n=n), tol) for c in selections]
+    for r, record in enumerate(records):
+        columns = [c for c in batch.columns if c.applies[r]]
+        assert [c.name for c in columns] == [c.name for c in record.checks]
+        assert [bool(c.passed[r]) for c in columns] == [c.passed for c in record.checks]
+        assert [float(c.worst[r]).hex() for c in columns] == [c.worst().hex() for c in record.checks]
+        assert bool(batch.passed[r]) == record.passed
+    assert [f.to_dict() for f in batch.failures] == [r.to_dict() for r in records if not r.passed]
+
+
+class TestCheckSelections:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        kind=st.sampled_from(["mixed", "psd", "nsd"]),
+        zero_in_a=st.booleans(),
+        singular_b=st.booleans(),
+        verify_base=st.sampled_from([TOL_VERIFY_BASE, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_run_checks(self, n, kind, zero_in_a, singular_b, verify_base, seed):
+        zero = int(zero_in_a and n >= 2)
+        signed = n - zero
+        if kind == "psd":
+            pos = signed
+        elif kind == "nsd":
+            pos = 0
+        else:
+            assume(signed >= 2)
+            pos = 1 + seed % (signed - 1)
+        a = gen_hermitian(
+            GeneratorSpec(n=n, seed=seed, inertia_target=(pos, signed - pos, zero))
+        )
+        b_inertia = (n - 1, 0, 1) if singular_b and n >= 2 else (n, 0, 0)
+        b = gen_psd(GeneratorSpec(n=n, seed=seed + 1, inertia_target=b_inertia))
+        assert_batch_matches(
+            instance_spectra(a, b), all_selections(n), Tolerances(verify_base=verify_base)
+        )
+
+    def test_computation_record(self):
+        # The product changes sign where the factor A does not, so gap_bound
+        # raises ConsistencyError: the record keeps the checks before the gap
+        # check and ends with "computation", with no Ostrowski or Wielandt.
+        spec_a = Spectrum(values=(-0.5, -1.0))
+        spec_b = Spectrum(values=(2.0, 1.0))
+        spec_ab = Spectrum(values=(1.0, -1.0))
+        sp = InstanceSpectra(
+            spec_a=spec_a,
+            spec_b=spec_b,
+            spec_b_raw=spec_b,
+            spec_ab=spec_ab,
+            spec_sum=Spectrum(values=(1.5, -0.5)),
+            trace_product=0.0,
+            norm_scale=1.0,
+        )
+        with pytest.raises(ConsistencyError):
+            gap_bound(spec_a, spec_b, spec_ab)
+        record = run_checks(sp, IndexSequence(indices=(1, 2), n=2))
+        assert [c.name for c in record.checks] == [
+            "main-bounds",
+            "dominance",
+            "reduction-stable",
+            "trace-bracket",
+            "trace-consistency",
+            "computation",
+        ]
+        assert not record.passed
+        assert record.checks[-1].detail.startswith("ConsistencyError")
+        assert_batch_matches(sp, all_selections(2))
+
+    def test_selection_order(self):
+        assert all_selections(3) == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
 
 class TestRunCampaign:

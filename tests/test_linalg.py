@@ -60,6 +60,20 @@ class TestValidateHermitian:
         with pytest.raises(NotHermitian):
             validate_hermitian([[0, 1], [-1, 0]])
 
+    def test_tiny_antisymmetric_rejected(self):
+        # The threshold is relative to the largest entry, with no absolute floor.
+        with pytest.raises(NotHermitian):
+            validate_hermitian([[0, 1e-200], [-1e-200, 0]])
+
+    def test_entry_modulus_beyond_range(self):
+        # |1.5e308 + 1.5e308j| exceeds the largest double, and so does the defect.
+        with pytest.raises(NotHermitian):
+            validate_hermitian([[0, 1.5e308 + 1.5e308j], [0, 0]])
+        x = 1e308 + 1e308j
+        h = validate_hermitian([[0, x], [x.conjugate(), 0]])
+        assert h.hermiticity_defect == 0.0
+        assert hermitian_eig(h).spectrum.values == pytest.approx((abs(x), -abs(x)), rel=1e-15)
+
     def test_example_matrix_accepted(self):
         h = validate_hermitian(A3)
         assert h.n == 3
@@ -112,6 +126,11 @@ class TestValidatePsd:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveSemidefinite):
             validate_psd(np.diag([2.0, -0.5]))
+
+    def test_tiny_indefinite_rejected(self):
+        # The threshold is relative to the spectral radius, with no absolute floor.
+        with pytest.raises(NotPositiveSemidefinite):
+            validate_psd(np.diag([1e-200, -1e-200]))
 
 
 class TestHermitianEig:
@@ -345,6 +364,20 @@ class TestProductSpectrum:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             product_spectrum(validate_hermitian(np.eye(2)), validate_psd(np.eye(3)))
+
+    def test_zero_product(self):
+        # A vanishes on the range of B, so every entry of B^(1/2) A B^(1/2) is
+        # rounding, and so is its hermiticity defect: no relative hermiticity
+        # test may reject it.
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        m = np.zeros((4, 4))
+        m[2:, 2:] = [[1.0, 2.0], [2.0, -3.0]]
+        m[:2, 2:] = [[1.0, -1.0], [0.5, 2.0]]
+        m[2:, :2] = m[:2, 2:].T
+        a = validate_hermitian(q @ m @ q.conj().T)
+        b = validate_psd((q * [3.0, 1.0, 0.0, 0.0]) @ q.conj().T)
+        np.testing.assert_allclose(product_spectrum(a, b).values, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scale(self, scale):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import ulp
 from operator import add
 from typing import NamedTuple
 
@@ -31,12 +32,13 @@ from .errors import (
     NotStable,
     SignConditionViolated,
 )
-from .linalg import HermitianMatrix, Spectrum, hermitian_eig, validate_hermitian
+from .linalg import Spectrum
 
 # Relative threshold below which an eigenvalue counts as zero.
 TOL_CLASS = 1e-9
 # Base for the magnitude-scaled verification tolerance.
 TOL_VERIFY_BASE = 1e-8
+_SMALLEST_DOUBLE = ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,6 @@ class SelectionBounds(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SplitPair:
-    """Spectral split A = positive_part + negative_part sharing A's eigenvectors."""
-
-    positive_part: HermitianMatrix
-    negative_part: HermitianMatrix
-
-
-@dataclass(frozen=True)
 class OstrowskiReport:
     """Product-to-factor eigenvalue ratios and the admissible range."""
 
@@ -128,9 +122,15 @@ class OstrowskiReport:
     high: float
 
 
-def classification_scale(spec: Spectrum) -> float:
-    """Magnitude reference for zero classification: max(1, |largest|, |smallest|)."""
-    return max(1.0, abs(spec[0]), abs(spec[-1]))
+def zero_cut(spec: Spectrum, tol: float = TOL_CLASS) -> float:
+    """Half-width of the zero band: values within it of zero count as zero.
+
+    It is tol times the spectral radius, with no absolute floor, so the band
+    scales with the spectrum.  It is never below the smallest positive
+    double, so an exact zero counts as zero even when tol * radius is 0 or
+    underflows (a zero spectrum, tol = 0).
+    """
+    return max(tol * _radius(spec), _SMALLEST_DOUBLE)
 
 
 def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
@@ -155,7 +155,7 @@ def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIF
 
 def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
     """Count positive/negative/zero eigenvalues with a relative zero band."""
-    cut = tol * classification_scale(spec)
+    cut = zero_cut(spec, tol)
     positive = sum(1 for v in spec if v >= cut)
     negative = sum(1 for v in spec if v <= -cut)
     return Inertia(positive=positive, negative=negative, zero=len(spec) - positive - negative)
@@ -168,7 +168,7 @@ def count_selected_nonnegative(spec: Spectrum, idx: IndexSequence, tol: float = 
     selection.
     """
     _require_indexable(spec, idx)
-    cut = tol * classification_scale(spec)
+    cut = zero_cut(spec, tol)
     return sum(1 for i in idx.indices if spec[i - 1] >= -cut)
 
 
@@ -207,9 +207,16 @@ def selection_bounds(
 ) -> SelectionBounds:
     """All product pairing sums of one selection, sharing kap, nu and clamped B.
 
-    Returns the main bracket (main_bounds), the splitting upper bound
-    (splitting_upper_bound) and the second summations T1, T2 of the
-    dominance comparison (compare_split_vs_main).
+    Returns the main bracket (main_bounds); the upper bound from splitting
+    A into one-signed parts before bounding,
+
+        split_upper = sum_{t<=kap} a[i_t] b[t] + sum_{t=nu+1..k} a[t] b[n-k+t]
+
+    where nu counts the nonnegative eigenvalues of the whole spectrum; and
+    the second summations T1, T2 of the main and splitting upper bounds.
+    The first summations agree by construction, so T1 <= T2 is exactly the
+    statement that the main upper bound is at least as tight as the
+    splitting one (dominance).
     """
     _require_same_dim(spec_a, spec_b)
     _require_indexable(spec_a, idx)
@@ -266,7 +273,7 @@ def psd_product_bounds(
     """
     _require_same_dim(spec_a, spec_b)
     _require_indexable(spec_a, idx)
-    cut = tol * classification_scale(spec_a)
+    cut = zero_cut(spec_a, tol)
     if spec_a[-1] < -cut:
         raise NotNonnegative(f"spectrum has negative entry {spec_a[-1]:.6g}")
     return _bracket(_selected(spec_a, idx), _clamped(spec_b), idx.k)
@@ -287,7 +294,7 @@ def stable_bounds(
     """
     _require_same_dim(spec_a, spec_b)
     _require_indexable(spec_a, idx)
-    cut = tol * classification_scale(spec_a)
+    cut = zero_cut(spec_a, tol)
     if spec_a[0] > cut:
         raise NotStable(f"spectrum has positive entry {spec_a[0]:.6g}")
     return _bracket(_selected(spec_a, idx), _clamped(spec_b), 0)
@@ -312,54 +319,6 @@ def trace_bounds(spec_a: Spectrum, spec_b: Spectrum) -> tuple[float, float]:
     return _bracket(spec_a.values, spec_b.values, len(spec_a))
 
 
-def spectral_split(a: HermitianMatrix) -> SplitPair:
-    """Split A into PSD and negative-semidefinite parts sharing A's eigenvectors."""
-    eig = hermitian_eig(a)
-    vals = np.asarray(eig.spectrum.values)
-    vecs = eig.vectors
-    pos = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    neg = (vecs * np.minimum(vals, 0.0)) @ vecs.conj().T
-    return SplitPair(
-        positive_part=validate_hermitian(pos),
-        negative_part=validate_hermitian(neg),
-    )
-
-
-def splitting_upper_bound(
-    spec_a: Spectrum,
-    spec_b: Spectrum,
-    idx: IndexSequence,
-    tol: float = TOL_CLASS,
-) -> float:
-    """Upper bound from splitting A into one-signed parts before bounding.
-
-        sum_{t<=kap} a[i_t] b[t] + sum_{t=nu+1..k} a[t] b[n-k+t]
-
-    where nu counts the nonnegative eigenvalues of the whole spectrum.
-    Never tighter than the main upper bound.
-    """
-    return selection_bounds(spec_a, spec_b, idx, tol).split_upper
-
-
-def compare_split_vs_main(
-    spec_a: Spectrum,
-    spec_b: Spectrum,
-    idx: IndexSequence,
-    tol: float = TOL_CLASS,
-    verify_tol: float | None = None,
-) -> tuple[float, float, bool]:
-    """Second summations of the main and splitting upper bounds, plus dominance.
-
-    The first summations agree by construction, so T1 <= T2 is exactly the
-    statement that the main upper bound is at least as tight as the
-    splitting one.  Returns (T1, T2, dominance_ok).
-    """
-    bounds = selection_bounds(spec_a, spec_b, idx, tol)
-    if verify_tol is None:
-        verify_tol = verify_tolerance(spec_a, spec_b, idx.k)
-    return bounds.t1, bounds.t2, bounds.t1 <= bounds.t2 + verify_tol
-
-
 def pair_bounds(
     spec_a: Spectrum,
     spec_b: Spectrum,
@@ -379,7 +338,7 @@ def pair_bounds(
     n = len(spec_a)
     if not (1 <= s < t <= n):
         raise IndexOutOfRange(f"need 1 <= s < t <= {n}, got s={s}, t={t}")
-    cut = tol * classification_scale(spec_ab)
+    cut = zero_cut(spec_ab, tol)
     if spec_ab[s - 1] <= cut:
         raise SignConditionViolated(
             f"product eigenvalue {s} is {spec_ab[s - 1]:.6g}, not positive"
@@ -409,14 +368,14 @@ def gap_bound(
     """
     _require_same_dim(spec_a, spec_b)
     _require_same_dim(spec_a, spec_ab)
-    cut = tol * classification_scale(spec_ab)
+    cut = zero_cut(spec_ab, tol)
     positives = [i for i, v in enumerate(spec_ab, start=1) if v > cut]
     negatives = [i for i, v in enumerate(spec_ab, start=1) if v < -cut]
     if not positives or not negatives:
         raise NoSignChange("product spectrum has no positive/negative pair")
     p = positives[-1]
     q = negatives[0]
-    cut_a = tol * classification_scale(spec_a)
+    cut_a = zero_cut(spec_a, tol)
     if spec_a[p - 1] <= -cut_a or spec_a[q - 1] >= cut_a:
         raise ConsistencyError(
             "factor eigenvalues at the gap indices do not have the signs "
@@ -441,12 +400,12 @@ def ostrowski_ratios(
     """
     _require_same_dim(spec_a, spec_b)
     _require_same_dim(spec_a, spec_ab)
-    cut_b = tol * classification_scale(spec_b)
+    cut_b = zero_cut(spec_b, tol)
     if spec_b[-1] <= cut_b:
         raise NotPositiveDefinite(
             f"smallest eigenvalue of B is {spec_b[-1]:.6g}, not strictly positive"
         )
-    cut_a = tol * classification_scale(spec_a)
+    cut_a = zero_cut(spec_a, tol)
     ratios = []
     for t, v in enumerate(spec_a, start=1):
         if abs(v) > cut_a:
@@ -510,7 +469,7 @@ def selection_bounds_batch(
     n = len(spec_a)
     b = np.array(_clamped(spec_b))
     live, sel = _gathered(spec_a, rows)
-    kap = (live & (sel >= -tol * classification_scale(spec_a))).sum(axis=1)
+    kap = (live & (sel >= -zero_cut(spec_a, tol))).sum(axis=1)
     nu = inertia_of(spec_a, tol).nonnegative
     t = np.arange(n)
     ks = ks[:, None]

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +36,6 @@ EXAMPLE_EXPECTED = {
     (2, 3): (-6.0, -11.0, -14.0),
 }
 _GOLDEN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    tol_class: float = bnd.TOL_CLASS
-    tol_verify: float = bnd.TOL_VERIFY_BASE
-    tol_herm: float = 1e-9
-    json: bool = False
-
-    def tolerances(self) -> harness.Tolerances:
-        return harness.Tolerances(tol_class=self.tol_class, verify_base=self.tol_verify)
 
 
 def _fmt(x: float) -> str:
@@ -86,45 +74,43 @@ def _parse_indices(text: str, n: int) -> bnd.IndexSequence:
     return bnd.IndexSequence(indices=parts, n=n)
 
 
-def _config(args) -> CliConfig:
+def _check_tolerances(args) -> None:
     for name in ("tol_class", "tol_verify", "tol_herm"):
-        if getattr(args, name) < 0:
-            raise EigbError(f"--{name.replace('_', '-')} must be nonnegative")
-    return CliConfig(
-        tol_class=args.tol_class,
-        tol_verify=args.tol_verify,
-        tol_herm=args.tol_herm,
-        json=args.json,
-    )
+        value = getattr(args, name)
+        # Written as "not >= 0" so that NaN fails too.
+        if not value >= 0:
+            raise EigbError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
 
 
-def _load_pair(args, config: CliConfig):
-    a = validate_hermitian(load_matrix(args.a), config.tol_herm)
-    b = validate_psd(load_matrix(args.b), herm_tol=config.tol_herm)
-    if a.n != b.n:
-        raise EigbError(f"A is {a.n}x{a.n} but B is {b.n}x{b.n}")
+def _tolerances(args) -> harness.Tolerances:
+    return harness.Tolerances(tol_class=args.tol_class, verify_base=args.tol_verify)
+
+
+def _load_pair(args):
+    a = validate_hermitian(load_matrix(args.a), args.tol_herm)
+    b = validate_psd(load_matrix(args.b), herm_tol=args.tol_herm)
     return a, b
 
 
 def cmd_bounds(args) -> int:
-    config = _config(args)
-    a, b = _load_pair(args, config)
+    a, b = _load_pair(args)
     sp = harness.instance_spectra(a, b)
     idx = _parse_indices(args.indices, a.n)
-    report = bnd.main_bound_report(sp.spec_a, sp.spec_b, sp.spec_ab, idx, config.tol_class)
-    inertia = bnd.inertia_of(sp.spec_a, config.tol_class)
-    split_up = bnd.splitting_upper_bound(sp.spec_a, sp.spec_b, idx, config.tol_class)
-    t1, t2, dominance_ok = bnd.compare_split_vs_main(sp.spec_a, sp.spec_b, idx, config.tol_class)
+    report = bnd.main_bound_report(sp.spec_a, sp.spec_b, sp.spec_ab, idx, args.tol_class)
+    inertia = bnd.inertia_of(sp.spec_a, args.tol_class)
+    sums = bnd.selection_bounds(sp.spec_a, sp.spec_b, idx, args.tol_class)
+    tau = bnd.verify_tolerance(sp.spec_a, sp.spec_b, idx.k, args.tol_verify)
+    dominance_ok = sums.t1 <= sums.t2 + tau
 
     gap_section = None
     try:
-        p, q, gap, cap = bnd.gap_bound(sp.spec_a, sp.spec_b, sp.spec_ab, config.tol_class)
+        p, q, gap, cap = bnd.gap_bound(sp.spec_a, sp.spec_b, sp.spec_ab, args.tol_class)
         gap_section = {"p": p, "q": q, "gap": gap, "bound": cap}
     except NoSignChange:
         pass
     ostrowski_section = None
     try:
-        rep = bnd.ostrowski_ratios(sp.spec_a, sp.spec_ab, sp.spec_b, config.tol_class)
+        rep = bnd.ostrowski_ratios(sp.spec_a, sp.spec_ab, sp.spec_b, args.tol_class)
         ostrowski_section = {
             "low": rep.low,
             "high": rep.high,
@@ -133,7 +119,7 @@ def cmd_bounds(args) -> int:
     except NotPositiveDefinite:
         pass
 
-    if config.json:
+    if args.json:
         payload = {
             "version": FORMAT_VERSION,
             "spectrum_a": list(sp.spec_a),
@@ -148,9 +134,9 @@ def cmd_bounds(args) -> int:
             "upper": report.upper,
             "lower_slack": report.lower_slack,
             "upper_slack": report.upper_slack,
-            "splitting_upper": split_up,
-            "t1": t1,
-            "t2": t2,
+            "splitting_upper": sums.split_upper,
+            "t1": sums.t1,
+            "t2": sums.t2,
             "dominance_ok": dominance_ok,
             "gap": gap_section,
             "ostrowski": ostrowski_section,
@@ -177,8 +163,8 @@ def cmd_bounds(args) -> int:
         f"slacks:      lower={_fmt(report.lower_slack)} upper={_fmt(report.upper_slack)}"
     )
     print(
-        f"splitting:   upper={_fmt(split_up)} T1={_fmt(t1)} T2={_fmt(t2)} "
-        f"dominance_ok={dominance_ok}"
+        f"splitting:   upper={_fmt(sums.split_upper)} T1={_fmt(sums.t1)} "
+        f"T2={_fmt(sums.t2)} dominance_ok={dominance_ok}"
     )
     if gap_section is not None:
         print(
@@ -201,11 +187,9 @@ _VERIFY_SAMPLE_COUNT = 200
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
-    a, b = _load_pair(args, config)
+    a, b = _load_pair(args)
     sp = harness.instance_spectra(a, b)
     n = a.n
-    tol = config.tolerances()
 
     if args.indices is not None:
         selections = [_parse_indices(args.indices, n).indices]
@@ -218,7 +202,7 @@ def cmd_verify(args) -> int:
         selections = harness.sample_selections(rng, n, _VERIFY_SAMPLE_COUNT)
         print(f"checking {len(selections)} sampled selections on n={n}")
 
-    violations = harness.check_selections(sp, selections, tol).failures
+    violations = harness.check_selections(sp, selections, _tolerances(args)).failures
     if not violations:
         print("all inequalities hold")
         return 0
@@ -235,7 +219,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    config = _config(args)
     inertia = None
     if args.inertia is not None:
         try:
@@ -249,11 +232,11 @@ def cmd_fuzz(args) -> int:
         n_min=args.n_min,
         n_max=args.n_max,
         inertia=inertia,
-        tolerances=config.tolerances(),
+        tolerances=_tolerances(args),
     )
     report = harness.run_campaign(args.count, campaign, args.seed)
 
-    if config.json:
+    if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
         print(
@@ -274,16 +257,15 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_example(args) -> int:
-    config = _config(args)
-    a = validate_hermitian(EXAMPLE_A, config.tol_herm)
-    b = validate_psd(EXAMPLE_B, herm_tol=config.tol_herm)
+    a = validate_hermitian(EXAMPLE_A, args.tol_herm)
+    b = validate_psd(EXAMPLE_B, herm_tol=args.tol_herm)
     sp = harness.instance_spectra(a, b)
 
     rows = []
     worst = 0.0
     for label, indices in (("I", (1, 2)), ("II", (1, 3)), ("III", (2, 3))):
         idx = bnd.IndexSequence(indices=indices, n=3)
-        report = bnd.main_bound_report(sp.spec_a, sp.spec_b, sp.spec_ab, idx, config.tol_class)
+        report = bnd.main_bound_report(sp.spec_a, sp.spec_b, sp.spec_ab, idx, args.tol_class)
         exp_upper, exp_actual, exp_lower = EXAMPLE_EXPECTED[indices]
         worst = max(
             worst,
@@ -293,7 +275,7 @@ def cmd_example(args) -> int:
         )
         rows.append((label, indices, report))
 
-    if config.json:
+    if args.json:
         payload = {
             "version": FORMAT_VERSION,
             "cases": [
@@ -322,17 +304,14 @@ def cmd_example(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = _config(args)
-    a = validate_hermitian(load_matrix(args.a), config.tol_herm)
+    a = validate_hermitian(load_matrix(args.a), args.tol_herm)
     spec_a = hermitian_eig(a).spectrum
     payload = {"version": FORMAT_VERSION, "spectrum_a": list(spec_a)}
     lines = [f"spectrum A:  {_fmt_seq(spec_a)}"]
     if args.b is not None:
-        b = validate_psd(load_matrix(args.b), herm_tol=config.tol_herm)
-        if a.n != b.n:
-            raise EigbError(f"A is {a.n}x{a.n} but B is {b.n}x{b.n}")
+        b = validate_psd(load_matrix(args.b), herm_tol=args.tol_herm)
         spec_ab = product_spectrum(a, b)
-        inertia = bnd.inertia_of(spec_a, config.tol_class)
+        inertia = bnd.inertia_of(spec_a, args.tol_class)
         payload["spectrum_b"] = list(b.spectrum)
         payload["spectrum_ab"] = list(spec_ab)
         payload["inertia_a"] = list(inertia.as_tuple())
@@ -342,7 +321,7 @@ def cmd_spectrum(args) -> int:
             f"inertia A:   positive={inertia.positive} negative={inertia.negative} "
             f"zero={inertia.zero}"
         )
-    if config.json:
+    if args.json:
         print(json.dumps(payload))
     else:
         print("\n".join(lines))
@@ -396,6 +375,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _check_tolerances(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -81,10 +81,6 @@ class InvalidSpec(EigbError):
     pass
 
 
-class InvalidRange(EigbError):
-    pass
-
-
 class InvalidCount(EigbError):
     pass
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .bounds import (
     IndexSequence,
     TOL_CLASS,
     TOL_VERIFY_BASE,
-    classification_scale,
     gap_bound,
     inertia_of,
     ostrowski_ratios,
@@ -40,11 +39,11 @@ from .bounds import (
     verify_tolerance,
     wielandt_sum_bounds,
     wielandt_sum_bounds_batch,
+    zero_cut,
 )
 from .errors import (
     EigbError,
     InvalidCount,
-    InvalidRange,
     InvalidSpec,
     NoSignChange,
     NotPositiveDefinite,
@@ -87,7 +86,6 @@ class GeneratorSpec:
     seed: int
     eigenvalue_range: tuple[float, float] = (0.1, 10.0)
     inertia_target: tuple[int, int, int] | None = None
-    condition_cap: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -101,8 +99,6 @@ class GeneratorSpec:
                 raise InvalidSpec(
                     f"inertia target {self.inertia_target} does not sum to n={self.n}"
                 )
-        if self.condition_cap is not None and self.condition_cap < 1.0:
-            raise InvalidSpec(f"condition cap must be >= 1, got {self.condition_cap}")
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -135,11 +131,6 @@ def _target_values(rng: np.random.Generator, spec: GeneratorSpec, nonnegative: b
                 np.zeros(zero),
             ]
         )
-    if spec.condition_cap is not None:
-        positive = values > 0
-        if np.any(positive):
-            floor = float(np.max(values[positive])) / spec.condition_cap
-            values[positive] = np.maximum(values[positive], floor)
     return values
 
 
@@ -163,22 +154,9 @@ def gen_psd(spec: GeneratorSpec) -> PSDMatrix:
     return validate_psd(m)
 
 
-def enumerate_index_sequences(n: int, k: int) -> Iterator[IndexSequence]:
-    """All strictly increasing 1-based selections of k out of n, lexicographic."""
-    if not (1 <= k <= n):
-        raise InvalidRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    for combo in combinations(range(1, n + 1), k):
-        yield IndexSequence(indices=combo, n=n)
-
-
 def all_selections(n: int) -> list[tuple[int, ...]]:
     """Every nonempty selection of 1..n as an index tuple: by size, then lexicographic."""
     return [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
-
-
-def all_index_sequences(n: int) -> Iterator[IndexSequence]:
-    for c in all_selections(n):
-        yield IndexSequence(indices=c, n=n)
 
 
 @dataclass(frozen=True)
@@ -343,7 +321,7 @@ def run_checks(
                 _upper_check("reduction-psd", diff, 0.0, 0.0, detail="exact identity")
             )
         if inertia.positive == 0:
-            cut = tol.tol_class * classification_scale(spec_a)
+            cut = zero_cut(spec_a, tol.tol_class)
             near_zero = [spec_a[i - 1] for i in idx.indices if spec_a[i - 1] >= -cut]
             if all(v == 0.0 for v in near_zero):
                 red_lo, red_up = stable_bounds(spec_a, spec_b, idx, tol.tol_class)
@@ -480,7 +458,7 @@ def check_selections(
                 _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, every)
             )
         if inertia.positive == 0:
-            cut = tol.tol_class * classification_scale(spec_a)
+            cut = zero_cut(spec_a, tol.tol_class)
             sel = np.array(spec_a.values)[rows - 1]
             exact = ~np.any((rows > 0) & (sel >= -cut) & (sel != 0.0), axis=1)
             columns.append(
@@ -592,22 +570,6 @@ def _error_record(
     )
 
 
-def check_instance(
-    a: HermitianMatrix,
-    b: PSDMatrix,
-    idx: IndexSequence,
-    tol: Tolerances = Tolerances(),
-    instance_id: int = 0,
-    seed: int = 0,
-) -> VerificationRecord:
-    """Compute the instance spectra and run every applicable check."""
-    try:
-        sp = instance_spectra(a, b)
-    except EigbError as exc:
-        return _error_record(exc, a.n, idx, instance_id, seed)
-    return run_checks(sp, idx, tol, instance_id, seed)
-
-
 @dataclass
 class CheckStats:
     name: str
@@ -635,7 +597,6 @@ class CampaignConfig:
 
     n_min: int = 2
     n_max: int = 8
-    eigenvalue_range: tuple[float, float] = (0.1, 10.0)
     inertia: tuple[int, int, int] | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
 
@@ -750,7 +711,6 @@ def run_campaign(
             GeneratorSpec(
                 n=n,
                 seed=derive_seed(seed_i, 1),
-                eigenvalue_range=config.eigenvalue_range,
                 inertia_target=inertia,
             )
         )
@@ -760,7 +720,6 @@ def run_campaign(
             GeneratorSpec(
                 n=n,
                 seed=derive_seed(seed_i, 2),
-                eigenvalue_range=config.eigenvalue_range,
                 inertia_target=b_inertia,
             )
         )

@@ -174,12 +174,12 @@ def _symmetrized(m: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(matrix=sym, hermiticity_defect=defect)
 
 
-def validate_psd(entries, tol: float = TOL_PSD, herm_tol: float = TOL_HERM) -> PSDMatrix:
-    """Accept a Hermitian matrix as PSD within `tol` (relative to its spectral radius)."""
+def validate_psd(entries, herm_tol: float = TOL_HERM) -> PSDMatrix:
+    """Accept a Hermitian matrix as PSD within TOL_PSD (relative to its spectral radius)."""
     herm = entries if isinstance(entries, HermitianMatrix) else validate_hermitian(entries, herm_tol)
     eig = hermitian_eig(herm)
     lo = eig.spectrum[-1]
-    threshold = tol * max(eig.spectrum[0], -lo)
+    threshold = TOL_PSD * max(eig.spectrum[0], -lo)
     if lo < -threshold:
         raise NotPositiveSemidefinite(lo, threshold)
     return PSDMatrix(hermitian=herm, eig=eig, min_eigenvalue=lo)

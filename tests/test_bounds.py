@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from eigb import bounds
 from eigb.bounds import (
     IndexSequence,
-    compare_split_vs_main,
     count_selected_nonnegative,
     gap_bound,
     inertia_of,
@@ -24,8 +23,6 @@ from eigb.bounds import (
     selected_sums,
     selection_bounds,
     selection_bounds_batch,
-    spectral_split,
-    splitting_upper_bound,
     stable_bounds,
     trace_bounds,
     verify_tolerance,
@@ -96,6 +93,18 @@ class TestInertia:
         assert i.as_tuple() == (1, 1, 1)
         assert i.nonnegative == 2
 
+    @pytest.mark.parametrize(
+        "values, tol, expected",
+        [
+            ((3e-200, -1e-200), 1e-9, (1, 1, 0)),  # the band scales down with the spectrum
+            ((1e-320, 0.0), 1e-9, (1, 0, 1)),  # tol * radius underflows to 0
+            ((0.0, -1e-320), 1e-9, (0, 1, 1)),
+            ((0.0, 0.0), 0.0, (0, 0, 2)),  # an exact zero is zero even at tol = 0
+        ],
+    )
+    def test_zero_band_has_no_floor(self, values, tol, expected):
+        assert inertia_of(Spectrum(values=values), tol).as_tuple() == expected
+
     @given(spectra())
     def test_counts_sum_to_n(self, spec):
         i = inertia_of(spec)
@@ -131,7 +140,7 @@ class TestSelectedCounts:
     def test_selected_nonnegative_is_prefix(self, data):
         spec, _, idx = data
         kap = count_selected_nonnegative(spec, idx)
-        cut = 1e-9 * max(1.0, abs(spec[0]), abs(spec[-1]))
+        cut = bounds.zero_cut(spec)
         flags = [spec[i - 1] >= -cut for i in idx.indices]
         assert flags == [t < kap for t in range(idx.k)]
 
@@ -354,80 +363,53 @@ class TestTraceBounds:
         assert (m_lower, m_upper) == (t_lower, t_upper)
 
 
-class TestSpectralSplit:
-    def test_diagonal(self):
-        pair = spectral_split(validate_hermitian(np.diag([3.0, -1.0, -4.0])))
-        np.testing.assert_allclose(pair.positive_part.matrix, np.diag([3.0, 0, 0]), atol=1e-12)
-        np.testing.assert_allclose(pair.negative_part.matrix, np.diag([0, -1.0, -4.0]), atol=1e-12)
-
-    def test_psd_input(self):
-        b = validate_hermitian(B3)
-        pair = spectral_split(b)
-        np.testing.assert_allclose(pair.positive_part.matrix, b.matrix, atol=1e-10)
-        np.testing.assert_allclose(pair.negative_part.matrix, 0 * b.matrix, atol=1e-10)
-
-    def test_example_reconstruction(self):
-        a = validate_hermitian(A3)
-        pair = spectral_split(a)
-        np.testing.assert_allclose(
-            pair.positive_part.matrix + pair.negative_part.matrix, a.matrix, atol=1e-10
-        )
-        pos_spec = hermitian_eig(pair.positive_part).spectrum
-        neg_spec = hermitian_eig(pair.negative_part).spectrum
-        np.testing.assert_allclose(pos_spec.values, [3, 0, 0], atol=1e-9)
-        np.testing.assert_allclose(neg_spec.values, [0, -1, -4], atol=1e-9)
-
-    def test_selected_eigenvalues_preserved(self):
-        # Within the nonnegative block, the positive part keeps A's eigenvalues.
-        a = validate_hermitian(A3)
-        spec_a = hermitian_eig(a).spectrum
-        pos_spec = hermitian_eig(spectral_split(a).positive_part).spectrum
-        nu = inertia_of(spec_a).nonnegative
-        for i in range(nu):
-            assert pos_spec[i] == pytest.approx(spec_a[i], abs=1e-9)
+def dominance(spec_a, spec_b, idx):
+    """(T1, T2, dominance_ok) as `eigb bounds` reports them at the default tolerance."""
+    sums = selection_bounds(spec_a, spec_b, idx)
+    return sums.t1, sums.t2, sums.t1 <= sums.t2 + verify_tolerance(spec_a, spec_b, idx.k)
 
 
 class TestSplittingUpperBound:
     def test_example_values(self):
-        assert splitting_upper_bound(SA, SB, idx_of((1, 2), 3)) == 8.0
-        assert splitting_upper_bound(SA, SB, idx_of((1, 3), 3)) == 8.0
+        assert selection_bounds(SA, SB, idx_of((1, 2), 3)).split_upper == 8.0
+        assert selection_bounds(SA, SB, idx_of((1, 3), 3)).split_upper == 8.0
 
     def test_dominates_main_example(self):
         _, main_up, _ = main_bounds(SA, SB, idx_of((1, 3), 3))
         assert main_up == 5.0
-        assert splitting_upper_bound(SA, SB, idx_of((1, 3), 3)) >= main_up
+        assert selection_bounds(SA, SB, idx_of((1, 3), 3)).split_upper >= main_up
 
     def test_equals_main_for_psd(self):
         spec_a = Spectrum(values=(4.0, 2.0, 1.0))
         for indices in [(1,), (1, 3), (2, 3), (1, 2, 3)]:
             idx = idx_of(indices, 3)
             _, main_up, _ = main_bounds(spec_a, SB, idx)
-            assert splitting_upper_bound(spec_a, SB, idx) == main_up
+            assert selection_bounds(spec_a, SB, idx).split_upper == main_up
 
     @given(spectrum_with_indices())
     def test_never_tighter_than_main(self, data):
         spec_a, spec_b, idx = data
         _, main_up, _ = main_bounds(spec_a, spec_b, idx)
-        split_up = splitting_upper_bound(spec_a, spec_b, idx)
+        split_up = selection_bounds(spec_a, spec_b, idx).split_upper
         assert main_up <= split_up + verify_tolerance(spec_a, spec_b, idx.k)
 
 
 class TestCompareSplitVsMain:
     def test_example(self):
-        t1, t2, ok = compare_split_vs_main(SA, SB, idx_of((1, 3), 3))
+        t1, t2, ok = dominance(SA, SB, idx_of((1, 3), 3))
         assert (t1, t2) == (-4.0, -1.0)
         assert ok
 
     def test_both_empty(self):
         spec_a = Spectrum(values=(2.0, 1.0))
-        t1, t2, ok = compare_split_vs_main(spec_a, Spectrum(values=(1.0, 0.5)), idx_of((1, 2), 2))
+        t1, t2, ok = dominance(spec_a, Spectrum(values=(1.0, 0.5)), idx_of((1, 2), 2))
         assert (t1, t2) == (0.0, 0.0)
         assert ok
 
     @given(spectrum_with_indices())
     def test_dominance_always(self, data):
         spec_a, spec_b, idx = data
-        _, _, ok = compare_split_vs_main(spec_a, spec_b, idx)
+        _, _, ok = dominance(spec_a, spec_b, idx)
         assert ok
 
     @settings(max_examples=30)
@@ -445,7 +427,7 @@ class TestCompareSplitVsMain:
             indices=tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())),
             n=n,
         )
-        _, _, ok = compare_split_vs_main(spec_a, b.spectrum, idx)
+        _, _, ok = dominance(spec_a, b.spectrum, idx)
         assert ok
 
 

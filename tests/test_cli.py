@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from eigb.bounds import IndexSequence
 from eigb.cli import main
 from eigb.harness import (
     GeneratorSpec,
     Tolerances,
-    all_index_sequences,
+    all_selections,
     gen_hermitian,
     gen_psd,
     instance_spectra,
@@ -97,7 +98,8 @@ class TestVerify:
             a = gen_hermitian(GeneratorSpec(n=4, seed=seed, inertia_target=(2, 2, 0)))
             b = gen_psd(GeneratorSpec(n=4, seed=1000 + seed))
             sp = instance_spectra(a, b)
-            for idx in all_index_sequences(4):
+            for c in all_selections(4):
+                idx = IndexSequence(indices=c, n=4)
                 if not run_checks(sp, idx, Tolerances(verify_base=0.0)).passed:
                     return a, b
         raise AssertionError("no instance with a negative slack among seeds 0..99")
@@ -140,6 +142,15 @@ class TestVerify:
         a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
         save_matrix(a_path, 1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
         save_matrix(b_path, b_scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
+        assert "all inequalities hold" in capsys.readouterr().out
+
+    def test_tiny_a_against_large_b(self, tmp_path, capsys):
+        # The zero band scales with A's spectrum (3e-200, -1e-200), so neither
+        # eigenvalue counts as zero and the main bounds pair them correctly.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, 1e-200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        save_matrix(b_path, 1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
         assert "all inequalities hold" in capsys.readouterr().out
 
@@ -255,6 +266,15 @@ class TestSpectrum:
         assert code == 0
         np.testing.assert_allclose(data["spectrum_a"], [scale, -scale], rtol=1e-12)
 
+    def test_zero_a_at_zero_class_tolerance(self, tmp_path, capsys):
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.zeros((2, 2)))
+        save_matrix(b_path, np.eye(2))
+        argv = ["spectrum", "--a", str(a_path), "--b", str(b_path), "--tol-class", "0"]
+        code, data = run_json(capsys, argv)
+        assert code == 0
+        assert data["inertia_a"] == [0, 0, 2]
+
     def test_non_hermitian_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.mat"
         path.write_text("2\n0 1\n-1 0\n")
@@ -267,3 +287,24 @@ class TestUsage:
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("flag", ["--tol-class", "--tol-verify", "--tol-herm"])
+    def test_nan_tolerance_exit_2(self, example_files, capsys, flag):
+        a, b = example_files
+        assert main(["verify", "--a", a, "--b", b, flag, "nan"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be nonnegative")
+
+    def test_nan_tolerance_from_env_exit_2(self, example_files, capsys, monkeypatch):
+        monkeypatch.setenv("EIGB_TOL_VERIFY", "nan")
+        a, b = example_files
+        assert main(["verify", "--a", a, "--b", b]) == 2
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_dimension_mismatch_exit_2(self, tmp_path, capsys, command):
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.eye(3))
+        save_matrix(b_path, np.eye(4))
+        assert main([command, "--a", str(a_path), "--b", str(b_path)]) == 2
+        assert capsys.readouterr().err == "error: A is 3x3 but B is 4x4\n"

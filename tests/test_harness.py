@@ -6,18 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eigb.bounds import TOL_VERIFY_BASE, IndexSequence, gap_bound, inertia_of
-from eigb.errors import ConsistencyError, InvalidCount, InvalidRange, InvalidSpec
+from eigb.errors import ConsistencyError, InvalidCount, InvalidSpec
 from eigb.harness import (
     CampaignConfig,
     GeneratorSpec,
     InstanceSpectra,
     Tolerances,
-    all_index_sequences,
     all_selections,
-    check_instance,
     check_selections,
     derive_seed,
-    enumerate_index_sequences,
     gen_hermitian,
     gen_psd,
     instance_spectra,
@@ -96,44 +93,37 @@ class TestGenPsd:
         assert abs(b.min_eigenvalue) <= 1e-9
         assert inertia_of(b.spectrum).zero == 1
 
-    def test_condition_cap(self):
-        b = gen_psd(GeneratorSpec(n=6, seed=7, eigenvalue_range=(0.001, 100.0), condition_cap=100.0))
-        vals = np.array(b.spectrum.values)
-        assert vals.max() / vals.min() <= 100.0 * (1 + 1e-9)
-
     def test_negative_target_rejected(self):
         with pytest.raises(InvalidSpec):
             gen_psd(GeneratorSpec(n=3, seed=1, inertia_target=(2, 1, 0)))
 
 
+def selections_of_size(n, k):
+    return [c for c in all_selections(n) if len(c) == k]
+
+
 class TestEnumerateIndexSequences:
     def test_three_choose_two(self):
-        got = [seq.indices for seq in enumerate_index_sequences(3, 2)]
+        got = selections_of_size(3, 2)
         assert got == [(1, 2), (1, 3), (2, 3)]
 
     def test_full_selection_single(self):
-        got = list(enumerate_index_sequences(4, 4))
+        got = [IndexSequence(indices=c, n=4) for c in selections_of_size(4, 4)]
         assert len(got) == 1
         assert got[0].indices == (1, 2, 3, 4)
 
     def test_six_choose_three(self):
-        assert sum(1 for _ in enumerate_index_sequences(6, 3)) == 20
+        assert sum(1 for _ in selections_of_size(6, 3)) == 20
 
     def test_all_sequences_count(self):
-        assert sum(1 for _ in all_index_sequences(5)) == 2**5 - 1
-
-    def test_invalid_range(self):
-        with pytest.raises(InvalidRange):
-            list(enumerate_index_sequences(3, 4))
-        with pytest.raises(InvalidRange):
-            list(enumerate_index_sequences(3, 0))
+        assert sum(1 for _ in all_selections(5)) == 2**5 - 1
 
 
 class TestCheckInstance:
     def test_known_instance_attains_lower_bound(self):
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        record = check_instance(a, b, IndexSequence(indices=(1, 2), n=3))
+        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3))
         assert record.passed
         main = next(c for c in record.checks if c.name == "main-bounds")
         assert abs(main.lower_slack) <= 1e-9
@@ -141,7 +131,7 @@ class TestCheckInstance:
     def test_zero_matrix_instance(self):
         a = validate_hermitian(np.zeros((3, 3)))
         b = validate_psd(B3)
-        record = check_instance(a, b, IndexSequence(indices=(1, 3), n=3))
+        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 3), n=3))
         assert record.passed
         main = next(c for c in record.checks if c.name == "main-bounds")
         assert main.lower == main.upper == main.actual == 0.0
@@ -150,14 +140,16 @@ class TestCheckInstance:
         a = gen_hermitian(GeneratorSpec(n=4, seed=123, inertia_target=(2, 2, 0)))
         b = gen_psd(GeneratorSpec(n=4, seed=456))
         sp = instance_spectra(a, b)
-        records = [run_checks(sp, idx) for idx in all_index_sequences(4)]
+        records = [run_checks(sp, IndexSequence(indices=c, n=4)) for c in all_selections(4)]
         assert len(records) == 15
         assert all(r.passed for r in records)
 
     def test_record_metadata(self):
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        record = check_instance(a, b, IndexSequence(indices=(1, 2), n=3), instance_id=9, seed=77)
+        record = run_checks(
+            instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3), instance_id=9, seed=77
+        )
         assert record.instance_id == 9
         assert record.seed == 77
         assert record.inertia == (1, 2, 0)
@@ -168,15 +160,15 @@ class TestCheckInstance:
     def test_trace_checks_only_on_full_selection(self):
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        partial = check_instance(a, b, IndexSequence(indices=(1, 2), n=3))
-        full = check_instance(a, b, IndexSequence(indices=(1, 2, 3), n=3))
+        partial = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3))
+        full = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2, 3), n=3))
         assert not any(c.name.startswith("trace") for c in partial.checks)
         assert {"trace-bracket", "trace-consistency"} <= {c.name for c in full.checks}
 
     def test_singular_b_skips_ostrowski(self):
         a = validate_hermitian(A3)
         b = validate_psd(np.diag([2.0, 1.0, 0.0]))
-        record = check_instance(a, b, IndexSequence(indices=(1, 2), n=3))
+        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3))
         assert "ostrowski" not in {c.name for c in record.checks}
         assert record.passed
 
@@ -185,7 +177,7 @@ class TestCheckInstance:
 
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        record = check_instance(a, b, IndexSequence(indices=(1, 3), n=3))
+        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 3), n=3))
         payload = json.dumps(record.to_dict())
         assert json.loads(payload)["inertia"] == [1, 2, 0]
 
@@ -204,8 +196,8 @@ class TestBoundaryEigenvalues:
             a = validate_hermitian((q * vals) @ q.conj().T)
             b = gen_psd(GeneratorSpec(n=4, seed=seed + 50))
             sp = instance_spectra(a, b)
-            for idx in all_index_sequences(4):
-                assert run_checks(sp, idx).passed
+            for c in all_selections(4):
+                assert run_checks(sp, IndexSequence(indices=c, n=4)).passed
 
 
 def assert_batch_matches(sp, selections, tol=Tolerances()):

@@ -279,7 +279,7 @@ class TestPsdSqrt:
         z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         q, _ = np.linalg.qr(z)
         proj = q @ q.conj().T
-        b = validate_psd(proj, tol=1e-8)
+        b = validate_psd(proj)
         np.testing.assert_allclose(psd_sqrt(b).matrix, proj, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import ulp
 from operator import add
 from typing import NamedTuple
 
@@ -38,7 +37,6 @@ from .linalg import Spectrum
 TOL_CLASS = 1e-9
 # Base for the magnitude-scaled verification tolerance.
 TOL_VERIFY_BASE = 1e-8
-_SMALLEST_DOUBLE = ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,22 @@ def zero_cut(spec: Spectrum, tol: float = TOL_CLASS) -> float:
     """Half-width of the zero band: values within it of zero count as zero.
 
     It is tol times the spectral radius, with no absolute floor, so the band
-    scales with the spectrum.  It is never below the smallest positive
-    double, so an exact zero counts as zero even when tol * radius is 0 or
-    underflows (a zero spectrum, tol = 0).
+    scales with the spectrum.  The band is closed (|v| <= cut is zero), so
+    an exact zero counts as zero even when tol * radius is 0 or underflows
+    (a zero spectrum, tol = 0).
     """
-    return max(tol * _radius(spec), _SMALLEST_DOUBLE)
+    return tol * _radius(spec)
+
+
+def _product_cut(spec_a: Spectrum, spec_b: Spectrum, tol: float) -> float:
+    """zero_cut for the spectrum of AB, scaled by rho(A) * rho(B).
+
+    That is the scale of the product's rounding, not its spectral radius:
+    when the exact product is zero (A vanishes on the range of B) its
+    computed spectrum is mixed-sign noise of about eps * rho(A) * rho(B),
+    and a band relative to that noise would count it as signed.
+    """
+    return tol * _radius(spec_a) * _radius(spec_b)
 
 
 def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
@@ -156,8 +165,8 @@ def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIF
 def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
     """Count positive/negative/zero eigenvalues with a relative zero band."""
     cut = zero_cut(spec, tol)
-    positive = sum(1 for v in spec if v >= cut)
-    negative = sum(1 for v in spec if v <= -cut)
+    positive = sum(1 for v in spec if v > cut)
+    negative = sum(1 for v in spec if v < -cut)
     return Inertia(positive=positive, negative=negative, zero=len(spec) - positive - negative)
 
 
@@ -338,7 +347,7 @@ def pair_bounds(
     n = len(spec_a)
     if not (1 <= s < t <= n):
         raise IndexOutOfRange(f"need 1 <= s < t <= {n}, got s={s}, t={t}")
-    cut = zero_cut(spec_ab, tol)
+    cut = _product_cut(spec_a, spec_b, tol)
     if spec_ab[s - 1] <= cut:
         raise SignConditionViolated(
             f"product eigenvalue {s} is {spec_ab[s - 1]:.6g}, not positive"
@@ -368,7 +377,7 @@ def gap_bound(
     """
     _require_same_dim(spec_a, spec_b)
     _require_same_dim(spec_a, spec_ab)
-    cut = zero_cut(spec_ab, tol)
+    cut = _product_cut(spec_a, spec_b, tol)
     positives = [i for i, v in enumerate(spec_ab, start=1) if v > cut]
     negatives = [i for i, v in enumerate(spec_ab, start=1) if v < -cut]
     if not positives or not negatives:

@@ -44,6 +44,11 @@ from eigb.linalg import Spectrum, hermitian_eig, product_spectrum, validate_herm
 SA = Spectrum(values=(3.0, -1.0, -4.0))
 SB = Spectrum(values=(3.0, 2.0, 1.0))
 SAB = Spectrum(values=(3.0, -3.0, -8.0))
+# A vanishing on the range of B (the product is exactly zero), with a
+# computed product spectrum of mixed-sign rounding noise.
+ZA = Spectrum(values=(2.58, 0.81, -0.62, -4.77))
+ZB = Spectrum(values=(3.0, 1.0, 0.0, 0.0))
+ZERO_PRODUCT_NOISE = Spectrum(values=(1.1e-15, 9.3e-18, 3.2e-18, -2.2e-15))
 
 A3 = [[1, 2, 0], [2, 1, 0], [0, 0, -4]]
 B3 = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
@@ -100,6 +105,8 @@ class TestInertia:
             ((1e-320, 0.0), 1e-9, (1, 0, 1)),  # tol * radius underflows to 0
             ((0.0, -1e-320), 1e-9, (0, 1, 1)),
             ((0.0, 0.0), 0.0, (0, 0, 2)),  # an exact zero is zero even at tol = 0
+            ((5e-324, -5e-324), 1e-9, (1, 1, 0)),
+            ((1.0, -1e-9), 1e-9, (1, 0, 1)),  # the band is closed: its edge is zero
         ],
     )
     def test_zero_band_has_no_floor(self, values, tol, expected):
@@ -455,6 +462,12 @@ class TestPairBounds:
         with pytest.raises(IndexOutOfRange):
             pair_bounds(SA, SB, SAB, 2, 2)
 
+    def test_rounding_noise_is_not_signed(self):
+        # The product is exactly zero; its computed spectrum is noise of about
+        # eps * rho(A) * rho(B), which must not count as positive or negative.
+        with pytest.raises(SignConditionViolated):
+            pair_bounds(ZA, ZB, ZERO_PRODUCT_NOISE, 1, 4)
+
 
 class TestGapBound:
     def test_example(self):
@@ -467,6 +480,13 @@ class TestGapBound:
         psd = Spectrum(values=(3.0, 1.0, 0.5))
         with pytest.raises(NoSignChange):
             gap_bound(psd, SB, psd)
+
+    def test_rounding_noise_is_not_signed(self):
+        # Three "positive" noise values would put p at a negative eigenvalue
+        # of A (a ConsistencyError) if the noise were classified by its own
+        # radius instead of by rho(A) * rho(B).
+        with pytest.raises(NoSignChange):
+            gap_bound(ZA, ZB, ZERO_PRODUCT_NOISE)
 
     @settings(max_examples=30)
     @given(st.integers(0, 10_000))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eigb import bounds
 from eigb.bounds import IndexSequence
 from eigb.cli import main
 from eigb.harness import (
@@ -62,6 +63,24 @@ class TestBounds:
         out = capsys.readouterr().out
         for section in ("spectrum A", "spectrum AB", "inertia A", "main bounds", "splitting"):
             assert section in out
+
+    def test_dominance_uses_tol_verify(self, example_files, capsys, monkeypatch):
+        # On finite spectra T1 <= T2 holds exactly in floating point, so no
+        # instance shows the base through dominance_ok; watch the call instead.
+        bases = []
+        real = bounds.verify_tolerance
+
+        def spy(spec_a, spec_b, k, base=bounds.TOL_VERIFY_BASE):
+            bases.append(base)
+            return real(spec_a, spec_b, k, base)
+
+        monkeypatch.setattr(bounds, "verify_tolerance", spy)
+        a, b = example_files
+        argv = ["bounds", "--a", a, "--b", b, "--indices", "1,3", "--tol-verify", "0.25"]
+        code, data = run_json(capsys, argv)
+        assert code == 0
+        assert bases == [0.25]
+        assert data["dominance_ok"] is True
 
     def test_decreasing_indices_exit_2(self, example_files, capsys):
         a, b = example_files
@@ -153,6 +172,25 @@ class TestVerify:
         save_matrix(b_path, 1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
         assert "all inequalities hold" in capsys.readouterr().out
+
+    def test_zero_product(self, tmp_path, capsys):
+        # A vanishes on the range of B, so AB is exactly zero and its computed
+        # spectrum is mixed-sign rounding noise.  That noise must count as
+        # zero (no sign change, gap skipped) whatever its signs, not as
+        # product eigenvalues whose signs contradict A's.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        m = np.zeros((4, 4))
+        m[2:, 2:] = [[1.0, 2.0], [2.0, -3.0]]
+        m[:2, 2:] = [[1.0, -1.0], [0.5, 2.0]]
+        m[2:, :2] = m[:2, 2:].T
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            q, _ = np.linalg.qr(z)
+            save_matrix(a_path, q @ m @ q.conj().T)
+            save_matrix(b_path, (q * [3.0, 1.0, 0.0, 0.0]) @ q.conj().T)
+            assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0, seed
+            assert "all inequalities hold" in capsys.readouterr().out
 
     def test_ostrowski_tolerance_scales_with_b(self, tmp_path, capsys):
         # The Ostrowski ratios are about 1e200 here, so their rounding error

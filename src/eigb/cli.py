@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 a mathematical violation was found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,7 +60,7 @@ def _default_tol_verify() -> float:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-class", type=float, default=bnd.TOL_CLASS,
                         help="relative threshold classifying eigenvalues as zero")
-    parser.add_argument("--tol-verify", type=float, default=_default_tol_verify(),
+    parser.add_argument("--tol-verify", type=float, default=None,
                         help="base slack tolerance (env EIGB_TOL_VERIFY overrides the default)")
     parser.add_argument("--tol-herm", type=float, default=1e-9,
                         help="relative hermiticity acceptance tolerance")
@@ -328,6 +329,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigb",
@@ -374,7 +376,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        # The parser is built once, so the environment is read here on every
+        # call; before parsing, so a bad value exits 2 whatever the arguments.
+        tol_verify = _default_tol_verify()
         args = _parser().parse_args(argv)
+        if args.tol_verify is None:
+            args.tol_verify = tol_verify
         _check_tolerances(args)
         return args.func(args)
     except SystemExit as exc:

@@ -1,15 +1,29 @@
-"""Text format for complex matrices (format tag EIGB1).
+r"""Text format for complex matrices (format tag EIGB1).
 
-Grammar: lines starting with '#' are ignored; the first token is the
-dimension n, followed by exactly n*n whitespace-separated entries in
-row-major order.  An entry is a real float literal or a complex literal
-of the exact form (re,im) with no interior whitespace.
+Grammar, as parsed here:
+
+- The file is UTF-8.  Lines are split as ``str.splitlines`` splits them, so
+  ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``, U+2028 and U+2029 end a
+  line as well as ``\n``, ``\r\n`` and ``\r``.
+- A line whose first character is ``#`` is a comment; a ``#`` anywhere else
+  (even after indentation) is an ordinary character.
+- Any Unicode whitespace separates tokens.  The first token is the dimension
+  n (a positive integer as Python ``int()`` reads it), followed by exactly
+  n*n entries in row-major order.
+- An entry is a real literal that Python ``float()`` accepts (``-4.0``,
+  ``1e-3``, ``1_000``, ``+.5``, ``5.``) or a complex literal of the exact form
+  ``(re,im)`` with two such literals and no interior whitespace.  Every value
+  must be finite.
+
+Any violation raises :class:`ParseError` with its line and column (or
+:class:`WrongEntryCount`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -51,8 +65,9 @@ def _parse_entry(token: str, line: int, col: int) -> complex:
     return complex(_parse_float(token, line, col), 0.0)
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Parse the EIGB1 text format into a square complex matrix."""
+def _parse_tokenwise(text: str) -> np.ndarray:
+    """Parse one token at a time: the reference for `_parse_bulk`, and the
+    walk that locates the error in any text `_parse_bulk` rejects."""
     stream = _tokens(text)
     try:
         line, col, token = next(stream)
@@ -77,6 +92,55 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128).reshape(n, n)
 
 
+def _parse_bulk(text: str) -> np.ndarray | None:
+    """Parse well-formed text with a few passes over the whole body.
+
+    Returns None for any text that `_parse_tokenwise` would reject (and for
+    nothing else), without saying why.
+    """
+    tokens = "\n".join(
+        [line for line in text.splitlines() if not line.startswith("#")]
+    ).split()
+    try:
+        n = int(tokens[0])
+    except (IndexError, ValueError):
+        return None
+    entries = tokens[1:]
+    if n < 1 or len(entries) != n * n:
+        return None
+    entries = [t if t[0] == "(" else f"({t},0)" for t in entries]
+    if max(map(str.count, entries, repeat(","))) > 1:
+        return None
+    body = " ".join(entries)
+    if not body.endswith(")"):
+        return None
+    # Every entry now starts with "(" and holds at most one comma, and spaces
+    # occur only between entries.  The cut below therefore yields at most
+    # 1 + n*n + (n*n - 1) pieces, and 2*n*n only if every entry is
+    # "(" re "," im ")"; float() then rejects a stray parenthesis or an
+    # empty part.
+    numbers = body[1:-1].replace(") (", ",").split(",")
+    if len(numbers) != 2 * len(entries):
+        return None
+    try:
+        values = np.array(numbers, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(np.complex128).reshape(n, n)
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Parse the EIGB1 text format into a square complex matrix."""
+    matrix = _parse_bulk(text)
+    if matrix is None:
+        # `_parse_bulk` accepts every valid text, so this raises the error
+        # with its line and column.
+        matrix = _parse_tokenwise(text)
+    return matrix
+
+
 def _format_entry(value: complex) -> str:
     re_part, im_part = float(value.real), float(value.imag)
     if im_part == 0.0:
@@ -95,8 +159,17 @@ def write_matrix(matrix) -> str:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Number the line and column as the parser would, up to the bad byte.
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            len(lines), len(lines[-1]), f"not valid UTF-8: byte 0x{data[exc.start]:02x}"
+        ) from None
+    return parse_matrix(text)
 
 
 def save_matrix(path, matrix) -> None:

@@ -246,6 +246,29 @@ class TestFuzz:
         assert main(["example"]) == 2
         assert capsys.readouterr().err.startswith("error: EIGB_TOL_VERIFY")
 
+    def test_env_tolerance_read_on_every_call(self, example_files, capsys, monkeypatch):
+        # The parser is built once per process; the environment must not be.
+        bases = []
+        real = bounds.verify_tolerance
+
+        def spy(spec_a, spec_b, k, base=bounds.TOL_VERIFY_BASE):
+            bases.append(base)
+            return real(spec_a, spec_b, k, base)
+
+        monkeypatch.setattr(bounds, "verify_tolerance", spy)
+        a, b = example_files
+        argv = ["bounds", "--a", a, "--b", b, "--indices", "1,3"]
+        for value in ("0.25", "0.5"):
+            monkeypatch.setenv("EIGB_TOL_VERIFY", value)
+            assert main(argv) == 0
+        monkeypatch.delenv("EIGB_TOL_VERIFY")
+        assert main(argv) == 0
+        assert bases == [0.25, 0.5, bounds.TOL_VERIFY_BASE]
+        monkeypatch.setenv("EIGB_TOL_VERIFY", "abc")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: EIGB_TOL_VERIFY")
+
     def test_forced_inertia(self, capsys):
         code, data = run_json(
             capsys, ["fuzz", "--count", "5", "--seed", "3", "--inertia", "2,2,0"]
@@ -338,6 +361,18 @@ class TestInputErrors:
         monkeypatch.setenv("EIGB_TOL_VERIFY", "nan")
         a, b = example_files
         assert main(["verify", "--a", a, "--b", b]) == 2
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
+    def test_invalid_utf8_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "a.mat"
+        path.write_bytes(b"2\n1 0\n0 \xff1\n")
+        argv = [command, "--a", str(path), "--b", str(path)]
+        if command == "bounds":
+            argv += ["--indices", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3, column 3: not valid UTF-8: byte 0xff\n"
+        )
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys, command):

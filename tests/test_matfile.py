@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigb.errors import ParseError, WrongEntryCount
-from eigb.matfile import parse_matrix, write_matrix
+from eigb.errors import EigbError, ParseError, WrongEntryCount
+from eigb.matfile import (
+    _parse_bulk,
+    _parse_tokenwise,
+    load_matrix,
+    parse_matrix,
+    write_matrix,
+)
 
 EXAMPLE_A_TEXT = "3\n1 2 0\n2 1 0\n0 0 -4\n"
 
@@ -93,3 +99,153 @@ def test_round_trip_random(n, data):
     m = np.array([complex(re, im) for re, im in entries]).reshape(n, n)
     again = parse_matrix(write_matrix(m))
     np.testing.assert_array_equal(m, again)
+
+
+def _outcome(parse, text):
+    """What `parse` makes of `text`: the matrix's bytes, or the error."""
+    try:
+        m = parse(text)
+    except EigbError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return m.shape, m.dtype, m.tobytes()
+
+
+def _assert_parity(text):
+    """The bulk path accepts exactly the texts the token walk accepts, with
+    bit-identical matrices, and parse_matrix raises the walk's errors."""
+    expected = _outcome(_parse_tokenwise, text)
+    assert _outcome(parse_matrix, text) == expected
+    bulk = _parse_bulk(text)
+    if isinstance(expected[0], type):
+        assert bulk is None
+    else:
+        assert bulk is not None
+        assert (bulk.shape, bulk.dtype, bulk.tobytes()) == expected
+
+
+_SEPARATORS = [" ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\u2028"]
+_JUNK = st.text(alphabet="0123456789.eE+-_()#,xnaif", max_size=8)
+_GOOD_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["1_0", "+.5", "5.", "-0", "1E3", "١٢"]),
+)
+_BAD_NUMBER = st.one_of(st.sampled_from(["1e400", "nan", "-inf", "0x1p3"]), _JUNK)
+_GOOD_COMPLEX = st.tuples(_GOOD_NUMBER, _GOOD_NUMBER).map("({0[0]},{0[1]})".format)
+_GOOD_ENTRY = st.one_of(_GOOD_NUMBER, _GOOD_COMPLEX)
+# Structural defects of one entry.
+_DEFECTS = st.sampled_from(
+    [
+        lambda t: "(" + t,
+        lambda t: t + ")",
+        lambda t: "(" + t + ")",
+        lambda t: t[:-1],
+        lambda t: t[1:],
+        lambda t: t + t,
+        lambda t: "x" + t,
+        lambda t: t + ",5",
+    ]
+)
+
+
+@st.composite
+def _eigb1_texts(draw):
+    """EIGB1 texts, valid or with one defect."""
+    n = draw(st.integers(1, 3))
+    tokens = [str(n)] + draw(st.lists(_GOOD_ENTRY, min_size=n * n, max_size=n * n))
+    i = n * n - draw(st.integers(0, n * n - 1))  # the last entry most often
+    defect = draw(
+        st.sampled_from(["none", "number", "entry", "move", "move", "count", "dimension", "indent"])
+    )
+    if defect == "number":
+        bad = draw(_BAD_NUMBER)
+        tokens[i] = draw(st.sampled_from([bad, f"({bad},1)", f"(1,{bad})"]))
+    elif defect == "entry":
+        tokens[i] = draw(_DEFECTS)(tokens[i])
+    elif defect == "move":
+        # Move a comma or parenthesis of complex entry j into a number of
+        # complex entry i, which keeps the text's count of each:
+        # "(1,2) (34,5)" -> "(12) (3,4,5)".  Entry j's imaginary part is a
+        # digit string, so "(12)" still holds one number.
+        j = draw(st.integers(1, n * n))
+        tokens[i] = draw(_GOOD_COMPLEX)
+        tokens[j] = f"({draw(_GOOD_NUMBER)},{draw(st.integers(0, 99))})"
+        moved = draw(st.sampled_from(",,,()"))
+        cut = tokens[j].index(moved)
+        tokens[j] = tokens[j][:cut] + tokens[j][cut + 1 :]
+        t = tokens[i]
+        inside = [a for a in range(1, len(t)) if not {t[a - 1], t[a]} & set("(),")]
+        at = draw(st.sampled_from(inside or [0]))
+        tokens[i] = t[:at] + moved + t[at:]
+    elif defect == "count":
+        if draw(st.booleans()):
+            tokens.insert(i, "1")
+        else:
+            del tokens[i]
+    elif defect == "dimension":
+        tokens[0] = draw(st.sampled_from(["", "0", "-1", "2.0", "x"]))
+    text = draw(st.sampled_from(["", "# EIGB1\n", "#\n"]))
+    for k, token in enumerate(tokens):
+        if defect == "indent" and k == i:
+            text += "\n  # not a comment\n"
+        text += token + draw(st.sampled_from(_SEPARATORS))
+        if draw(st.integers(0, 9)) == 0:
+            text += draw(st.sampled_from(["\n# note\n", "\n#\n"]))
+    return text
+
+
+_NOISE = st.lists(
+    st.sampled_from(list("0123456789.eE+-_()#,xnaif") + _SEPARATORS), max_size=40
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_eigb1_texts(), _eigb1_texts(), _eigb1_texts(), _NOISE))
+def test_bulk_matches_token_walk(text):
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1\n(1,2)(3,4)",  # one malformed token, not two entries
+        "2\n(1,2,3) (4) 5 6",
+        "1\n(1,,2)",
+        "1\n(,1)",
+        "1\nx(1,2)",
+        "1\n1(2,3)",
+        "1\n  # not a comment\n5",
+        "1\n(1e400,0)",
+        "2\n1 2 3 (4,55",  # unterminated last entry
+    ],
+)
+def test_malformed_entry_parity(text):
+    with pytest.raises(ParseError):
+        parse_matrix(text)
+    _assert_parity(text)
+
+
+def _complex_only_text(m):
+    rows = [" ".join(f"({float(v.real)!r},{float(v.imag)!r})" for v in row) for row in m]
+    return "\n".join(["# EIGB1", str(len(m))] + rows) + "\n"
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("writer", [write_matrix, _complex_only_text])
+def test_large_files_bit_identical(n, writer):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    m = m + 1j * np.where(rng.random((n, n)) < 0.5, 0.0, rng.standard_normal((n, n)))
+    text = writer(m)
+    assert np.array_equal(parse_matrix(text), m)
+    _assert_parity(text)
+
+
+def test_invalid_utf8_reports_position(tmp_path):
+    path = tmp_path / "bad.mat"
+    # U+2028 ends a line, as str.splitlines sees it.
+    path.write_bytes("2\n1 \u2028 0\n0 é".encode() + b"\xff1\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (4, 4)
+    assert "UTF-8" in err.value.reason

@@ -7,6 +7,12 @@ families (both-signed spectra with selections inside, beyond, and
 straddling the nonnegative block, plus the two one-signed extremes),
 checks every applicable inequality on each index sequence, and aggregates
 machine-readable results.  Identical seeds give identical reports.
+
+Generation and the instance spectra are written for stacks: arrays with a
+leading axis of m same-n instances, each drawn from its own seed.  A
+campaign runs them on whole groups of instances; gen_hermitian, gen_psd and
+instance_spectra are the same code with m = 1, so a stacked campaign
+reports exactly what one instance at a time would.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .bounds import (
     IndexSequence,
@@ -49,12 +56,16 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .linalg import (
+    TOL_HERM,
     HermitianMatrix,
     PSDMatrix,
     Spectrum,
-    frobenius_norm,
-    hermitian_eig,
-    product_spectrum,
+    _eig,
+    _eig_stack,
+    _frobenius_norms,
+    _product_values,
+    _psd_eig,
+    _validated,
     validate_hermitian,
     validate_psd,
 )
@@ -65,6 +76,13 @@ _MASK64 = (1 << 64) - 1
 # ones check SAMPLED_SEQUENCES sampled selections.
 EXHAUSTIVE_MAX_N = 6
 SAMPLED_SEQUENCES = 12
+
+# A campaign generates and solves at most this many consecutive instances at
+# a time, in same-n stacks of at most STACK_ENTRIES matrix entries (and at
+# least one instance), so its memory grows neither with the count nor, beyond
+# one instance's, with n.
+STACK_WINDOW = 256
+STACK_ENTRIES = 1 << 16
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -101,13 +119,18 @@ class GeneratorSpec:
                 )
 
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Orthonormalize an iid complex Gaussian matrix; fix QR phase ambiguity."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An iid complex Gaussian n x n matrix."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+
+def _haar_unitary(z: np.ndarray) -> np.ndarray:
+    """Orthonormalize a stack (m, n, n) of complex Gaussian matrices; fix the
+    QR phase ambiguity."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def _target_values(rng: np.random.Generator, spec: GeneratorSpec, nonnegative: bool) -> np.ndarray:
@@ -134,24 +157,29 @@ def _target_values(rng: np.random.Generator, spec: GeneratorSpec, nonnegative: b
     return values
 
 
+def _generated(specs: Sequence[GeneratorSpec], nonnegative: bool) -> np.ndarray:
+    """The stack (m, n, n) of Q diag(values) Q* for same-n specs, each drawn
+    from its own seed: target values first, then the Gaussian matrix of Q."""
+    targets = [s.inertia_target for s in specs]
+    if nonnegative and any(t is not None and t[1] != 0 for t in targets):
+        raise InvalidSpec("PSD target cannot contain negative eigenvalues")
+    values, z = [], []
+    for spec in specs:
+        rng = np.random.default_rng(spec.seed)
+        values.append(_target_values(rng, spec, nonnegative))
+        z.append(_gaussian(rng, spec.n))
+    q = _haar_unitary(np.stack(z))
+    return (q * np.stack(values)[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+
 def gen_hermitian(spec: GeneratorSpec) -> HermitianMatrix:
     """Random Hermitian matrix with prescribed spectrum shape, deterministic in seed."""
-    rng = np.random.default_rng(spec.seed)
-    values = _target_values(rng, spec, nonnegative=False)
-    q = _haar_unitary(rng, spec.n)
-    m = (q * values) @ q.conj().T
-    return validate_hermitian(m)
+    return validate_hermitian(_generated([spec], nonnegative=False)[0])
 
 
 def gen_psd(spec: GeneratorSpec) -> PSDMatrix:
     """Random PSD matrix with nonnegative prescribed spectrum, deterministic in seed."""
-    if spec.inertia_target is not None and spec.inertia_target[1] != 0:
-        raise InvalidSpec("PSD target cannot contain negative eigenvalues")
-    rng = np.random.default_rng(spec.seed)
-    values = _target_values(rng, spec, nonnegative=True)
-    q = _haar_unitary(rng, spec.n)
-    m = (q * values) @ q.conj().T
-    return validate_psd(m)
+    return validate_psd(_generated([spec], nonnegative=True)[0])
 
 
 def all_selections(n: int) -> list[tuple[int, ...]]:
@@ -240,19 +268,33 @@ class InstanceSpectra:
 
 
 def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> InstanceSpectra:
-    spec_a = hermitian_eig(a).spectrum
-    spec_ab = product_spectrum(a, b)
-    spec_sum = hermitian_eig(validate_hermitian(a.matrix + b.matrix)).spectrum
-    product = a.matrix @ b.matrix
-    return InstanceSpectra(
-        spec_a=spec_a,
-        spec_b=b.spectrum,
-        spec_b_raw=b.eig.spectrum,
-        spec_ab=spec_ab,
-        spec_sum=spec_sum,
-        trace_product=float(np.trace(product).real),
-        norm_scale=1.0 + frobenius_norm(a.matrix) * frobenius_norm(b.matrix),
-    )
+    return _instance_spectra(a.matrix[None], b.matrix[None], *_eig_stack(b))[0]
+
+
+def _instance_spectra(
+    a: np.ndarray, b: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray
+) -> list[InstanceSpectra]:
+    """instance_spectra for a stack of instances: validated A and B as
+    (m, n, n) stacks, with B's eigendecomposition from validate_psd."""
+    values_a = _eig(a)[0]
+    values_ab = _product_values(a, b_values, b_vectors)
+    values_sum = _eig(_validated(a + b, TOL_HERM)[0])[0]
+    traces = np.trace(a @ b, axis1=-2, axis2=-1).real
+    norm_scales = 1.0 + _frobenius_norms(a) * _frobenius_norms(b)
+    # PSDMatrix.spectrum: eigenvalues of B below zero, within tolerance, read as zero.
+    clamped = np.where(b_values < 0.0, 0.0, b_values)
+    return [
+        InstanceSpectra(
+            spec_a=Spectrum(tuple(values_a[i].tolist())),
+            spec_b=Spectrum(tuple(clamped[i].tolist())),
+            spec_b_raw=Spectrum(tuple(b_values[i].tolist())),
+            spec_ab=Spectrum(tuple(values_ab[i].tolist())),
+            spec_sum=Spectrum(tuple(values_sum[i].tolist())),
+            trace_product=float(traces[i]),
+            norm_scale=float(norm_scales[i]),
+        )
+        for i in range(len(a))
+    ]
 
 
 def _bracket_check(name, lower, actual, upper, tol) -> CheckResult:
@@ -424,7 +466,6 @@ class SelectionChecks:
     failures: list[VerificationRecord]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def check_selections(
     sp: InstanceSpectra,
     selections: Sequence[tuple[int, ...]],
@@ -440,9 +481,24 @@ def check_selections(
     Ostrowski and the trace pair) are evaluated once.  Full records are
     built, by run_checks, only for the failing selections.
     """
+    index = _index_matrix(selections, len(sp.spec_a))
+    return _check_index(sp, selections, index, tol, instance_id, seed)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_index(
+    sp: InstanceSpectra,
+    selections: Sequence[tuple[int, ...]],
+    index: tuple[np.ndarray, np.ndarray],
+    tol: Tolerances,
+    instance_id: int,
+    seed: int,
+) -> SelectionChecks:
+    """check_selections, given the selections' _index_matrix: a campaign
+    builds it once for all the instances that check the same selections."""
     spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
     n = len(spec_a)
-    rows, ks = _index_matrix(selections, n)
+    rows, ks = index
     every = np.ones(len(rows), dtype=bool)
     sums = selection_bounds_batch(spec_a, spec_b, rows, ks, tol.tol_class)
     inertia = inertia_of(spec_a, tol.tol_class)
@@ -680,6 +736,63 @@ def sample_selections(
     return sorted(chosen)
 
 
+class _Plan(NamedTuple):
+    """One campaign instance before generation: its index and seed, the
+    generator that later samples its selections, and the recipes of A and B."""
+
+    index: int
+    seed: int
+    rng: np.random.Generator
+    a: GeneratorSpec
+    b: GeneratorSpec
+
+
+def _plan(i: int, master_seed: int, config: CampaignConfig) -> _Plan:
+    """Instance i's dimension and inertia: the first draws of its own generator."""
+    seed_i = derive_seed(master_seed, i)
+    rng = np.random.default_rng(seed_i)
+    if config.inertia is not None:
+        inertia = config.inertia
+        n = sum(inertia)
+    else:
+        n = int(rng.integers(config.n_min, config.n_max + 1))
+        inertia = _family_inertia(rng, i % 5, n)
+    # Every third instance gets a singular B for boundary coverage.
+    b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
+    return _Plan(
+        index=i,
+        seed=seed_i,
+        rng=rng,
+        a=GeneratorSpec(n=n, seed=derive_seed(seed_i, 1), inertia_target=inertia),
+        b=GeneratorSpec(n=n, seed=derive_seed(seed_i, 2), inertia_target=b_inertia),
+    )
+
+
+def _stacked_spectra(plans: Sequence[_Plan]) -> list[InstanceSpectra | None]:
+    """instance_spectra of each planned instance, generated and solved in
+    same-n stacks: gen_hermitian, gen_psd and instance_spectra on a whole
+    stack at once.  Every instance of a stack in which a stage raises gets
+    None, to be redone on its own."""
+    groups: dict[int, list[int]] = {}
+    for j, plan in enumerate(plans):
+        groups.setdefault(plan.a.n, []).append(j)
+    stacks: list[list[int]] = []
+    for n, group in groups.items():
+        size = max(1, STACK_ENTRIES // n**2)
+        stacks += [group[k : k + size] for k in range(0, len(group), size)]
+    spectra: list[InstanceSpectra | None] = [None] * len(plans)
+    for members in stacks:
+        try:
+            a, _ = _validated(_generated([plans[j].a for j in members], False), TOL_HERM)
+            b, _ = _validated(_generated([plans[j].b for j in members], True), TOL_HERM)
+            solved = _instance_spectra(a, b, *_psd_eig(b))
+        except (EigbError, LinAlgError):
+            continue
+        for j, sp in zip(members, solved):
+            spectra[j] = sp
+    return spectra
+
+
 def run_campaign(
     count: int, config: CampaignConfig = CampaignConfig(), master_seed: int = 0
 ) -> CampaignReport:
@@ -688,6 +801,12 @@ def run_campaign(
     Failures are collected rather than raised: slack statistics across the
     whole campaign are part of the result.  Identical inputs produce an
     identical report.
+
+    Up to STACK_WINDOW consecutive instances are planned at a time, then
+    generated and solved in same-n stacks (_stacked_spectra), then checked
+    one at a time in instance order.  An instance whose stack failed is
+    generated and solved on its own, exactly as the stack would have done it,
+    so the report is the same as one instance at a time.
     """
     if count < 1:
         raise InvalidCount(f"instance count must be >= 1, got {count}")
@@ -697,58 +816,47 @@ def run_campaign(
     total = 0
     passed = 0
     tol = config.tolerances
+    # n -> all_selections(n) and its index matrix, shared by the instances of that n.
+    exhaustive: dict[int, tuple] = {}
 
-    for i in range(count):
-        seed_i = derive_seed(master_seed, i)
-        rng = np.random.default_rng(seed_i)
-        if config.inertia is not None:
-            inertia = config.inertia
-            n = sum(inertia)
-        else:
-            n = int(rng.integers(config.n_min, config.n_max + 1))
-            inertia = _family_inertia(rng, i % 5, n)
-        a = gen_hermitian(
-            GeneratorSpec(
-                n=n,
-                seed=derive_seed(seed_i, 1),
-                inertia_target=inertia,
-            )
-        )
-        # Every third instance gets a singular B for boundary coverage.
-        b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
-        b = gen_psd(
-            GeneratorSpec(
-                n=n,
-                seed=derive_seed(seed_i, 2),
-                inertia_target=b_inertia,
-            )
-        )
-        try:
-            sp = instance_spectra(a, b)
-        except EigbError as exc:
-            record = _error_record(
-                exc, n, IndexSequence(indices=tuple(range(1, n + 1)), n=n), i, seed_i
-            )
-            total += 1
-            failures.append(record)
-            st = stats.setdefault("computation", CheckStats(name="computation"))
-            st.count += 1
-            st.failed += 1
-            st.min_slack = min(st.min_slack, 0.0)
-            continue
-        nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
-        if n <= EXHAUSTIVE_MAX_N:
-            selections = all_selections(n)
-        else:
-            selections = _family_selections(rng, i % 5, n, nu, SAMPLED_SEQUENCES)
-        checked = check_selections(sp, selections, tol, instance_id=i, seed=seed_i)
-        total += len(selections)
-        passed += int(np.count_nonzero(checked.passed))
-        failures.extend(checked.failures)
-        for column in checked.columns:
-            if column.applies.any():
-                st = stats.setdefault(column.name, CheckStats(name=column.name))
-                st.add(column.passed[column.applies], column.worst[column.applies])
+    for first in range(0, count, STACK_WINDOW):
+        window = range(first, min(first + STACK_WINDOW, count))
+        plans = [_plan(i, master_seed, config) for i in window]
+        for plan, sp in zip(plans, _stacked_spectra(plans)):
+            i, seed_i, n = plan.index, plan.seed, plan.a.n
+            if sp is None:
+                a = gen_hermitian(plan.a)
+                b = gen_psd(plan.b)
+                try:
+                    sp = instance_spectra(a, b)
+                except EigbError as exc:
+                    record = _error_record(
+                        exc, n, IndexSequence(indices=tuple(range(1, n + 1)), n=n), i, seed_i
+                    )
+                    total += 1
+                    failures.append(record)
+                    st = stats.setdefault("computation", CheckStats(name="computation"))
+                    st.count += 1
+                    st.failed += 1
+                    st.min_slack = min(st.min_slack, 0.0)
+                    continue
+            if n <= EXHAUSTIVE_MAX_N:
+                if n not in exhaustive:
+                    selections = all_selections(n)
+                    exhaustive[n] = (selections, _index_matrix(selections, n))
+                selections, index = exhaustive[n]
+            else:
+                nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
+                selections = _family_selections(plan.rng, i % 5, n, nu, SAMPLED_SEQUENCES)
+                index = _index_matrix(selections, n)
+            checked = _check_index(sp, selections, index, tol, i, seed_i)
+            total += len(selections)
+            passed += int(np.count_nonzero(checked.passed))
+            failures.extend(checked.failures)
+            for column in checked.columns:
+                if column.applies.any():
+                    st = stats.setdefault(column.name, CheckStats(name=column.name))
+                    st.add(column.passed[column.applies], column.worst[column.applies])
 
     return CampaignReport(
         total=total,

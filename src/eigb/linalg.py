@@ -8,6 +8,13 @@ is never obtained from a general eigensolver on A@B: conjugating keeps the
 problem Hermitian, so realness of the result is structural rather than
 numerical.
 
+Validation, the eigensolver, the PSD square root and the product spectrum
+are written once, for stacks: arrays (m, n, n) of same-size matrices with
+a leading axis.  The single-matrix public functions run that code with
+m = 1.  numpy's eigh, qr and matmul apply LAPACK and BLAS to each matrix of
+a stack in turn, so a matrix gets the same bits in a stack as alone (the
+tests check this on the installed BLAS).
+
 A cyclic complex Jacobi solver, `jacobi_eig`, is kept as an independent
 oracle for the tests: it shares no algorithm with LAPACK and is the more
 accurate of the two on graded matrices (Demmel & Veselic, 1992).
@@ -16,7 +23,7 @@ accurate of the two on graded matrices (Demmel & Veselic, 1992).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -40,15 +47,8 @@ JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 60
 
 
-def ensure_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries.
-
-    Raises NotSquare for non-square input and NonFinite if any entry is
-    NaN or infinite.
-    """
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m itself, if every entry of it is finite; NonFinite otherwise."""
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise NonFinite("matrix contains NaN or infinite entries")
     return m
@@ -65,7 +65,7 @@ class Spectrum:
         object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("spectrum must contain at least one value")
-        if any(not np.isfinite(v) for v in vals):
+        if not all(map(isfinite, vals)):
             raise ValueError("spectrum values must be finite")
         for a, b in zip(vals, vals[1:]):
             if a < b:
@@ -135,54 +135,85 @@ class PSDMatrix:
 
 
 def validate_hermitian(entries, tol: float = TOL_HERM) -> HermitianMatrix:
-    """Symmetrize and accept a matrix as Hermitian within `tol` (relative).
+    """Coerce to a square complex128 matrix and accept it as Hermitian within
+    `tol` (relative); see _validated.  Raises NotSquare for non-square input."""
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    return _hermitian_matrix(*_validated(m[None], tol))
 
-    The defect max|M - M*| is measured before symmetrization; rejection
-    threshold is tol * max|entry|.  The two are compared on the scale of
-    M / 2^e (see _unit_scaled), because the modulus of an entry, and so the
-    defect, can exceed the largest double.
+
+def _validated(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrize a stack (m, n, n) and accept each matrix as Hermitian.
+
+    Raises NonFinite if any entry is NaN or infinite, and NotHermitian for
+    the first matrix whose defect max|M - M*|, measured before
+    symmetrization, exceeds tol * max|entry|.  The two are compared on the
+    scale of M / 2^e (see _unit_scaled), because the modulus of an entry,
+    and so the defect, can exceed the largest double.
     """
-    m = ensure_matrix(entries)
-    herm = _symmetrized(m)
-    scaled, exponent = _unit_scaled(m)
-    limit = tol * float(np.max(np.abs(scaled)))
-    if np.ldexp(herm.hermiticity_defect, -exponent) > limit:
-        raise NotHermitian(herm.hermiticity_defect, float(np.ldexp(limit, exponent)))
-    return herm
+    sym, defects = _symmetrized(_finite(m))
+    scaled, exponents = _unit_scaled(m)
+    exponents = exponents[:, 0, 0]
+    limits = tol * np.max(np.abs(scaled), axis=(-2, -1))
+    rejected = np.ldexp(defects, -exponents) > limits
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        raise NotHermitian(float(defects[i]), float(np.ldexp(limits[i], exponents[i])))
+    return sym, defects
 
 
-def _symmetrized(m: np.ndarray) -> HermitianMatrix:
-    """(M + M*)/2 and the defect max|M - M*|, for any finite square M.
+def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M + M*)/2 and the defect max|M - M*| of each matrix of a finite stack.
 
     The matrices eigb builds itself (B^(1/2), B^(1/2) A B^(1/2)) are
-    Hermitian up to rounding and skip validate_hermitian's acceptance test:
-    where the exact product is zero, every entry is rounding and the
-    defect is as large as the entries.
+    Hermitian up to rounding and skip _validated's acceptance test: where
+    the exact product is zero, every entry is rounding and the defect is as
+    large as the entries.
     """
+    adjoint = m.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore"):
-        defect = float(np.max(np.abs(m - m.conj().T)))
+        defects = np.max(np.abs(m - adjoint), axis=(-2, -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (m + m.conj().T) / 2.0
+        sym = (m + adjoint) / 2.0
     # The sum overflows for entries above about 9e307.  Halving first is
     # exact at that magnitude, but rounds subnormals, so only the
     # overflowed entries are recomputed that way.
     overflowed = ~np.isfinite(sym)
     if overflowed.any():
-        sym[overflowed] = m[overflowed] / 2.0 + m.conj().T[overflowed] / 2.0
+        sym[overflowed] = m[overflowed] / 2.0 + adjoint[overflowed] / 2.0
     # Diagonal of (M + M*)/2 is real in exact arithmetic; force it so.
-    np.fill_diagonal(sym, sym.diagonal().real)
-    return HermitianMatrix(matrix=sym, hermiticity_defect=defect)
+    diagonal = np.arange(m.shape[-1])
+    sym[..., diagonal, diagonal] = sym[..., diagonal, diagonal].real
+    return sym, defects
+
+
+def _hermitian_matrix(sym: np.ndarray, defects: np.ndarray) -> HermitianMatrix:
+    """The first matrix of a symmetrized stack, with its defect."""
+    return HermitianMatrix(matrix=sym[0], hermiticity_defect=float(defects[0]))
 
 
 def validate_psd(entries, herm_tol: float = TOL_HERM) -> PSDMatrix:
     """Accept a Hermitian matrix as PSD within TOL_PSD (relative to its spectral radius)."""
     herm = entries if isinstance(entries, HermitianMatrix) else validate_hermitian(entries, herm_tol)
-    eig = hermitian_eig(herm)
-    lo = eig.spectrum[-1]
-    threshold = TOL_PSD * max(eig.spectrum[0], -lo)
-    if lo < -threshold:
-        raise NotPositiveSemidefinite(lo, threshold)
-    return PSDMatrix(hermitian=herm, eig=eig, min_eigenvalue=lo)
+    values, vectors = _psd_eig(herm.matrix[None])
+    return PSDMatrix(
+        hermitian=herm, eig=_decomposition(values, vectors), min_eigenvalue=float(values[0, -1])
+    )
+
+
+def _psd_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_eig of a stack of Hermitian matrices, each accepted as PSD within
+    TOL_PSD relative to its spectral radius (NotPositiveSemidefinite for the
+    first that is not)."""
+    values, vectors = _eig(m)
+    lowest, highest = values[:, -1], values[:, 0]
+    thresholds = TOL_PSD * np.where(-lowest > highest, -lowest, highest)
+    rejected = lowest < -thresholds
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        raise NotPositiveSemidefinite(float(lowest[i]), float(thresholds[i]))
+    return values, vectors
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -225,20 +256,24 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = s * phase * vec_p + c * vec_q
 
 
-def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(m / 2^e, e) with 2^e the power of two just above the largest |re| or |im|.
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M / 2^e, e) for each matrix M of a stack (..., n, n), with 2^e the
+    power of two just above M's largest |re| or |im|; e has shape (..., 1, 1).
 
     A power of two scales exactly, so a computation on the scaled copy
-    scaled back by 2^e is bit-identical to one on m wherever that one
+    scaled back by 2^e is bit-identical to one on M wherever that one
     neither overflows nor underflows.  ldexp, not a multiplication by
     2.0 ** -e, which overflows for a subnormal peak.
     """
-    peak = max(np.max(np.abs(m.real), initial=0.0), np.max(np.abs(m.imag), initial=0.0))
-    exponent = int(np.frexp(peak)[1])
+    peak = np.maximum(
+        np.max(np.abs(m.real), axis=(-2, -1), keepdims=True, initial=0.0),
+        np.max(np.abs(m.imag), axis=(-2, -1), keepdims=True, initial=0.0),
+    )
+    exponents = np.frexp(peak)[1]
     scaled = np.empty_like(m, dtype=np.complex128)
-    scaled.real = np.ldexp(m.real, -exponent)
-    scaled.imag = np.ldexp(m.imag, -exponent)
-    return scaled, exponent
+    scaled.real = np.ldexp(m.real, -exponents)
+    scaled.imag = np.ldexp(m.imag, -exponents)
+    return scaled, exponents
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -251,19 +286,26 @@ def _off_norm(a: np.ndarray) -> float:
 
 
 def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition by LAPACK (numpy.linalg.eigh, zheevd).
+    """Full eigendecomposition by LAPACK (numpy.linalg.eigh, zheevd); see _eig."""
+    return _decomposition(*_eig(a.matrix[None]))
 
-    LAPACK runs on A / 2^e (see _unit_scaled) and the eigenvalues are
-    scaled back by 2^e, so the result does not depend on how A is scaled
+
+def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (m, n), each row descending, and the matching eigenvector
+    columns (m, n, n) of a stack of Hermitian matrices.
+
+    LAPACK runs on each M / 2^e (see _unit_scaled) and the eigenvalues are
+    scaled back by 2^e, so the result does not depend on how M is scaled
     until the eigenvalues themselves leave the floating-point range
-    (NonFinite).  A LAPACK failure surfaces as NoConvergence.
+    (NonFinite).  A LAPACK failure on any matrix of the stack surfaces as
+    NoConvergence.
     """
-    work, exponent = _unit_scaled(a.matrix)
+    work, exponents = _unit_scaled(m)
     try:
         values, vectors = eigh(work)
     except LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
-    return _finish_eig(values, vectors, exponent)
+    return _finish_eig(values, vectors, exponents)
 
 
 def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
@@ -281,48 +323,64 @@ def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
     overflows nor underflows however A is scaled; the eigenvalues are
     scaled back by 2^e.
     """
-    work, exponent = _unit_scaled(a.matrix)
+    work, exponents = _unit_scaled(a.matrix[None])
+    work = work[0]
     n = work.shape[0]
     vectors = np.eye(n, dtype=np.complex128)
-    norm = float(np.linalg.norm(work))
-    if n == 1 or norm == 0.0:
-        return _finish_eig(work.diagonal().real, vectors, exponent)
-
-    target = JACOBI_TOL * norm
+    target = JACOBI_TOL * float(np.linalg.norm(work))
     # Skipping rotations below this per-element threshold still guarantees
     # off-norm < target after a quiet sweep: off <= n * threshold.
     threshold = target / n
     sweeps = 0
-    while sweeps < JACOBI_MAX_SWEEPS:
-        if _off_norm(work) <= target:
-            return _finish_eig(work.diagonal().real, vectors, exponent)
+    while (residual := _off_norm(work)) > target:
+        if sweeps == JACOBI_MAX_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi eigensolver did not converge after {sweeps} sweeps "
+                f"(off-diagonal residual {float(np.ldexp(residual, exponents.item())):.3e})"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if abs(work[p, q]) > threshold:
                     _jacobi_rotate(work, vectors, p, q)
         sweeps += 1
-    residual = _off_norm(work)
-    if residual <= target:
-        return _finish_eig(work.diagonal().real, vectors, exponent)
-    raise NoConvergence(
-        f"Jacobi eigensolver did not converge after {sweeps} sweeps "
-        f"(off-diagonal residual {float(np.ldexp(residual, exponent)):.3e})"
+    return _decomposition(*_finish_eig(work.diagonal().real[None], vectors[None], exponents))
+
+
+def _finish_eig(
+    values: np.ndarray, vectors: np.ndarray, exponents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale the eigenvalues (m, n) of each M / 2^e back by 2^e (exponents as
+    _unit_scaled gives them); sort each row descending, stably, with its
+    eigenvector columns."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, exponents[..., 0])
+    if not np.all(np.isfinite(values)):
+        raise NonFinite("eigenvalues exceed the floating-point range")
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return (
+        np.take_along_axis(values, order, axis=-1),
+        np.take_along_axis(vectors, order[..., None, :], axis=-1),
     )
 
 
-def _finish_eig(values: np.ndarray, vectors: np.ndarray, exponent: int) -> EigenDecomposition:
-    """Scale eigenvalues of A / 2^e back by 2^e; sort descending with their vectors."""
-    with np.errstate(over="ignore"):
-        values = np.ldexp(values, exponent)
-    if not np.all(np.isfinite(values)):
-        raise NonFinite("eigenvalues exceed the floating-point range")
-    order = np.argsort(-values, kind="stable")
-    spectrum = Spectrum(tuple(float(v) for v in values[order]))
-    return EigenDecomposition(spectrum=spectrum, vectors=vectors[:, order])
+def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+    """The first matrix's eigendecomposition, from a stack's (values, vectors)."""
+    return EigenDecomposition(spectrum=Spectrum(tuple(values[0].tolist())), vectors=vectors[0])
+
+
+def _eig_stack(b: PSDMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """B's eigendecomposition from validation, as a stack of one."""
+    return np.array([b.eig.spectrum.values]), b.eig.vectors[None]
 
 
 def psd_sqrt(b: PSDMatrix) -> HermitianMatrix:
-    """Unique PSD square root via the cached eigendecomposition of B.
+    """Unique PSD square root via the cached eigendecomposition of B; see _psd_root."""
+    return _hermitian_matrix(*_psd_root(*_eig_stack(b)))
+
+
+def _psd_root(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^(1/2) for a stack of PSD matrices, from each one's eigenvalues
+    (descending) and eigenvectors, symmetrized (see _symmetrized).
 
     Eigenvalues at or below the rounding floor n * eps * lambda_1(B) are
     set to zero before the square root: a zero eigenvalue of B comes out of
@@ -330,12 +388,10 @@ def psd_sqrt(b: PSDMatrix) -> HermitianMatrix:
     (about 1e-8 * sqrt(lambda_1)) would otherwise land in B^(1/2).  The
     result is real-spectrum PSD by construction.
     """
-    vals = np.array(b.eig.spectrum.values)
-    floor = b.n * np.finfo(np.float64).eps * vals[0]
-    vals[vals <= floor] = 0.0
-    vecs = b.eig.vectors
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return _symmetrized(ensure_matrix(root))
+    floor = values.shape[-1] * np.finfo(np.float64).eps * values[:, :1]
+    roots = np.sqrt(np.where(values <= floor, 0.0, values))
+    root = (vectors * roots[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return _symmetrized(_finite(root))
 
 
 def product_spectrum(a: HermitianMatrix, b: PSDMatrix) -> Spectrum:
@@ -345,14 +401,31 @@ def product_spectrum(a: HermitianMatrix, b: PSDMatrix) -> Spectrum:
     conjugated form is Hermitian, which keeps the whole computation inside
     the Hermitian eigensolver.
     """
-    if a.n != b.n:
-        raise DimensionMismatch(f"A is {a.n}x{a.n} but B is {b.n}x{b.n}")
-    root = psd_sqrt(b).matrix
-    conjugated = root @ a.matrix @ root
-    return hermitian_eig(_symmetrized(ensure_matrix(conjugated))).spectrum
+    return Spectrum(tuple(_product_values(a.matrix[None], *_eig_stack(b))[0].tolist()))
+
+
+def _product_values(a: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray) -> np.ndarray:
+    """product_spectrum for stacks: the eigenvalues (m, n) of each
+    B^(1/2) A B^(1/2), from A and B's eigendecomposition."""
+    if a.shape[-1] != b_values.shape[-1]:
+        n, k = a.shape[-1], b_values.shape[-1]
+        raise DimensionMismatch(f"A is {n}x{n} but B is {k}x{k}")
+    root = _psd_root(b_values, b_vectors)[0]
+    return _eig(_symmetrized(_finite(root @ a @ root))[0])[0]
 
 
 def frobenius_norm(x) -> float:
-    scaled, exponent = _unit_scaled(np.asarray(x, dtype=np.complex128))
+    return float(_frobenius_norms(np.asarray(x, dtype=np.complex128)[None])[0])
+
+
+def _frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, computed on M / 2^e.
+
+    numpy's norm of one whole matrix at a time (BLAS ddot on the raveled
+    real and imaginary parts): a norm over axes (-2, -1) sums in another
+    order and can differ in the last bit.
+    """
+    scaled, exponents = _unit_scaled(m)
+    norms = np.array([np.linalg.norm(s) for s in scaled])
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(scaled), exponent))
+        return np.ldexp(norms, exponents.reshape(-1))

@@ -143,7 +143,8 @@ def parse_matrix(text: str) -> np.ndarray:
 
 def _format_entry(value: complex) -> str:
     re_part, im_part = float(value.real), float(value.imag)
-    if im_part == 0.0:
+    # -0.0 == 0.0, so the sign bit decides: a real literal reads back as +0.0j.
+    if im_part == 0.0 and math.copysign(1.0, im_part) > 0.0:
         return repr(re_part)
     return f"({re_part!r},{im_part!r})"
 

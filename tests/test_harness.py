@@ -1,14 +1,21 @@
 """Generators, per-instance checks, and campaign aggregation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eigb.bounds import TOL_VERIFY_BASE, IndexSequence, gap_bound, inertia_of
-from eigb.errors import ConsistencyError, InvalidCount, InvalidSpec
+from eigb.errors import ConsistencyError, EigbError, InvalidCount, InvalidSpec
 from eigb.harness import (
+    EXHAUSTIVE_MAX_N,
+    SAMPLED_SEQUENCES,
+    STACK_WINDOW,
     CampaignConfig,
+    CampaignReport,
+    CheckStats,
     GeneratorSpec,
     InstanceSpectra,
     Tolerances,
@@ -20,6 +27,10 @@ from eigb.harness import (
     instance_spectra,
     run_campaign,
     run_checks,
+    _error_record,
+    _family_inertia,
+    _family_selections,
+    _plan,
     _target_values,
 )
 from eigb.linalg import Spectrum, hermitian_eig, validate_hermitian, validate_psd
@@ -75,6 +86,18 @@ class TestGenHermitian:
         spec = GeneratorSpec(n=5, seed=42, inertia_target=(2, 2, 1))
         spec_a = hermitian_eig(gen_hermitian(spec)).spectrum
         assert inertia_of(spec_a).as_tuple() == (2, 2, 1)
+
+    def test_recipe(self):
+        # Q diag(values) Q*, values drawn first, then the complex Gaussian
+        # matrix whose QR gives Q, with the diagonal of R made positive.
+        spec = GeneratorSpec(n=5, seed=42, inertia_target=(2, 2, 1))
+        rng = np.random.default_rng(42)
+        values = _target_values(rng, spec, nonnegative=False)
+        z = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        want = (q * values) @ q.conj().T
+        np.testing.assert_allclose(gen_hermitian(spec).matrix, want, rtol=0, atol=1e-12)
 
     def test_spectrum_matches_targets(self):
         spec = GeneratorSpec(n=6, seed=3, inertia_target=(3, 2, 1))
@@ -187,12 +210,12 @@ class TestBoundaryEigenvalues:
     and the scaled verification tolerance must absorb the difference."""
 
     def test_near_zero_eigenvalues_pass_all_checks(self):
-        from eigb.harness import _haar_unitary
+        from eigb.harness import _gaussian, _haar_unitary
 
         for seed in range(5):
             rng = np.random.default_rng(seed)
             vals = np.array([5.0, 1e-12, -1e-12, -3.0])
-            q = _haar_unitary(rng, 4)
+            q = _haar_unitary(_gaussian(rng, 4)[None])[0]
             a = validate_hermitian((q * vals) @ q.conj().T)
             b = gen_psd(GeneratorSpec(n=4, seed=seed + 50))
             sp = instance_spectra(a, b)
@@ -350,3 +373,114 @@ class TestRunCampaign:
             seed=record.seed,
         )
         assert again.to_dict() == record.to_dict()
+
+
+def reference_campaign(count, config=CampaignConfig(), master_seed=0):
+    """run_campaign one instance at a time, through the single-instance
+    functions: the oracle for the stacked campaign.  Returns its JSON text."""
+    stats = {}
+    failures = []
+    total = 0
+    passed = 0
+    tol = config.tolerances
+    for i in range(count):
+        seed_i = derive_seed(master_seed, i)
+        rng = np.random.default_rng(seed_i)
+        if config.inertia is not None:
+            inertia = config.inertia
+            n = sum(inertia)
+        else:
+            n = int(rng.integers(config.n_min, config.n_max + 1))
+            inertia = _family_inertia(rng, i % 5, n)
+        a = gen_hermitian(GeneratorSpec(n=n, seed=derive_seed(seed_i, 1), inertia_target=inertia))
+        b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
+        b = gen_psd(GeneratorSpec(n=n, seed=derive_seed(seed_i, 2), inertia_target=b_inertia))
+        try:
+            sp = instance_spectra(a, b)
+        except EigbError as exc:
+            full = IndexSequence(indices=tuple(range(1, n + 1)), n=n)
+            failures.append(_error_record(exc, n, full, i, seed_i))
+            total += 1
+            st = stats.setdefault("computation", CheckStats(name="computation"))
+            st.count += 1
+            st.failed += 1
+            st.min_slack = min(st.min_slack, 0.0)
+            continue
+        nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
+        if n <= EXHAUSTIVE_MAX_N:
+            selections = all_selections(n)
+        else:
+            selections = _family_selections(rng, i % 5, n, nu, SAMPLED_SEQUENCES)
+        checked = check_selections(sp, selections, tol, instance_id=i, seed=seed_i)
+        total += len(selections)
+        passed += int(np.count_nonzero(checked.passed))
+        failures.extend(checked.failures)
+        for column in checked.columns:
+            if column.applies.any():
+                st = stats.setdefault(column.name, CheckStats(name=column.name))
+                st.add(column.passed[column.applies], column.worst[column.applies])
+    report = CampaignReport(
+        total=total,
+        passed=passed,
+        failed=total - passed,
+        checks=[stats[name] for name in sorted(stats)],
+        failures=failures,
+        wall_time=0.0,
+    )
+    return json.dumps(report.to_json_dict())
+
+
+class TestStackedCampaign:
+    """run_campaign generates and solves instances in same-n stacks; its
+    report is the one-at-a-time reference's, to the byte."""
+
+    @pytest.mark.parametrize(
+        "count, config, seed",
+        [
+            (120, CampaignConfig(n_min=1, n_max=10), 3),
+            (40, CampaignConfig(inertia=(3, 0, 2)), 1),
+            (60, CampaignConfig(n_min=2, n_max=5, tolerances=Tolerances(verify_base=0.0)), 7),
+            (STACK_WINDOW + 40, CampaignConfig(n_min=1, n_max=4), 5),
+        ],
+        ids=["mixed-n", "inertia-3-0-2", "failure-records", "beyond-window"],
+    )
+    def test_matches_reference(self, count, config, seed):
+        got = json.dumps(run_campaign(count, config, seed).to_json_dict())
+        assert got == reference_campaign(count, config, seed)
+
+    def test_stacks_split_by_entries(self, monkeypatch):
+        # 40 entries: stacks of 40 instances at n = 1, 10 at n = 2, ..., 1 from n = 5.
+        import eigb.harness as harness
+
+        monkeypatch.setattr(harness, "STACK_ENTRIES", 40)
+        config = CampaignConfig(n_min=1, n_max=8)
+        got = json.dumps(run_campaign(100, config, 9).to_json_dict())
+        assert got == reference_campaign(100, config, 9)
+
+    def test_failing_instance_redone_alone(self, monkeypatch):
+        # LAPACK fails on instance 7's A, inside the stack of all 20
+        # instances (one n): only instance 7 becomes a computation record.
+        import eigb.linalg as linalg
+
+        config = CampaignConfig(n_min=4, n_max=4, tolerances=Tolerances(verify_base=0.0))
+        a_7 = gen_hermitian(_plan(7, 11, config).a)
+        poisoned = linalg._unit_scaled(a_7.matrix[None])[0][0]
+        calls = []
+
+        def eigh(m):
+            calls.append(len(m))
+            if any(np.array_equal(x, poisoned) for x in m):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.linalg.eigh(m)
+
+        clean = run_campaign(20, config, 11)
+        monkeypatch.setattr(linalg, "eigh", eigh)
+        report = run_campaign(20, config, 11)
+        assert 20 in calls  # the stack was tried first
+        assert json.dumps(report.to_json_dict()) == reference_campaign(20, config, 11)
+        errors = [r for r in report.failures if r.checks[-1].name == "computation"]
+        assert [(r.instance_id, r.checks[-1].detail) for r in errors] == [
+            (7, "NoConvergence: LAPACK eigensolver failed: Eigenvalues did not converge")
+        ]
+        kept = [r.to_dict() for r in report.failures if r.instance_id != 7]
+        assert kept == [r.to_dict() for r in clean.failures if r.instance_id != 7]

@@ -214,11 +214,11 @@ class TestHermitianEig:
         ids=["repeated", "near-degenerate", "wide-range", "sign-cluster"],
     )
     def test_pathological_spectra(self, targets):
-        from eigb.harness import _haar_unitary
+        from eigb.harness import _gaussian, _haar_unitary
 
         rng = np.random.default_rng(17)
         vals = np.array(targets)
-        q = _haar_unitary(rng, len(vals))
+        q = _haar_unitary(_gaussian(rng, len(vals))[None])[0]
         h = validate_hermitian((q * vals) @ q.conj().T)
         d = self.solve(h)
         got = np.array(d.spectrum.values)
@@ -426,3 +426,107 @@ class TestSpectrum:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Spectrum(values=(float("nan"),))
+
+
+def same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def instance_stack(n, m=5, seed=0):
+    """m (A, B) pairs of size n: A with a zero eigenvalue, every other B
+    singular, and the pairs scaled by (1, 1), (1e200, 1e-200),
+    (1e-200, 1e200), (1e200, 1) and (1e-200, 1) in turn."""
+    rng = np.random.default_rng(1000 * n + seed)
+    scales = [(1.0, 1.0), (1e200, 1e-200), (1e-200, 1e200), (1e200, 1.0), (1e-200, 1.0)]
+    a, b = [], []
+    for i in range(m):
+        q_a, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q_b, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        va = rng.uniform(-5.0, 5.0, n)
+        vb = rng.uniform(0.1, 5.0, n)
+        if n >= 2:
+            va[0] = 0.0
+            vb[-1] = 0.0 if i % 2 else vb[-1]
+        sa, sb = scales[i % len(scales)]
+        a.append(sa * (q_a * va) @ q_a.conj().T)
+        b.append(sb * (q_b * vb) @ q_b.conj().T)
+    return np.stack(a), np.stack(b)
+
+
+class TestStackedMatchesPerMatrix:
+    """Campaigns generate and solve instances in same-n stacks and must report
+    what one instance at a time reports.  That rests on numpy running LAPACK
+    and BLAS on each matrix of a stack exactly as on that matrix alone; a
+    BLAS build that breaks it fails here instead of changing campaign output."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @np.errstate(over="ignore", invalid="ignore")  # the 1e+-200 pairs; only the bits count
+    def test_kernels(self, n):
+        a, b = instance_stack(n)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+        q, r = np.linalg.qr(z)
+        values, vectors = np.linalg.eigh(a)
+        v = vectors * values[:, None, :]
+        stacked = {
+            "eigh.values": values,
+            "eigh.vectors": vectors,
+            "qr.q": q,
+            "qr.r": r,
+            "matmul.adjoint": v @ vectors.conj().swapaxes(-1, -2),
+            "matmul.chain": b @ a @ b,
+            "trace": np.trace(a @ b, axis1=-2, axis2=-1),
+            "norm": [np.linalg.norm(x) for x in a],
+        }
+        for i in range(len(a)):
+            ai, bi = a[i].copy(), b[i].copy()
+            qi, ri = np.linalg.qr(z[i].copy())
+            wi, ui = np.linalg.eigh(ai)
+            single = {
+                "eigh.values": wi,
+                "eigh.vectors": ui,
+                "qr.q": qi,
+                "qr.r": ri,
+                "matmul.adjoint": (ui * wi) @ ui.conj().T,
+                "matmul.chain": bi @ ai @ bi,
+                "trace": np.trace(ai @ bi),
+                "norm": np.linalg.norm(ai),
+            }
+            for name, want in single.items():
+                assert same_bits(np.asarray(stacked[name])[i], want), (name, i)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_instance_pipeline(self, n):
+        # The stack against instance_spectra as composed from the
+        # single-matrix functions, with the trace and norms taken per matrix.
+        from eigb.harness import _instance_spectra
+        from eigb.linalg import TOL_HERM, _psd_eig, _validated
+
+        a, b = instance_stack(n)
+        a_sym, _ = _validated(a, TOL_HERM)
+        b_sym, _ = _validated(b, TOL_HERM)
+        stacked = _instance_spectra(a_sym, b_sym, *_psd_eig(b_sym))
+        for i, sp in enumerate(stacked):
+            ha = validate_hermitian(a[i].copy())
+            pb = validate_psd(b[i].copy())
+            assert same_bits(a_sym[i], ha.matrix)
+            assert same_bits(b_sym[i], pb.matrix)
+            want = {
+                "spec_a": hermitian_eig(ha).spectrum.values,
+                "spec_b": pb.spectrum.values,
+                "spec_b_raw": pb.eig.spectrum.values,
+                "spec_ab": product_spectrum(ha, pb).values,
+                "spec_sum": hermitian_eig(validate_hermitian(ha.matrix + pb.matrix)).spectrum.values,
+                "trace_product": np.trace(ha.matrix @ pb.matrix).real,
+                "norm_scale": 1.0 + frobenius_reference(ha.matrix) * frobenius_reference(pb.matrix),
+            }
+            for name, value in want.items():
+                got = getattr(sp, name)
+                assert same_bits(getattr(got, "values", got), value), (name, i)
+
+
+def frobenius_reference(x):
+    """||x||_F as np.linalg.norm gives it for x / 2^e, scaled back by 2^e."""
+    e = int(np.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1])
+    return np.linalg.norm(x * 2.0**-e) * 2.0**e

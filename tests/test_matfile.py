@@ -98,7 +98,18 @@ def test_round_trip_random(n, data):
     )
     m = np.array([complex(re, im) for re, im in entries]).reshape(n, n)
     again = parse_matrix(write_matrix(m))
-    np.testing.assert_array_equal(m, again)
+    assert again.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("parse", [parse_matrix, _parse_tokenwise])
+def test_round_trip_signed_zeros(parse):
+    # -0.0 == 0.0, so only the sign bits show whether a zero kept its sign.
+    m = np.array(
+        [[complex(1.0, -0.0), complex(-0.0, 0.0)], [complex(-0.0, -0.0), complex(0.0, 0.0)]]
+    )
+    again = parse(write_matrix(m))
+    assert np.array_equal(np.signbit(again.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(again.imag), np.signbit(m.imag))
 
 
 def _outcome(parse, text):

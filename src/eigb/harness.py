@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -34,17 +34,12 @@ from .bounds import (
     gap_bound,
     inertia_of,
     ostrowski_ratios,
-    psd_product_bounds,
     ratio_tolerance,
-    selected_sum,
     selected_sums,
-    selection_bounds,
     selection_bounds_batch,
-    stable_bounds,
     sum_tolerance,
     trace_bounds,
     verify_tolerance,
-    wielandt_sum_bounds,
     wielandt_sum_bounds_batch,
     zero_cut,
 )
@@ -297,173 +292,70 @@ def _instance_spectra(
     ]
 
 
-def _bracket_check(name, lower, actual, upper, tol) -> CheckResult:
-    lo_slack = actual - lower
-    up_slack = upper - actual
-    return CheckResult(
-        name=name,
-        actual=actual,
-        lower=lower,
-        upper=upper,
-        lower_slack=lo_slack,
-        upper_slack=up_slack,
-        passed=lo_slack >= -tol and up_slack >= -tol,
-    )
-
-
-def _upper_check(name, actual, upper, tol, detail="") -> CheckResult:
-    slack = upper - actual
-    return CheckResult(
-        name=name,
-        actual=actual,
-        upper=upper,
-        upper_slack=slack,
-        passed=slack >= -tol,
-        detail=detail,
-    )
-
-
-def run_checks(
-    sp: InstanceSpectra,
-    idx: IndexSequence,
-    tol: Tolerances = Tolerances(),
-    instance_id: int = 0,
-    seed: int = 0,
-) -> VerificationRecord:
-    """Evaluate every applicable inequality for one instance and selection.
-
-    Computational errors never propagate: they become failed checks with a
-    diagnostic message.
-    """
-    checks: list[CheckResult] = []
-    spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
-    n, k = idx.n, idx.k
-    sums = selection_bounds(spec_a, spec_b, idx, tol.tol_class)
-    lower, upper = sums.lower, sums.upper
-    inertia = inertia_of(spec_a, tol.tol_class)
-    tau = verify_tolerance(spec_a, spec_b, k, tol.verify_base)
-
-    try:
-        actual = selected_sum(spec_ab, idx)
-        checks.append(_bracket_check("main-bounds", lower, actual, upper, tau))
-        checks.append(
-            _upper_check(
-                "dominance",
-                upper,
-                sums.split_upper,
-                tau,
-                detail=f"T1={sums.t1!r} T2={sums.t2!r}",
-            )
-        )
-
-        if inertia.negative == 0:
-            red_lo, red_up = psd_product_bounds(spec_a, spec_b, idx, tol.tol_class)
-            diff = max(abs(red_lo - lower), abs(red_up - upper))
-            checks.append(
-                _upper_check("reduction-psd", diff, 0.0, 0.0, detail="exact identity")
-            )
-        if inertia.positive == 0:
-            cut = zero_cut(spec_a, tol.tol_class)
-            near_zero = [spec_a[i - 1] for i in idx.indices if spec_a[i - 1] >= -cut]
-            if all(v == 0.0 for v in near_zero):
-                red_lo, red_up = stable_bounds(spec_a, spec_b, idx, tol.tol_class)
-                diff = max(abs(red_lo - lower), abs(red_up - upper))
-                checks.append(
-                    _upper_check(
-                        "reduction-stable", diff, 0.0, 0.0, detail="exact identity"
-                    )
-                )
-
-        if k == n:
-            checks.extend(_trace_checks(sp, tau))
-
-        try:
-            _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
-            checks.append(_upper_check("gap", gap, bound, tau))
-        except NoSignChange:
-            pass
-
-        ostrowski = _ostrowski_check(sp, tol)
-        if ostrowski is not None:
-            checks.append(ostrowski)
-
-        w_lo, w_up = wielandt_sum_bounds(spec_a, sp.spec_b_raw, idx)
-        w_actual = selected_sum(sp.spec_sum, idx)
-        tau_sum = sum_tolerance(spec_a, spec_b, k, tol.verify_base)
-        checks.append(_bracket_check("wielandt", w_lo, w_actual, w_up, tau_sum))
-    except EigbError as exc:
-        checks.append(
-            CheckResult(
-                name="computation",
-                actual=0.0,
-                passed=False,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        )
-
-    return VerificationRecord(
-        instance_id=instance_id,
-        seed=seed,
-        n=n,
-        indices=idx.indices,
-        selected_nonneg=sums.kap,
-        inertia=inertia.as_tuple(),
-        checks=tuple(checks),
-    )
-
-
-def _trace_checks(sp: InstanceSpectra, tau: float) -> tuple[CheckResult, CheckResult]:
-    """The checks of the full selection: trace bracket and trace consistency."""
-    tr_lo, tr_up = trace_bounds(sp.spec_a, sp.spec_b)
-    agreement = abs(sp.trace_product - sp.spec_ab.sum())
-    return (
-        _bracket_check("trace-bracket", tr_lo, sp.trace_product, tr_up, tau),
-        _upper_check("trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0),
-    )
-
-
-def _ostrowski_check(sp: InstanceSpectra, tol: Tolerances) -> CheckResult | None:
-    """The Ostrowski check, or None when B is singular or no ratio is defined."""
-    try:
-        rep = ostrowski_ratios(sp.spec_a, sp.spec_ab, sp.spec_b, tol.tol_class)
-    except NotPositiveDefinite:
-        return None
-    if not rep.ratios:
-        return None
-    worst_low = min(r - rep.low for _, r in rep.ratios)
-    worst_high = min(rep.high - r for _, r in rep.ratios)
-    offender = min(rep.ratios, key=lambda tr: min(tr[1] - rep.low, rep.high - tr[1]))
-    tau_ratio = ratio_tolerance(sp.spec_b, tol.verify_base)
-    return CheckResult(
-        name="ostrowski",
-        actual=offender[1],
-        lower=rep.low,
-        upper=rep.high,
-        lower_slack=worst_low,
-        upper_slack=worst_high,
-        passed=worst_low >= -tau_ratio and worst_high >= -tau_ratio,
-    )
-
-
-@dataclass(frozen=True)
-class CheckColumn:
+class CheckColumn(NamedTuple):
     """One check across a batch of selections: where it applies and, there,
-    whether it passed and its worst slack (CheckResult.passed and .worst())."""
+    whether it passed and its worst slack (CheckResult.passed and .worst()),
+    with the other fields of its CheckResult.  Each of those is an array over
+    the batch or one Python scalar for all of it; detail is a string or a
+    function of the row."""
 
     name: str
     applies: np.ndarray
     passed: np.ndarray
     worst: np.ndarray
+    actual: np.ndarray | float
+    lower: np.ndarray | float | None = None
+    upper: np.ndarray | float | None = None
+    lower_slack: np.ndarray | float | None = None
+    upper_slack: np.ndarray | float | None = None
+    detail: str | Callable[[int], str] = ""
+
+    def result(self, r: int) -> CheckResult:
+        """The check on selection r, with Python scalars in every field."""
+
+        def at(value):
+            return value[r].item() if isinstance(value, np.ndarray) else value
+
+        return CheckResult(
+            name=self.name,
+            actual=at(self.actual),
+            lower=at(self.lower),
+            upper=at(self.upper),
+            lower_slack=at(self.lower_slack),
+            upper_slack=at(self.upper_slack),
+            passed=bool(self.passed[r]),
+            detail=self.detail(r) if callable(self.detail) else self.detail,
+        )
 
 
-@dataclass(frozen=True)
-class SelectionChecks:
-    """Result of check_selections: the check columns in run_checks order,
-    each selection's overall pass flag, and the failing selections' records."""
+class SelectionChecks(NamedTuple):
+    """Result of check_selections: the check columns in record order, each
+    selection's overall pass flag, and what else a selection's record holds."""
 
     columns: tuple[CheckColumn, ...]
     passed: np.ndarray
-    failures: list[VerificationRecord]
+    n: int
+    selections: Sequence[tuple[int, ...]]
+    kap: np.ndarray
+    inertia: tuple[int, int, int]
+    instance_id: int
+    seed: int
+
+    def record(self, r: int) -> VerificationRecord:
+        """The record of selection r: the checks that apply to it, in order."""
+        return VerificationRecord(
+            instance_id=self.instance_id,
+            seed=self.seed,
+            n=self.n,
+            indices=tuple(self.selections[r]),
+            selected_nonneg=self.kap[r].item(),
+            inertia=self.inertia,
+            checks=tuple(c.result(r) for c in self.columns if c.applies[r]),
+        )
+
+    @property
+    def failures(self) -> list[VerificationRecord]:
+        return [self.record(r) for r in np.flatnonzero(~self.passed).tolist()]
 
 
 def check_selections(
@@ -473,13 +365,16 @@ def check_selections(
     instance_id: int = 0,
     seed: int = 0,
 ) -> SelectionChecks:
-    """run_checks for every selection of one instance, in one numpy pass.
+    """Evaluate every applicable inequality on every selection of one
+    instance, in one numpy pass.
 
-    Each column's flags and slacks equal, bit for bit, what run_checks gives
-    for each selection (overflow to inf and nan included, silently as with
-    Python floats).  The checks that do not depend on the selection (gap,
-    Ostrowski and the trace pair) are evaluated once.  Full records are
-    built, by run_checks, only for the failing selections.
+    Each check is a column over the selections (overflow to inf and nan
+    included, silently as with Python floats).  The checks that do not
+    depend on the selection (gap, Ostrowski and the trace pair) are
+    evaluated once.  Records are read off the columns, and built only when
+    asked for: SelectionChecks.record(r), or .failures.  Computational
+    errors never propagate: they end each record with a failed
+    "computation" check.
     """
     index = _index_matrix(selections, len(sp.spec_a))
     return _check_index(sp, selections, index, tol, instance_id, seed)
@@ -505,10 +400,15 @@ def _check_index(
     tau = verify_tolerance(spec_a, spec_b, ks, tol.verify_base)
     columns: list[CheckColumn] = []
 
+    def split_terms(r: int) -> str:
+        return f"T1={sums.t1[r].item()!r} T2={sums.t2[r].item()!r}"
+
     try:
         actual = selected_sums(spec_ab, rows)
         columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
-        columns.append(_upper_column("dominance", sums.upper, sums.split_upper, tau, every))
+        columns.append(
+            _upper_column("dominance", sums.upper, sums.split_upper, tau, every, split_terms)
+        )
         if inertia.negative == 0:
             columns.append(
                 _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, every)
@@ -524,8 +424,14 @@ def _check_index(
             )
         full = ks == n
         if full.any():
-            tau_full = verify_tolerance(spec_a, spec_b, n, tol.verify_base)
-            columns.extend(_broadcast(c, full) for c in _trace_checks(sp, tau_full))
+            tr_lo, tr_up = trace_bounds(spec_a, spec_b)
+            agreement = abs(sp.trace_product - spec_ab.sum())
+            columns.append(
+                _bracket_column("trace-bracket", tr_lo, sp.trace_product, tr_up, tau, full)
+            )
+            columns.append(
+                _upper_column("trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0, full)
+            )
 
         try:
             _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
@@ -533,23 +439,40 @@ def _check_index(
         except NoSignChange:
             pass
 
-        ostrowski = _ostrowski_check(sp, tol)
-        if ostrowski is not None:
-            columns.append(_broadcast(ostrowski, every))
+        try:
+            rep = ostrowski_ratios(spec_a, spec_ab, spec_b, tol.tol_class)
+            ratios = [r for _, r in rep.ratios]
+        except NotPositiveDefinite:
+            ratios = []
+        if ratios:
+            # Reported: the ratio nearest a bound, and on each side the worst slack of any ratio.
+            offender = min(ratios, key=lambda r: min(r - rep.low, rep.high - r))
+            slacks = (min(r - rep.low for r in ratios), min(rep.high - r for r in ratios))
+            tau_ratio = ratio_tolerance(spec_b, tol.verify_base)
+            columns.append(
+                _bracket_column("ostrowski", rep.low, offender, rep.high, tau_ratio, every, slacks)
+            )
 
         w_lo, w_up = wielandt_sum_bounds_batch(spec_a, sp.spec_b_raw, rows)
         w_actual = selected_sums(sp.spec_sum, rows)
         tau_sum = sum_tolerance(spec_a, spec_b, ks, tol.verify_base)
         columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, every))
-    except EigbError:
-        columns.append(CheckColumn("computation", every, ~every, np.zeros(len(rows))))
+    except EigbError as exc:
+        zeros = np.zeros(len(rows))
+        columns.append(
+            CheckColumn("computation", every, ~every, zeros, 0.0, detail=_computation(exc))
+        )
 
-    passed = np.logical_and.reduce([c.passed | ~c.applies for c in columns])
-    failures = [
-        run_checks(sp, IndexSequence(indices=selections[r], n=n), tol, instance_id, seed)
-        for r in np.flatnonzero(~passed)
-    ]
-    return SelectionChecks(columns=tuple(columns), passed=passed, failures=failures)
+    return SelectionChecks(
+        columns=tuple(columns),
+        passed=np.logical_and.reduce([c.passed | ~c.applies for c in columns]),
+        n=n,
+        selections=selections,
+        kap=sums.kap,
+        inertia=inertia.as_tuple(),
+        instance_id=instance_id,
+        seed=seed,
+    )
 
 
 def _index_matrix(
@@ -563,45 +486,54 @@ def _index_matrix(
     return rows, ks
 
 
-def _bracket_column(name, lower, actual, upper, tol, applies) -> CheckColumn:
-    """_bracket_check for arrays."""
-    lo_slack = actual - lower
-    up_slack = upper - actual
+def _filled(applies: np.ndarray, value) -> np.ndarray:
+    """value as a column over the batch: an array as it is, a scalar repeated."""
+    return value if np.shape(value) == applies.shape else np.full(applies.shape, value)
+
+
+def _bracket_column(name, lower, actual, upper, tol, applies, slacks=None) -> CheckColumn:
+    """lower <= actual <= upper within tol.  The slacks are actual's distances
+    to the two bounds unless given."""
+    lo_slack, up_slack = (actual - lower, upper - actual) if slacks is None else slacks
     return CheckColumn(
         name=name,
         applies=applies,
-        passed=(lo_slack >= -tol) & (up_slack >= -tol),
-        worst=np.where(up_slack < lo_slack, up_slack, lo_slack),
+        passed=_filled(applies, (lo_slack >= -tol) & (up_slack >= -tol)),
+        worst=_filled(applies, np.where(up_slack < lo_slack, up_slack, lo_slack)),
+        actual=actual,
+        lower=lower,
+        upper=upper,
+        lower_slack=lo_slack,
+        upper_slack=up_slack,
     )
 
 
-def _upper_column(name, actual, upper, tol, applies) -> CheckColumn:
-    """_upper_check for arrays; scalar inputs are broadcast over the batch."""
+def _upper_column(name, actual, upper, tol, applies, detail="") -> CheckColumn:
+    """actual <= upper within tol."""
     slack = upper - actual
     return CheckColumn(
         name=name,
         applies=applies,
-        passed=np.full(applies.shape, slack >= -tol),
-        worst=np.full(applies.shape, slack),
-    )
-
-
-def _broadcast(check: CheckResult, applies: np.ndarray) -> CheckColumn:
-    """A check evaluated once, as a column over the batch."""
-    return CheckColumn(
-        name=check.name,
-        applies=applies,
-        passed=np.full(applies.shape, check.passed),
-        worst=np.full(applies.shape, check.worst()),
+        passed=_filled(applies, slack >= -tol),
+        worst=_filled(applies, slack),
+        actual=actual,
+        upper=upper,
+        upper_slack=slack,
+        detail=detail,
     )
 
 
 def _reduction_column(name, sums, lower, upper, applies) -> CheckColumn:
     """An exact reduction identity: the bracket (lower, upper) must equal the
     main one.  The deviation is max(x, y) as Python's max picks it (y only
-    if y > x), as in run_checks."""
+    if y > x)."""
     x, y = abs(lower - sums.lower), abs(upper - sums.upper)
-    return _upper_column(name, np.where(y > x, y, x), 0.0, 0.0, applies)
+    return _upper_column(name, np.where(y > x, y, x), 0.0, 0.0, applies, "exact identity")
+
+
+def _computation(exc: EigbError) -> str:
+    """The detail of a failed computation: the exception and its message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _error_record(
@@ -616,12 +548,7 @@ def _error_record(
         selected_nonneg=0,
         inertia=(0, 0, 0),
         checks=(
-            CheckResult(
-                name="computation",
-                actual=0.0,
-                passed=False,
-                detail=f"{type(exc).__name__}: {exc}",
-            ),
+            CheckResult(name="computation", actual=0.0, passed=False, detail=_computation(exc)),
         ),
     )
 
@@ -836,9 +763,7 @@ def run_campaign(
                     total += 1
                     failures.append(record)
                     st = stats.setdefault("computation", CheckStats(name="computation"))
-                    st.count += 1
-                    st.failed += 1
-                    st.min_slack = min(st.min_slack, 0.0)
+                    st.add(np.zeros(1, dtype=bool), np.zeros(1))
                     continue
             if n <= EXHAUSTIVE_MAX_N:
                 if n not in exhaustive:

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from eigb import bounds
-from eigb.bounds import IndexSequence
 from eigb.cli import main
 from eigb.harness import (
     GeneratorSpec,
     Tolerances,
     all_selections,
+    check_selections,
     gen_hermitian,
     gen_psd,
     instance_spectra,
-    run_checks,
 )
 from eigb.matfile import save_matrix
 
@@ -118,8 +117,7 @@ class TestVerify:
             b = gen_psd(GeneratorSpec(n=4, seed=1000 + seed))
             sp = instance_spectra(a, b)
             for c in all_selections(4):
-                idx = IndexSequence(indices=c, n=4)
-                if not run_checks(sp, idx, Tolerances(verify_base=0.0)).passed:
+                if not check_selections(sp, [c], Tolerances(verify_base=0.0)).record(0).passed:
                     return a, b
         raise AssertionError("no instance with a negative slack among seeds 0..99")
 

@@ -7,18 +7,43 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eigb.bounds import TOL_VERIFY_BASE, IndexSequence, gap_bound, inertia_of
-from eigb.errors import ConsistencyError, EigbError, InvalidCount, InvalidSpec
+from eigb.bounds import (
+    TOL_VERIFY_BASE,
+    IndexSequence,
+    gap_bound,
+    inertia_of,
+    ostrowski_ratios,
+    psd_product_bounds,
+    ratio_tolerance,
+    selected_sum,
+    selection_bounds,
+    stable_bounds,
+    sum_tolerance,
+    trace_bounds,
+    verify_tolerance,
+    wielandt_sum_bounds,
+    zero_cut,
+)
+from eigb.errors import (
+    ConsistencyError,
+    EigbError,
+    InvalidCount,
+    InvalidSpec,
+    NoSignChange,
+    NotPositiveDefinite,
+)
 from eigb.harness import (
     EXHAUSTIVE_MAX_N,
     SAMPLED_SEQUENCES,
     STACK_WINDOW,
     CampaignConfig,
     CampaignReport,
+    CheckResult,
     CheckStats,
     GeneratorSpec,
     InstanceSpectra,
     Tolerances,
+    VerificationRecord,
     all_selections,
     check_selections,
     derive_seed,
@@ -26,7 +51,6 @@ from eigb.harness import (
     gen_psd,
     instance_spectra,
     run_campaign,
-    run_checks,
     _error_record,
     _family_inertia,
     _family_selections,
@@ -146,7 +170,7 @@ class TestCheckInstance:
     def test_known_instance_attains_lower_bound(self):
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3))
+        record = check_selections(instance_spectra(a, b), [(1, 2)]).record(0)
         assert record.passed
         main = next(c for c in record.checks if c.name == "main-bounds")
         assert abs(main.lower_slack) <= 1e-9
@@ -154,7 +178,7 @@ class TestCheckInstance:
     def test_zero_matrix_instance(self):
         a = validate_hermitian(np.zeros((3, 3)))
         b = validate_psd(B3)
-        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 3), n=3))
+        record = check_selections(instance_spectra(a, b), [(1, 3)]).record(0)
         assert record.passed
         main = next(c for c in record.checks if c.name == "main-bounds")
         assert main.lower == main.upper == main.actual == 0.0
@@ -163,16 +187,15 @@ class TestCheckInstance:
         a = gen_hermitian(GeneratorSpec(n=4, seed=123, inertia_target=(2, 2, 0)))
         b = gen_psd(GeneratorSpec(n=4, seed=456))
         sp = instance_spectra(a, b)
-        records = [run_checks(sp, IndexSequence(indices=c, n=4)) for c in all_selections(4)]
+        records = [check_selections(sp, [c]).record(0) for c in all_selections(4)]
         assert len(records) == 15
         assert all(r.passed for r in records)
 
     def test_record_metadata(self):
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        record = run_checks(
-            instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3), instance_id=9, seed=77
-        )
+        checked = check_selections(instance_spectra(a, b), [(1, 2)], instance_id=9, seed=77)
+        record = checked.record(0)
         assert record.instance_id == 9
         assert record.seed == 77
         assert record.inertia == (1, 2, 0)
@@ -183,15 +206,15 @@ class TestCheckInstance:
     def test_trace_checks_only_on_full_selection(self):
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        partial = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3))
-        full = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2, 3), n=3))
+        partial = check_selections(instance_spectra(a, b), [(1, 2)]).record(0)
+        full = check_selections(instance_spectra(a, b), [(1, 2, 3)]).record(0)
         assert not any(c.name.startswith("trace") for c in partial.checks)
         assert {"trace-bracket", "trace-consistency"} <= {c.name for c in full.checks}
 
     def test_singular_b_skips_ostrowski(self):
         a = validate_hermitian(A3)
         b = validate_psd(np.diag([2.0, 1.0, 0.0]))
-        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 2), n=3))
+        record = check_selections(instance_spectra(a, b), [(1, 2)]).record(0)
         assert "ostrowski" not in {c.name for c in record.checks}
         assert record.passed
 
@@ -200,7 +223,7 @@ class TestCheckInstance:
 
         a = validate_hermitian(A3)
         b = validate_psd(B3)
-        record = run_checks(instance_spectra(a, b), IndexSequence(indices=(1, 3), n=3))
+        record = check_selections(instance_spectra(a, b), [(1, 3)]).record(0)
         payload = json.dumps(record.to_dict())
         assert json.loads(payload)["inertia"] == [1, 2, 0]
 
@@ -220,23 +243,138 @@ class TestBoundaryEigenvalues:
             b = gen_psd(GeneratorSpec(n=4, seed=seed + 50))
             sp = instance_spectra(a, b)
             for c in all_selections(4):
-                assert run_checks(sp, IndexSequence(indices=c, n=4)).passed
+                assert check_selections(sp, [c]).record(0).passed
+
+
+def _bracket_check(name, lower, actual, upper, tol):
+    lo_slack = actual - lower
+    up_slack = upper - actual
+    return CheckResult(
+        name=name,
+        actual=actual,
+        lower=lower,
+        upper=upper,
+        lower_slack=lo_slack,
+        upper_slack=up_slack,
+        passed=lo_slack >= -tol and up_slack >= -tol,
+    )
+
+
+def _upper_check(name, actual, upper, tol, detail=""):
+    slack = upper - actual
+    return CheckResult(
+        name=name,
+        actual=actual,
+        upper=upper,
+        upper_slack=slack,
+        passed=slack >= -tol,
+        detail=detail,
+    )
+
+
+def run_checks(sp, idx, tol=Tolerances(), instance_id=0, seed=0):
+    """The record of one selection, check by check on Python floats through
+    the scalar formulas of eigb.bounds: the oracle for check_selections."""
+    checks = []
+    spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
+    n, k = idx.n, idx.k
+    sums = selection_bounds(spec_a, spec_b, idx, tol.tol_class)
+    lower, upper = sums.lower, sums.upper
+    inertia = inertia_of(spec_a, tol.tol_class)
+    tau = verify_tolerance(spec_a, spec_b, k, tol.verify_base)
+
+    try:
+        actual = selected_sum(spec_ab, idx)
+        checks.append(_bracket_check("main-bounds", lower, actual, upper, tau))
+        checks.append(
+            _upper_check(
+                "dominance", upper, sums.split_upper, tau, detail=f"T1={sums.t1!r} T2={sums.t2!r}"
+            )
+        )
+        if inertia.negative == 0:
+            red_lo, red_up = psd_product_bounds(spec_a, spec_b, idx, tol.tol_class)
+            diff = max(abs(red_lo - lower), abs(red_up - upper))
+            checks.append(_upper_check("reduction-psd", diff, 0.0, 0.0, detail="exact identity"))
+        if inertia.positive == 0:
+            cut = zero_cut(spec_a, tol.tol_class)
+            near_zero = [spec_a[i - 1] for i in idx.indices if spec_a[i - 1] >= -cut]
+            if all(v == 0.0 for v in near_zero):
+                red_lo, red_up = stable_bounds(spec_a, spec_b, idx, tol.tol_class)
+                diff = max(abs(red_lo - lower), abs(red_up - upper))
+                checks.append(
+                    _upper_check("reduction-stable", diff, 0.0, 0.0, detail="exact identity")
+                )
+
+        if k == n:
+            tr_lo, tr_up = trace_bounds(spec_a, spec_b)
+            agreement = abs(sp.trace_product - spec_ab.sum())
+            checks.append(_bracket_check("trace-bracket", tr_lo, sp.trace_product, tr_up, tau))
+            checks.append(
+                _upper_check("trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0)
+            )
+
+        try:
+            _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
+            checks.append(_upper_check("gap", gap, bound, tau))
+        except NoSignChange:
+            pass
+
+        try:
+            rep = ostrowski_ratios(spec_a, spec_ab, spec_b, tol.tol_class)
+        except NotPositiveDefinite:
+            rep = None
+        if rep is not None and rep.ratios:
+            worst_low = min(r - rep.low for _, r in rep.ratios)
+            worst_high = min(rep.high - r for _, r in rep.ratios)
+            offender = min(rep.ratios, key=lambda tr: min(tr[1] - rep.low, rep.high - tr[1]))
+            tau_ratio = ratio_tolerance(spec_b, tol.verify_base)
+            checks.append(
+                CheckResult(
+                    name="ostrowski",
+                    actual=offender[1],
+                    lower=rep.low,
+                    upper=rep.high,
+                    lower_slack=worst_low,
+                    upper_slack=worst_high,
+                    passed=worst_low >= -tau_ratio and worst_high >= -tau_ratio,
+                )
+            )
+
+        w_lo, w_up = wielandt_sum_bounds(spec_a, sp.spec_b_raw, idx)
+        w_actual = selected_sum(sp.spec_sum, idx)
+        tau_sum = sum_tolerance(spec_a, spec_b, k, tol.verify_base)
+        checks.append(_bracket_check("wielandt", w_lo, w_actual, w_up, tau_sum))
+    except EigbError as exc:
+        checks.append(
+            CheckResult(
+                name="computation", actual=0.0, passed=False, detail=f"{type(exc).__name__}: {exc}"
+            )
+        )
+
+    return VerificationRecord(
+        instance_id=instance_id,
+        seed=seed,
+        n=n,
+        indices=idx.indices,
+        selected_nonneg=sums.kap,
+        inertia=inertia.as_tuple(),
+        checks=tuple(checks),
+    )
 
 
 def assert_batch_matches(sp, selections, tol=Tolerances()):
-    """check_selections gives, on every selection, the checks run_checks gives,
-    in the same order, with the same pass flags and worst slacks to the bit,
-    and the same records for the failing selections."""
+    """check_selections gives, on every selection, the record run_checks
+    gives, field for field and type for type (compared by repr), with the
+    same pass flags and worst slacks to the bit, and the same failures."""
     n = len(sp.spec_a)
     batch = check_selections(sp, selections, tol)
     records = [run_checks(sp, IndexSequence(indices=c, n=n), tol) for c in selections]
     for r, record in enumerate(records):
+        assert repr(batch.record(r)) == repr(record)
         columns = [c for c in batch.columns if c.applies[r]]
-        assert [c.name for c in columns] == [c.name for c in record.checks]
-        assert [bool(c.passed[r]) for c in columns] == [c.passed for c in record.checks]
         assert [float(c.worst[r]).hex() for c in columns] == [c.worst().hex() for c in record.checks]
         assert bool(batch.passed[r]) == record.passed
-    assert [f.to_dict() for f in batch.failures] == [r.to_dict() for r in records if not r.passed]
+    assert [repr(f) for f in batch.failures] == [repr(r) for r in records if not r.passed]
 
 
 class TestCheckSelections:
@@ -286,7 +424,7 @@ class TestCheckSelections:
         )
         with pytest.raises(ConsistencyError):
             gap_bound(spec_a, spec_b, spec_ab)
-        record = run_checks(sp, IndexSequence(indices=(1, 2), n=2))
+        record = check_selections(sp, [(1, 2)]).record(0)
         assert [c.name for c in record.checks] == [
             "main-bounds",
             "dominance",
@@ -351,8 +489,6 @@ class TestRunCampaign:
         assert report.wall_time > 0.0
 
     def test_failure_records_reproduce_from_seed(self):
-        from eigb.harness import Tolerances, instance_spectra, run_checks
-
         tol0 = Tolerances(verify_base=0.0)
         report = run_campaign(10, CampaignConfig(n_min=2, n_max=5, tolerances=tol0), master_seed=0)
         assert report.failed > 0  # fp-level slack goes negative somewhere at tol 0
@@ -365,13 +501,13 @@ class TestRunCampaign:
         b = gen_psd(
             GeneratorSpec(n=record.n, seed=derive_seed(record.seed, 2), inertia_target=b_inertia)
         )
-        again = run_checks(
+        again = check_selections(
             instance_spectra(a, b),
-            IndexSequence(indices=record.indices, n=record.n),
+            [record.indices],
             tol0,
             instance_id=record.instance_id,
             seed=record.seed,
-        )
+        ).record(0)
         assert again.to_dict() == record.to_dict()
 
 

@@ -9,14 +9,21 @@ Ostrowski ratio check, and the classical sum/trace baselines they refine.
 All indices on the public surface are 1-based.  Summations over an empty
 range contribute zero, and a spectrum value counts as nonnegative when it
 is within the relative classification tolerance of zero.
+
+The *_batch functions evaluate the same formulas on stacks: m same-n
+spectra as an (m, n) array, one descending row per instance, against a
+SelectionIndex.  Each entry equals the scalar formula's result bit for bit.
+zero_cut and the tolerances accept such an array too and then give one
+value per row, as an (m, 1) column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,7 +133,8 @@ def zero_cut(spec: Spectrum, tol: float = TOL_CLASS) -> float:
     It is tol times the spectral radius, with no absolute floor, so the band
     scales with the spectrum.  The band is closed (|v| <= cut is zero), so
     an exact zero counts as zero even when tol * radius is 0 or underflows
-    (a zero spectrum, tol = 0).
+    (a zero spectrum, tol = 0).  For an (m, n) array of spectra, an (m, 1)
+    column of cuts.
     """
     return tol * _radius(spec)
 
@@ -145,8 +153,8 @@ def _product_cut(spec_a: Spectrum, spec_b: Spectrum, tol: float) -> float:
 def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
     """Slack tolerance scaled to the magnitude of a k-term product bound.
 
-    k may be an integer array; the result is then an array, entry by entry
-    equal to the scalar one.
+    k may be an integer array, and the spectra (m, n) arrays (one radius per
+    row); the result is then an array, entry by entry equal to the scalar one.
     """
     return base * (1.0 + _radius(spec_a) * _radius(spec_b) * k)
 
@@ -168,6 +176,19 @@ def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
     positive = sum(1 for v in spec if v > cut)
     negative = sum(1 for v in spec if v < -cut)
     return Inertia(positive=positive, negative=negative, zero=len(spec) - positive - negative)
+
+
+def inertia_counts(values: np.ndarray, tol: float = TOL_CLASS) -> np.ndarray:
+    """inertia_of each row of an (m, n) array of spectra: an (m, 3) integer
+    array of (positive, negative, zero) counts.  Raises Inertia's ValueError
+    where a negative tol makes the two bands overlap."""
+    cut = zero_cut(values, tol)
+    positive = (values > cut).sum(axis=1)
+    negative = (values < -cut).sum(axis=1)
+    zero = values.shape[1] - positive - negative
+    if (zero < 0).any():
+        raise ValueError("inertia counts must be nonnegative")
+    return np.stack([positive, negative, zero], axis=1)
 
 
 def count_selected_nonnegative(spec: Spectrum, idx: IndexSequence, tol: float = TOL_CLASS) -> int:
@@ -386,13 +407,17 @@ def gap_bound(
     q = negatives[0]
     cut_a = zero_cut(spec_a, tol)
     if spec_a[p - 1] <= -cut_a or spec_a[q - 1] >= cut_a:
-        raise ConsistencyError(
-            "factor eigenvalues at the gap indices do not have the signs "
-            f"the product guarantees: a[{p}]={spec_a[p - 1]:.6g}, a[{q}]={spec_a[q - 1]:.6g}"
-        )
+        raise _sign_mismatch(p, q, spec_a[p - 1], spec_a[q - 1])
     gap = spec_ab[p - 1] - spec_ab[q - 1]
     bound = (spec_a[p - 1] - spec_a[q - 1]) * spec_b[0]
     return p, q, gap, bound
+
+
+def _sign_mismatch(p: int, q: int, a_p: float, a_q: float) -> ConsistencyError:
+    return ConsistencyError(
+        "factor eigenvalues at the gap indices do not have the signs "
+        f"the product guarantees: a[{p}]={a_p:.6g}, a[{q}]={a_q:.6g}"
+    )
 
 
 def ostrowski_ratios(
@@ -444,9 +469,71 @@ def _bracket(sel: tuple[float, ...], b: tuple[float, ...], kap: int) -> tuple[fl
     )
 
 
+class SelectionIndex(NamedTuple):
+    """Selections as the index arrays the batch functions gather with.
+
+    Position by selection: either (n, S) arrays, when every instance of a
+    stack checks the same S selections, or (m, n, S), one set of S per
+    instance; sizes are (S,) or (m, S).  Selections run along the last axis,
+    so the pairing sums add whole contiguous rows (_row_sums).  Built once
+    per set of selections (selection_index).  Position t of a selection of
+    size k is live for t < k; pos and prefix read index n elsewhere, the 0.0
+    that _padded appends to each spectrum.
+    """
+
+    pos: np.ndarray  # the 0-based selected indices
+    prefix: np.ndarray  # t: the first k positions of the spectrum
+    ks: np.ndarray  # sizes
+    live: np.ndarray  # t < k
+    late: np.ndarray  # n - k + t, at most n - 1: the pairing b[n-k+t]
+    early: np.ndarray  # k - 1 - t, at least 0: the pairing b[k-1-t]
+
+
+def selection_index(
+    selections: Sequence[Sequence[int]], n: int, m: int | None = None
+) -> SelectionIndex:
+    """The SelectionIndex of selections of 1-based indices in 1..n.
+
+    With m, the selections are m instances' lists of equal length, one after
+    another, and the index has one set per instance.
+    """
+    ks = np.fromiter(map(len, selections), dtype=np.intp, count=len(selections))
+    t = np.arange(n)[:, None]
+    k = np.arange(n + 1)
+    # Every array but pos depends on the size alone: one table column per size.
+    live = t < k
+    early = np.maximum(k - 1 - t, 0)
+
+    def by_size(table):
+        return np.take(table, ks, axis=1)
+
+    live_rows = by_size(live)
+    pos = np.full(live_rows.shape, n)
+    pos.T[live_rows.T] = np.fromiter(chain.from_iterable(selections), dtype=np.intp) - 1
+    index = SelectionIndex(
+        pos=pos,
+        prefix=by_size(np.where(live, t, n)),
+        ks=ks,
+        live=live_rows,
+        late=by_size((n - 1) - early),
+        early=by_size(early),
+    )
+    if m is None:
+        return index
+    # (n, m * S) regrouped as (m, n, S), and the sizes as (m, S).
+    return SelectionIndex(
+        *(
+            np.ascontiguousarray(np.moveaxis(x.reshape(n, m, -1), 0, 1)) if x.ndim == 2
+            else x.reshape(m, -1)
+            for x in index
+        )
+    )
+
+
 class SelectionBoundsBatch(NamedTuple):
-    """selection_bounds of m selections, one array entry per selection, plus
-    the both-PSD (kap = k) and stable (kap = 0) brackets the reductions use."""
+    """selection_bounds of S selections of m instances, one (m, S) array entry
+    per selection, plus the both-PSD (kap = k) and stable (kap = 0) brackets
+    the reductions use."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -461,108 +548,197 @@ class SelectionBoundsBatch(NamedTuple):
 
 
 def selection_bounds_batch(
-    spec_a: Spectrum,
-    spec_b: Spectrum,
-    rows: np.ndarray,
-    ks: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    index: SelectionIndex,
     tol: float = TOL_CLASS,
 ) -> SelectionBoundsBatch:
-    """selection_bounds, psd_product_bounds and stable_bounds of m selections.
+    """selection_bounds, psd_product_bounds and stable_bounds of a stack.
 
-    rows is an (m x n) integer matrix: row r holds the 1-based indices of
-    one selection in its first ks[r] columns and zeros after them.  Every
-    sum adds the terms of the scalar formula in the same order (_row_sums),
-    so each entry equals the scalar result for that selection bit for bit.
+    a and b are (m, n) arrays, one spectrum per row (b is clamped here, as
+    the scalar functions clamp it).  Every sum adds the terms of the scalar
+    formula in the same order (_row_sums), so each entry equals the scalar
+    result for that instance and selection bit for bit.
     """
-    _require_same_dim(spec_a, spec_b)
-    n = len(spec_a)
-    b = np.array(_clamped(spec_b))
-    live, sel = _gathered(spec_a, rows)
-    kap = (live & (sel >= -zero_cut(spec_a, tol))).sum(axis=1)
-    nu = inertia_of(spec_a, tol).nonnegative
-    t = np.arange(n)
-    ks = ks[:, None]
-    head = t < kap[:, None]
-    tail = live & ~head
-    # The four pairings of _bracket: b[t], b[n-1-t], b[n-k+t] and b[k-1-t].
-    # sel is 0.0 outside each selection and b is finite, so the products are too.
-    top = sel * b
-    bottom = sel * b[::-1]
-    late = sel * b.take(n - ks + t, mode="clip")
-    early = sel * b.take(ks - 1 - t, mode="clip")
-    lower, upper, t1, first, psd_lower, psd_upper, stable_lower, stable_upper = _row_sums(
-        np.stack([
-            np.where(head, bottom, early),
-            np.where(head, top, late),
-            np.where(tail, late, 0.0),
-            np.where(head, top, 0.0),
-            bottom,
-            top,
-            early,
-            late,
-        ])
-    )
-    # The splitting bound's second summation: a[nu+1..k] against b[n-k+nu+1..n],
-    # added onto the same running total as its first kap terms.
-    j = np.arange(n - nu)
-    a_rest = np.array(spec_a.values[nu:])
-    rest = np.where(j < ks - nu, a_rest * b.take(n - ks + nu + j, mode="clip"), 0.0)
+    _require_same_shape(a, b)
+    n = a.shape[1]
+    b = np.where(b < 0.0, 0.0, b)
+    sel = selected_values(a, index)
+    cut = zero_cut(a, tol)
+    kap = (index.live & (sel >= -cut[..., None])).sum(axis=-2)
+    nu = n - (a < -cut).sum(axis=1)
+    head = np.arange(n)[:, None] < kap[:, None, :]
+    tail = index.live & ~head
+    late = _take(b, index.late)
+    # The eight pairing rows, written into one buffer: the four products of
+    # _bracket (sel against b[n-1-t], b[t], b[k-1-t] and b[n-k+t]) and the
+    # main and T1 pairings spliced from them at kap.  sel is 0.0 outside each
+    # selection and b is finite, so the products are too.  The buffer is
+    # position-major, so _row_sums adds one contiguous slab per position.
+    terms = np.moveaxis(np.empty((n, 8) + kap.shape), 0, -2)
+    lower, upper, t1, first, bottom, top, early, late_terms = terms
+    np.multiply(sel, b[:, ::-1, None], out=bottom)
+    np.multiply(sel, b[:, :, None], out=top)
+    np.multiply(sel, _take(b, index.early), out=early)
+    np.multiply(sel, late, out=late_terms)
+    np.copyto(lower, early)
+    np.copyto(lower, bottom, where=head)
+    np.copyto(upper, late_terms)
+    np.copyto(upper, top, where=head)
+    t1.fill(0.0)
+    np.copyto(t1, late_terms, where=tail)
+    first.fill(0.0)
+    np.copyto(first, top, where=head)
+    sums = _row_sums(terms)
+    # The splitting bound's second summation: a[u] against b[n-k+u] for
+    # nu <= u < k, added onto the same running total as its first kap terms.
+    # Columns below an instance's own nu add 0.0, which changes no total.
+    low = int(nu.min())
+    u = np.arange(low, n)[:, None]
+    use = (u >= nu[:, None, None]) & (u < index.ks[..., None, :])
+    rest = np.where(use, a[:, low:, None] * late[..., low:, :], 0.0)
     return SelectionBoundsBatch(
-        lower=lower,
-        upper=upper,
+        lower=sums[0],
+        upper=sums[1],
         kap=kap,
-        split_upper=_row_sums(rest, first),
-        t1=t1,
+        split_upper=_row_sums(rest, sums[3]),
+        t1=sums[2],
         t2=_row_sums(rest),
-        psd_lower=psd_lower,
-        psd_upper=psd_upper,
-        stable_lower=stable_lower,
-        stable_upper=stable_upper,
+        psd_lower=sums[4],
+        psd_upper=sums[5],
+        stable_lower=sums[6],
+        stable_upper=sums[7],
     )
 
 
 def wielandt_sum_bounds_batch(
-    spec_a: Spectrum, spec_b: Spectrum, rows: np.ndarray
+    a: np.ndarray, b: np.ndarray, index: SelectionIndex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """wielandt_sum_bounds of every selection in rows (see selection_bounds_batch)."""
-    _require_same_dim(spec_a, spec_b)
-    base = selected_sums(spec_a, rows)
-    live = rows > 0
-    b = np.array(spec_b.values)
+    """wielandt_sum_bounds of a stack (see selection_bounds_batch)."""
+    _require_same_shape(a, b)
+    base = selected_sums(a, index)
     return (
-        _row_sums(np.where(live, b[::-1], 0.0), base),
-        _row_sums(np.where(live, b, 0.0), base),
+        _row_sums(_take(_padded(b[:, ::-1]), index.prefix), base),
+        _row_sums(_take(_padded(b), index.prefix), base),
     )
 
 
-def selected_sums(spec: Spectrum, rows: np.ndarray) -> np.ndarray:
-    """selected_sum of every selection in rows (see selection_bounds_batch)."""
-    if rows.shape[1] != len(spec):
+def trace_bounds_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """trace_bounds of each instance of a stack: (lower, upper), each (m,)."""
+    _require_same_shape(a, b)
+    return _row_sums((a * b[:, ::-1])[:, :, None])[:, 0], _row_sums((a * b)[:, :, None])[:, 0]
+
+
+def gap_bound_batch(
+    a: np.ndarray, b: np.ndarray, ab: np.ndarray, tol: float = TOL_CLASS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
+    """gap_bound of each instance of a stack: (applies, gap, bound, errors).
+
+    applies marks the instances gap_bound returns for; gap and bound are
+    (m,) arrays, read only there.  An instance whose product spectrum is
+    one-signed (NoSignChange) does not apply; one for which gap_bound raises
+    ConsistencyError does not either, and errors maps it to that error.
+    """
+    rows = np.arange(len(a))
+    n = a.shape[1]
+    cut = _product_cut(a, b, tol)
+    positive, negative = ab > cut, ab < -cut
+    signed = positive.any(axis=1) & negative.any(axis=1)
+    p = n - 1 - np.argmax(positive[:, ::-1], axis=1)
+    q = np.argmax(negative, axis=1)
+    cut_a = zero_cut(a, tol)[:, 0]
+    a_p, a_q = a[rows, p], a[rows, q]
+    wrong = signed & ((a_p <= -cut_a) | (a_q >= cut_a))
+    errors = {
+        i: _sign_mismatch(int(p[i]) + 1, int(q[i]) + 1, float(a_p[i]), float(a_q[i]))
+        for i in np.flatnonzero(wrong).tolist()
+    }
+    return signed & ~wrong, ab[rows, p] - ab[rows, q], (a_p - a_q) * b[:, 0], errors
+
+
+class OstrowskiBatch(NamedTuple):
+    """ostrowski_ratios of each instance of a stack, reduced as the check
+    reports them; each field is (m,) and read only where applies."""
+
+    applies: np.ndarray  # B positive definite and some ratio reported
+    low: np.ndarray
+    high: np.ndarray
+    offender: np.ndarray  # the ratio nearest a bound
+    worst_low: np.ndarray  # min over the ratios of ratio - low
+    worst_high: np.ndarray  # min over the ratios of high - ratio
+
+
+def ostrowski_batch(
+    a: np.ndarray, ab: np.ndarray, b: np.ndarray, tol: float = TOL_CLASS
+) -> OstrowskiBatch:
+    """The Ostrowski check's values for a stack: what Python's min gives over
+    each instance's ratios, the first of equal values included.
+
+    A reported ratio divides a finite value by one above the zero cut, so
+    it is finite or infinite but never NaN, and neither are its distances
+    to the finite bounds; each minimum is then the entry np.argmin finds
+    first among the reported ratios (the others read +inf there).
+    """
+    rows = np.arange(len(a))
+    low, high = b[:, -1], b[:, 0]
+    used = np.abs(a) > zero_cut(a, tol)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = ab / a
+        to_low = np.where(used, ratios - low[:, None], np.inf)
+        to_high = np.where(used, high[:, None] - ratios, np.inf)
+    nearest = np.where(to_high < to_low, to_high, to_low)
+    return OstrowskiBatch(
+        applies=(low > zero_cut(b, tol)[:, 0]) & used.any(axis=1),
+        low=low,
+        high=high,
+        offender=ratios[rows, np.argmin(nearest, axis=1)],
+        worst_low=to_low[rows, np.argmin(to_low, axis=1)],
+        worst_high=to_high[rows, np.argmin(to_high, axis=1)],
+    )
+
+
+def selected_values(values: np.ndarray, index: SelectionIndex) -> np.ndarray:
+    """(m, n, S): each selection's spectrum values, in its first positions, 0.0 after them."""
+    return _take(_padded(values), index.pos)
+
+
+def selected_sums(values: np.ndarray, index: SelectionIndex) -> np.ndarray:
+    """selected_sum of every selection of a stack, (m, S) (see selection_bounds_batch)."""
+    if index.pos.shape[-2] != values.shape[-1]:
         raise IndexOutOfRange(
-            f"index sequence is for dimension {rows.shape[1]}, spectrum has {len(spec)}"
+            f"index sequence is for dimension {index.pos.shape[-2]}, "
+            f"spectrum has {values.shape[-1]}"
         )
-    return _row_sums(_gathered(spec, rows)[1])
+    return _row_sums(selected_values(values, index))
 
 
 def _row_sums(terms: np.ndarray, start=0.0) -> np.ndarray:
-    """The batched pairing kernel: sums over the last axis, added column by
-    column, left to right, onto start, exactly as _pair_sum adds.
+    """The batched pairing kernel: sums over the position axis of terms
+    (..., n, S), added position by position, left to right, onto start,
+    exactly as _pair_sum adds.  Gives (..., S).
 
     Terms outside a selection must be zero.  Adding 0.0 leaves a running
     total unchanged unless the total is -0.0, which a sum started from
     +0.0 (or from such a sum) never is.
     """
-    total = np.empty(terms.shape[:-1])
+    total = np.empty(terms.shape[:-2] + terms.shape[-1:])
     total[...] = start
-    for t in range(terms.shape[-1]):
-        total += terms[..., t]
+    for t in range(terms.shape[-2]):
+        total += terms[..., t, :]
     return total
 
 
-def _gathered(spec: Spectrum, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(live, values): where rows holds an index, and the spectrum there (0.0 elsewhere)."""
-    live = rows > 0
-    return live, np.where(live, np.array(spec.values)[rows - 1], 0.0)
+def _padded(values: np.ndarray) -> np.ndarray:
+    """values (m, n) with a column of 0.0 appended, read at index n."""
+    return np.concatenate((values, np.zeros((len(values), 1))), axis=1)
+
+
+def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """values (m, n) gathered along each row at idx: (n, S) indices shared by
+    every row, or (m, n, S) with one set per row.  Gives (m, n, S)."""
+    if idx.ndim == 2:
+        return np.take(values, idx, axis=1)
+    return np.take_along_axis(values[:, :, None], idx, axis=1)
 
 
 def _selected(spec: Spectrum, idx: IndexSequence) -> tuple[float, ...]:
@@ -573,7 +749,12 @@ def _clamped(spec: Spectrum) -> tuple[float, ...]:
     return tuple(max(v, 0.0) for v in spec.values)
 
 
-def _radius(spec: Spectrum) -> float:
+def _radius(spec):
+    """max(|first|, |last|) as Python's max picks it (the last only if it is
+    larger): a float for a Spectrum, an (m, 1) column for an (m, n) array."""
+    if isinstance(spec, np.ndarray):
+        first, last = np.abs(spec[:, :1]), np.abs(spec[:, -1:])
+        return np.where(last > first, last, first)
     return max(abs(spec[0]), abs(spec[-1]))
 
 
@@ -582,6 +763,11 @@ def _require_same_dim(spec_a: Spectrum, spec_b: Spectrum) -> None:
         raise DimensionMismatch(
             f"spectra have different lengths: {len(spec_a)} vs {len(spec_b)}"
         )
+
+
+def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatch(f"spectra have different lengths: {a.shape[-1]} vs {b.shape[-1]}")
 
 
 def _require_indexable(spec: Spectrum, idx: IndexSequence) -> None:

@@ -8,10 +8,11 @@ straddling the nonnegative block, plus the two one-signed extremes),
 checks every applicable inequality on each index sequence, and aggregates
 machine-readable results.  Identical seeds give identical reports.
 
-Generation and the instance spectra are written for stacks: arrays with a
-leading axis of m same-n instances, each drawn from its own seed.  A
-campaign runs them on whole groups of instances; gen_hermitian, gen_psd and
-instance_spectra are the same code with m = 1, so a stacked campaign
+Generation, the instance spectra and the checks are written for stacks:
+arrays with a leading axis of m same-n instances, each drawn from its own
+seed.  A campaign runs them on whole groups of instances (SpectraStack,
+_check_stack); gen_hermitian, gen_psd, instance_spectra and
+check_selections are the same code with m = 1, so a stacked campaign
 reports exactly what one instance at a time would.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, combinations
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -29,16 +30,19 @@ from numpy.linalg import LinAlgError
 
 from .bounds import (
     IndexSequence,
+    SelectionIndex,
     TOL_CLASS,
     TOL_VERIFY_BASE,
-    gap_bound,
-    inertia_of,
-    ostrowski_ratios,
+    gap_bound_batch,
+    inertia_counts,
+    ostrowski_batch,
     ratio_tolerance,
     selected_sums,
+    selected_values,
     selection_bounds_batch,
+    selection_index,
     sum_tolerance,
-    trace_bounds,
+    trace_bounds_batch,
     verify_tolerance,
     wielandt_sum_bounds_batch,
     zero_cut,
@@ -47,14 +51,13 @@ from .errors import (
     EigbError,
     InvalidCount,
     InvalidSpec,
-    NoSignChange,
-    NotPositiveDefinite,
 )
 from .linalg import (
     TOL_HERM,
     HermitianMatrix,
     PSDMatrix,
     Spectrum,
+    _check_spectra,
     _eig,
     _eig_stack,
     _frobenius_norms,
@@ -262,15 +265,46 @@ class InstanceSpectra:
     norm_scale: float
 
 
+class SpectraStack(NamedTuple):
+    """The InstanceSpectra of m same-n instances as arrays: each spectrum an
+    (m, n) array, one row per instance; trace_product and norm_scale (m,)."""
+
+    spec_a: np.ndarray
+    spec_b: np.ndarray
+    spec_b_raw: np.ndarray
+    spec_ab: np.ndarray
+    spec_sum: np.ndarray
+    trace_product: np.ndarray
+    norm_scale: np.ndarray
+
+    @classmethod
+    def of(cls, sp: InstanceSpectra) -> SpectraStack:
+        """The stack of one instance."""
+        spectra = (sp.spec_a, sp.spec_b, sp.spec_b_raw, sp.spec_ab, sp.spec_sum)
+        return cls(
+            *(np.array([s.values]) for s in spectra),
+            np.array([sp.trace_product]),
+            np.array([sp.norm_scale]),
+        )
+
+    def instance(self, i: int) -> InstanceSpectra:
+        return InstanceSpectra(
+            *(Spectrum(tuple(s[i].tolist())) for s in self[:5]),
+            trace_product=float(self.trace_product[i]),
+            norm_scale=float(self.norm_scale[i]),
+        )
+
+
 def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> InstanceSpectra:
-    return _instance_spectra(a.matrix[None], b.matrix[None], *_eig_stack(b))[0]
+    return _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b)).instance(0)
 
 
-def _instance_spectra(
+def _spectra_stack(
     a: np.ndarray, b: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray
-) -> list[InstanceSpectra]:
+) -> SpectraStack:
     """instance_spectra for a stack of instances: validated A and B as
-    (m, n, n) stacks, with B's eigendecomposition from validate_psd."""
+    (m, n, n) stacks, with B's eigendecomposition from validate_psd.  Each
+    spectrum passes Spectrum's checks, as if built one at a time."""
     values_a = _eig(a)[0]
     values_ab = _product_values(a, b_values, b_vectors)
     values_sum = _eig(_validated(a + b, TOL_HERM)[0])[0]
@@ -278,26 +312,21 @@ def _instance_spectra(
     norm_scales = 1.0 + _frobenius_norms(a) * _frobenius_norms(b)
     # PSDMatrix.spectrum: eigenvalues of B below zero, within tolerance, read as zero.
     clamped = np.where(b_values < 0.0, 0.0, b_values)
-    return [
-        InstanceSpectra(
-            spec_a=Spectrum(tuple(values_a[i].tolist())),
-            spec_b=Spectrum(tuple(clamped[i].tolist())),
-            spec_b_raw=Spectrum(tuple(b_values[i].tolist())),
-            spec_ab=Spectrum(tuple(values_ab[i].tolist())),
-            spec_sum=Spectrum(tuple(values_sum[i].tolist())),
-            trace_product=float(traces[i]),
-            norm_scale=float(norm_scales[i]),
-        )
-        for i in range(len(a))
-    ]
+    stack = SpectraStack(values_a, clamped, b_values, values_ab, values_sum, traces, norm_scales)
+    _check_spectra(np.stack(stack[:5], axis=1))
+    return stack
 
 
 class CheckColumn(NamedTuple):
     """One check across a batch of selections: where it applies and, there,
     whether it passed and its worst slack (CheckResult.passed and .worst()),
-    with the other fields of its CheckResult.  Each of those is an array over
-    the batch or one Python scalar for all of it; detail is a string or a
-    function of the row."""
+    with the other fields of its CheckResult.  Each of those is an array
+    over the batch, or one that broadcasts to it, or one Python scalar for
+    all of it; detail is a string or a function of the position.
+
+    The batch is (m, S), m instances by S selections (_check_stack); a value
+    the same for all of an instance's selections is an (m, 1) array.
+    instance(i) gives one instance's column, over its S selections."""
 
     name: str
     applies: np.ndarray
@@ -308,49 +337,95 @@ class CheckColumn(NamedTuple):
     upper: np.ndarray | float | None = None
     lower_slack: np.ndarray | float | None = None
     upper_slack: np.ndarray | float | None = None
-    detail: str | Callable[[int], str] = ""
+    detail: str | Callable[..., str] = ""
 
-    def result(self, r: int) -> CheckResult:
-        """The check on selection r, with Python scalars in every field."""
+    def result(self, *at: int) -> CheckResult:
+        """The check at batch position `at` ((i, r), or (r,) for one
+        instance's column), with Python scalars in every field."""
 
-        def at(value):
-            return value[r].item() if isinstance(value, np.ndarray) else value
+        def value(field):
+            if not isinstance(field, np.ndarray):
+                return field
+            # Broadcasting: an axis of length 1 holds one value for all positions.
+            return field[tuple(x if size > 1 else 0 for x, size in zip(at, field.shape))].item()
 
         return CheckResult(
             name=self.name,
-            actual=at(self.actual),
-            lower=at(self.lower),
-            upper=at(self.upper),
-            lower_slack=at(self.lower_slack),
-            upper_slack=at(self.upper_slack),
-            passed=bool(self.passed[r]),
-            detail=self.detail(r) if callable(self.detail) else self.detail,
+            actual=value(self.actual),
+            lower=value(self.lower),
+            upper=value(self.upper),
+            lower_slack=value(self.lower_slack),
+            upper_slack=value(self.upper_slack),
+            passed=value(self.passed),
+            detail=self.detail(*at) if callable(self.detail) else self.detail,
+        )
+
+    def instance(self, i: int) -> CheckColumn:
+        """Instance i's column: its row of every array, with applies, passed
+        and worst over all its selections."""
+
+        def row(field):
+            return field[i] if isinstance(field, np.ndarray) else field
+
+        applies = self.applies[i]
+        return CheckColumn(
+            name=self.name,
+            applies=applies,
+            passed=np.broadcast_to(self.passed[i], applies.shape),
+            worst=np.broadcast_to(self.worst[i], applies.shape),
+            actual=row(self.actual),
+            lower=row(self.lower),
+            upper=row(self.upper),
+            lower_slack=row(self.lower_slack),
+            upper_slack=row(self.upper_slack),
+            detail=partial(self.detail, i) if callable(self.detail) else self.detail,
         )
 
 
-class SelectionChecks(NamedTuple):
-    """Result of check_selections: the check columns in record order, each
-    selection's overall pass flag, and what else a selection's record holds."""
+class StackChecks(NamedTuple):
+    """Result of _check_stack: the check columns in record order over (m, S),
+    each selection's overall pass flag and kap, (m, S), and each instance's
+    inertia, (m, 3)."""
 
     columns: tuple[CheckColumn, ...]
     passed: np.ndarray
     n: int
-    selections: Sequence[tuple[int, ...]]
     kap: np.ndarray
-    inertia: tuple[int, int, int]
+    inertia: np.ndarray
+
+
+class SelectionChecks(NamedTuple):
+    """Result of check_selections: instance i of a StackChecks, with its
+    selections and identity.  Its records are read off the stack's columns
+    when asked for."""
+
+    stack: StackChecks
+    i: int
+    selections: Sequence[tuple[int, ...]]
     instance_id: int
     seed: int
 
+    @property
+    def columns(self) -> tuple[CheckColumn, ...]:
+        """The check columns in record order, over this instance's selections."""
+        return tuple(c.instance(self.i) for c in self.stack.columns)
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Each selection's overall pass flag."""
+        return self.stack.passed[self.i]
+
     def record(self, r: int) -> VerificationRecord:
         """The record of selection r: the checks that apply to it, in order."""
+        i = self.i
         return VerificationRecord(
             instance_id=self.instance_id,
             seed=self.seed,
-            n=self.n,
+            n=self.stack.n,
             indices=tuple(self.selections[r]),
-            selected_nonneg=self.kap[r].item(),
-            inertia=self.inertia,
-            checks=tuple(c.result(r) for c in self.columns if c.applies[r]),
+            selected_nonneg=self.stack.kap[i, r].item(),
+            inertia=tuple(self.stack.inertia[i].tolist()),
+            checks=tuple(c.result(i, r) for c in self.stack.columns if c.applies[i, r]),
         )
 
     @property
@@ -374,121 +449,130 @@ def check_selections(
     evaluated once.  Records are read off the columns, and built only when
     asked for: SelectionChecks.record(r), or .failures.  Computational
     errors never propagate: they end each record with a failed
-    "computation" check.
+    "computation" check.  This is a campaign's stacked check
+    (_check_stack) on a stack of one instance.
     """
-    index = _index_matrix(selections, len(sp.spec_a))
-    return _check_index(sp, selections, index, tol, instance_id, seed)
+    index = selection_index(selections, len(sp.spec_a))
+    return SelectionChecks(
+        _check_stack(SpectraStack.of(sp), index, tol), 0, selections, instance_id, seed
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _check_index(
-    sp: InstanceSpectra,
-    selections: Sequence[tuple[int, ...]],
-    index: tuple[np.ndarray, np.ndarray],
-    tol: Tolerances,
-    instance_id: int,
-    seed: int,
-) -> SelectionChecks:
-    """check_selections, given the selections' _index_matrix: a campaign
-    builds it once for all the instances that check the same selections."""
-    spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
-    n = len(spec_a)
-    rows, ks = index
-    every = np.ones(len(rows), dtype=bool)
-    sums = selection_bounds_batch(spec_a, spec_b, rows, ks, tol.tol_class)
-    inertia = inertia_of(spec_a, tol.tol_class)
-    tau = verify_tolerance(spec_a, spec_b, ks, tol.verify_base)
+def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> StackChecks:
+    """check_selections on every instance of a stack at once: the same
+    columns, (m, S), given the selections' SelectionIndex (one set for the
+    whole stack, or one per instance).
+
+    A column is built only if it applies to some instance.  An instance
+    whose gap check raises ConsistencyError gets, in place of the gap,
+    Ostrowski and Wielandt checks, a failed "computation" check on each of
+    its selections, as check_selections gives it for that instance alone.
+    """
+    a, b, ab = sp.spec_a, sp.spec_b, sp.spec_ab
+    n = a.shape[1]
+    ks = index.ks
+    every = np.ones((len(a), ks.shape[-1]), dtype=bool)
+    sums = selection_bounds_batch(a, b, index, tol.tol_class)
+    inertia = inertia_counts(a, tol.tol_class)
+    tau = verify_tolerance(a, b, ks, tol.verify_base)
     columns: list[CheckColumn] = []
 
-    def split_terms(r: int) -> str:
-        return f"T1={sums.t1[r].item()!r} T2={sums.t2[r].item()!r}"
+    def split_terms(i: int, r: int) -> str:
+        return f"T1={sums.t1[i, r].item()!r} T2={sums.t2[i, r].item()!r}"
 
     try:
-        actual = selected_sums(spec_ab, rows)
+        actual = selected_sums(ab, index)
         columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
         columns.append(
             _upper_column("dominance", sums.upper, sums.split_upper, tau, every, split_terms)
         )
-        if inertia.negative == 0:
+        psd = every & (inertia[:, 1:2] == 0)
+        if psd.any():
             columns.append(
-                _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, every)
+                _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, psd)
             )
-        if inertia.positive == 0:
-            cut = zero_cut(spec_a, tol.tol_class)
-            sel = np.array(spec_a.values)[rows - 1]
-            exact = ~np.any((rows > 0) & (sel >= -cut) & (sel != 0.0), axis=1)
+        stable = inertia[:, 0] == 0
+        if stable.any():
+            sel = selected_values(a, index)
+            cut = zero_cut(a, tol.tol_class)[..., None]
+            exact = ~np.any(index.live & (sel >= -cut) & (sel != 0.0), axis=-2)
             columns.append(
                 _reduction_column(
-                    "reduction-stable", sums, sums.stable_lower, sums.stable_upper, exact
+                    "reduction-stable",
+                    sums,
+                    sums.stable_lower,
+                    sums.stable_upper,
+                    stable[:, None] & exact,
                 )
             )
-        full = ks == n
+        full = np.broadcast_to(ks == n, every.shape)
         if full.any():
-            tr_lo, tr_up = trace_bounds(spec_a, spec_b)
-            agreement = abs(sp.trace_product - spec_ab.sum())
+            tr_lo, tr_up = trace_bounds_batch(a, b)
+            trace = sp.trace_product[:, None]
+            # Spectrum.sum: Python's sum of the values.
+            agreement = np.abs(trace - np.array([[sum(v)] for v in ab.tolist()]))
             columns.append(
-                _bracket_column("trace-bracket", tr_lo, sp.trace_product, tr_up, tau, full)
+                _bracket_column("trace-bracket", tr_lo[:, None], trace, tr_up[:, None], tau, full)
             )
             columns.append(
-                _upper_column("trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0, full)
+                _upper_column(
+                    "trace-consistency", agreement, 1e-9 * sp.norm_scale[:, None], 0.0, full
+                )
             )
 
-        try:
-            _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
-            columns.append(_upper_column("gap", gap, bound, tau, every))
-        except NoSignChange:
-            pass
-
-        try:
-            rep = ostrowski_ratios(spec_a, spec_ab, spec_b, tol.tol_class)
-            ratios = [r for _, r in rep.ratios]
-        except NotPositiveDefinite:
-            ratios = []
-        if ratios:
-            # Reported: the ratio nearest a bound, and on each side the worst slack of any ratio.
-            offender = min(ratios, key=lambda r: min(r - rep.low, rep.high - r))
-            slacks = (min(r - rep.low for r in ratios), min(rep.high - r for r in ratios))
-            tau_ratio = ratio_tolerance(spec_b, tol.verify_base)
+        signed, gap, bound, errors = gap_bound_batch(a, b, ab, tol.tol_class)
+        inconsistent = np.zeros(len(a), dtype=bool)
+        inconsistent[list(errors)] = True
+        consistent = every & ~inconsistent[:, None]
+        if signed.any():
             columns.append(
-                _bracket_column("ostrowski", rep.low, offender, rep.high, tau_ratio, every, slacks)
+                _upper_column("gap", gap[:, None], bound[:, None], tau, every & signed[:, None])
             )
 
-        w_lo, w_up = wielandt_sum_bounds_batch(spec_a, sp.spec_b_raw, rows)
-        w_actual = selected_sums(sp.spec_sum, rows)
-        tau_sum = sum_tolerance(spec_a, spec_b, ks, tol.verify_base)
-        columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, every))
+        ost = ostrowski_batch(a, ab, b, tol.tol_class)
+        if ost.applies.any():
+            columns.append(
+                _bracket_column(
+                    "ostrowski",
+                    ost.low[:, None],
+                    ost.offender[:, None],
+                    ost.high[:, None],
+                    ratio_tolerance(b, tol.verify_base),
+                    consistent & ost.applies[:, None],
+                    (ost.worst_low[:, None], ost.worst_high[:, None]),
+                )
+            )
+
+        w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index)
+        w_actual = selected_sums(sp.spec_sum, index)
+        tau_sum = sum_tolerance(a, b, ks, tol.verify_base)
+        columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, consistent))
+        if errors:
+            columns.append(
+                CheckColumn(
+                    "computation",
+                    ~consistent,
+                    ~every,
+                    np.zeros(every.shape),
+                    0.0,
+                    detail=lambda i, r: _computation(errors[i]),
+                )
+            )
     except EigbError as exc:
-        zeros = np.zeros(len(rows))
         columns.append(
-            CheckColumn("computation", every, ~every, zeros, 0.0, detail=_computation(exc))
+            CheckColumn(
+                "computation", every, ~every, np.zeros(every.shape), 0.0, detail=_computation(exc)
+            )
         )
 
-    return SelectionChecks(
+    return StackChecks(
         columns=tuple(columns),
         passed=np.logical_and.reduce([c.passed | ~c.applies for c in columns]),
         n=n,
-        selections=selections,
         kap=sums.kap,
-        inertia=inertia.as_tuple(),
-        instance_id=instance_id,
-        seed=seed,
+        inertia=inertia,
     )
-
-
-def _index_matrix(
-    selections: Sequence[tuple[int, ...]], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, ks): selections as rows of 1-based indices, left-aligned and
-    padded with zeros, and each selection's size."""
-    ks = np.fromiter(map(len, selections), dtype=np.intp, count=len(selections))
-    rows = np.zeros((len(selections), n), dtype=np.intp)
-    rows[np.arange(n) < ks[:, None]] = np.fromiter(chain.from_iterable(selections), dtype=np.intp)
-    return rows, ks
-
-
-def _filled(applies: np.ndarray, value) -> np.ndarray:
-    """value as a column over the batch: an array as it is, a scalar repeated."""
-    return value if np.shape(value) == applies.shape else np.full(applies.shape, value)
 
 
 def _bracket_column(name, lower, actual, upper, tol, applies, slacks=None) -> CheckColumn:
@@ -498,8 +582,8 @@ def _bracket_column(name, lower, actual, upper, tol, applies, slacks=None) -> Ch
     return CheckColumn(
         name=name,
         applies=applies,
-        passed=_filled(applies, (lo_slack >= -tol) & (up_slack >= -tol)),
-        worst=_filled(applies, np.where(up_slack < lo_slack, up_slack, lo_slack)),
+        passed=(lo_slack >= -tol) & (up_slack >= -tol),
+        worst=np.where(up_slack < lo_slack, up_slack, lo_slack),
         actual=actual,
         lower=lower,
         upper=upper,
@@ -514,8 +598,8 @@ def _upper_column(name, actual, upper, tol, applies, detail="") -> CheckColumn:
     return CheckColumn(
         name=name,
         applies=applies,
-        passed=_filled(applies, slack >= -tol),
-        worst=_filled(applies, slack),
+        passed=slack >= -tol,
+        worst=slack,
         actual=actual,
         upper=upper,
         upper_slack=slack,
@@ -695,29 +779,111 @@ def _plan(i: int, master_seed: int, config: CampaignConfig) -> _Plan:
     )
 
 
-def _stacked_spectra(plans: Sequence[_Plan]) -> list[InstanceSpectra | None]:
-    """instance_spectra of each planned instance, generated and solved in
-    same-n stacks: gen_hermitian, gen_psd and instance_spectra on a whole
-    stack at once.  Every instance of a stack in which a stage raises gets
-    None, to be redone on its own."""
+def _stacked_spectra(plans: Sequence[_Plan]) -> list[tuple[list[int], SpectraStack | None]]:
+    """The planned instances in same-n stacks, as (members, spectra): the
+    positions in plans of each stack's instances, in order, and their
+    spectra, generated and solved as a whole stack (gen_hermitian, gen_psd
+    and instance_spectra at once).  A stack in which a stage raises gets
+    None, to be redone one instance at a time."""
     groups: dict[int, list[int]] = {}
     for j, plan in enumerate(plans):
         groups.setdefault(plan.a.n, []).append(j)
-    stacks: list[list[int]] = []
+    stacks: list[tuple[list[int], SpectraStack | None]] = []
     for n, group in groups.items():
         size = max(1, STACK_ENTRIES // n**2)
-        stacks += [group[k : k + size] for k in range(0, len(group), size)]
-    spectra: list[InstanceSpectra | None] = [None] * len(plans)
-    for members in stacks:
-        try:
-            a, _ = _validated(_generated([plans[j].a for j in members], False), TOL_HERM)
-            b, _ = _validated(_generated([plans[j].b for j in members], True), TOL_HERM)
-            solved = _instance_spectra(a, b, *_psd_eig(b))
-        except (EigbError, LinAlgError):
-            continue
-        for j, sp in zip(members, solved):
-            spectra[j] = sp
-    return spectra
+        for k in range(0, len(group), size):
+            members = group[k : k + size]
+            try:
+                a, _ = _validated(_generated([plans[j].a for j in members], False), TOL_HERM)
+                b, _ = _validated(_generated([plans[j].b for j in members], True), TOL_HERM)
+                stacks.append((members, _spectra_stack(a, b, *_psd_eig(b))))
+            except (EigbError, LinAlgError):
+                stacks.append((members, None))
+    return stacks
+
+
+class _Tally:
+    """One window's check results, merged into instance order at the end.
+
+    Stacks of different n interleave within a window, so each column's
+    (pass flag, worst slack) pairs are kept with the window position of
+    their instance, and the failures by instance.  flush then gives every
+    CheckStats one add, in instance order, so its min and sum see the values
+    in the order one instance at a time would."""
+
+    def __init__(self, plans: Sequence[_Plan]) -> None:
+        self.plans = plans
+        self.total = 0
+        self.passed = 0
+        self.columns: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        self.failures: dict[int, list[VerificationRecord]] = {}
+
+    def add(
+        self,
+        members: list[int],
+        checked: StackChecks,
+        selections: Sequence[Sequence[tuple[int, ...]]],
+    ) -> None:
+        """A checked stack, with each of its instances' selections."""
+        self.total += checked.passed.size
+        self.passed += int(np.count_nonzero(checked.passed))
+        for k in np.flatnonzero(~checked.passed.all(axis=1)).tolist():
+            plan = self.plans[members[k]]
+            one = SelectionChecks(checked, k, selections[k], plan.index, plan.seed)
+            self.failures[members[k]] = one.failures
+        keys = np.array(members)
+        for column in checked.columns:
+            applies = column.applies
+            if applies.any():
+                self.columns.setdefault(column.name, []).append(
+                    (
+                        np.repeat(keys, applies.sum(axis=1)),
+                        np.broadcast_to(column.passed, applies.shape)[applies],
+                        np.broadcast_to(column.worst, applies.shape)[applies],
+                    )
+                )
+
+    def error(self, j: int, record: VerificationRecord) -> None:
+        """An instance whose spectra could not be computed."""
+        self.total += 1
+        self.failures[j] = [record]
+        self.columns.setdefault("computation", []).append(
+            (np.array([j]), np.zeros(1, dtype=bool), np.zeros(1))
+        )
+
+    def flush(self, stats: dict[str, CheckStats], failures: list[VerificationRecord]) -> None:
+        for name, parts in self.columns.items():
+            keys, passed, worst = (np.concatenate(x) for x in zip(*parts))
+            order = np.argsort(keys, kind="stable")
+            stats.setdefault(name, CheckStats(name=name)).add(passed[order], worst[order])
+        for j in sorted(self.failures):
+            failures.extend(self.failures[j])
+
+
+def _campaign_selections(
+    sp: SpectraStack,
+    members: list[int],
+    plans: Sequence[_Plan],
+    tol: Tolerances,
+    exhaustive: dict[int, tuple[list[tuple[int, ...]], SelectionIndex]],
+) -> tuple[list[list[tuple[int, ...]]], SelectionIndex]:
+    """What each instance of a stack checks, and its SelectionIndex: every
+    selection up to EXHAUSTIVE_MAX_N (shared, built once per n in
+    exhaustive), else SAMPLED_SEQUENCES drawn by each instance's own
+    generator around its count of nonnegative eigenvalues."""
+    n = sp.spec_a.shape[1]
+    if n <= EXHAUSTIVE_MAX_N:
+        if n not in exhaustive:
+            selections = all_selections(n)
+            exhaustive[n] = (selections, selection_index(selections, n))
+        selections, index = exhaustive[n]
+        return [selections] * len(members), index
+    inertia = inertia_counts(sp.spec_a, tol.tol_class)
+    sampled = [
+        _family_selections(plans[j].rng, plans[j].index % 5, n, nu, SAMPLED_SEQUENCES)
+        for j, nu in zip(members, (inertia[:, 0] + inertia[:, 2]).tolist())
+    ]
+    return sampled, selection_index(list(chain.from_iterable(sampled)), n, len(members))
 
 
 def run_campaign(
@@ -731,8 +897,9 @@ def run_campaign(
 
     Up to STACK_WINDOW consecutive instances are planned at a time, then
     generated and solved in same-n stacks (_stacked_spectra), then checked
-    one at a time in instance order.  An instance whose stack failed is
-    generated and solved on its own, exactly as the stack would have done it,
+    a stack at a time (_check_stack), and their results merged back into
+    instance order (_Tally).  An instance whose stack failed is generated,
+    solved and checked on its own, exactly as the stack would have done it,
     so the report is the same as one instance at a time.
     """
     if count < 1:
@@ -743,45 +910,37 @@ def run_campaign(
     total = 0
     passed = 0
     tol = config.tolerances
-    # n -> all_selections(n) and its index matrix, shared by the instances of that n.
-    exhaustive: dict[int, tuple] = {}
+    # n -> all_selections(n) and its index, shared by the instances of that n.
+    exhaustive: dict[int, tuple[list[tuple[int, ...]], SelectionIndex]] = {}
 
     for first in range(0, count, STACK_WINDOW):
         window = range(first, min(first + STACK_WINDOW, count))
         plans = [_plan(i, master_seed, config) for i in window]
-        for plan, sp in zip(plans, _stacked_spectra(plans)):
-            i, seed_i, n = plan.index, plan.seed, plan.a.n
+        tally = _Tally(plans)
+        redo: list[int] = []
+        for members, sp in _stacked_spectra(plans):
             if sp is None:
-                a = gen_hermitian(plan.a)
-                b = gen_psd(plan.b)
-                try:
-                    sp = instance_spectra(a, b)
-                except EigbError as exc:
-                    record = _error_record(
-                        exc, n, IndexSequence(indices=tuple(range(1, n + 1)), n=n), i, seed_i
-                    )
-                    total += 1
-                    failures.append(record)
-                    st = stats.setdefault("computation", CheckStats(name="computation"))
-                    st.add(np.zeros(1, dtype=bool), np.zeros(1))
-                    continue
-            if n <= EXHAUSTIVE_MAX_N:
-                if n not in exhaustive:
-                    selections = all_selections(n)
-                    exhaustive[n] = (selections, _index_matrix(selections, n))
-                selections, index = exhaustive[n]
-            else:
-                nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
-                selections = _family_selections(plan.rng, i % 5, n, nu, SAMPLED_SEQUENCES)
-                index = _index_matrix(selections, n)
-            checked = _check_index(sp, selections, index, tol, i, seed_i)
-            total += len(selections)
-            passed += int(np.count_nonzero(checked.passed))
-            failures.extend(checked.failures)
-            for column in checked.columns:
-                if column.applies.any():
-                    st = stats.setdefault(column.name, CheckStats(name=column.name))
-                    st.add(column.passed[column.applies], column.worst[column.applies])
+                redo += members
+                continue
+            selections, index = _campaign_selections(sp, members, plans, tol, exhaustive)
+            tally.add(members, _check_stack(sp, index, tol), selections)
+        # In instance order, so that a generation error propagates as it would one at a time.
+        for j in sorted(redo):
+            plan = plans[j]
+            n = plan.a.n
+            a = gen_hermitian(plan.a)
+            b = gen_psd(plan.b)
+            try:
+                sp = _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b))
+            except EigbError as exc:
+                full = IndexSequence(indices=tuple(range(1, n + 1)), n=n)
+                tally.error(j, _error_record(exc, n, full, plan.index, plan.seed))
+                continue
+            selections, index = _campaign_selections(sp, [j], plans, tol, exhaustive)
+            tally.add([j], _check_stack(sp, index, tol), selections)
+        tally.flush(stats, failures)
+        total += tally.total
+        passed += tally.passed
 
     return CampaignReport(
         total=total,

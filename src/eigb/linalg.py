@@ -88,6 +88,18 @@ class Spectrum:
         return float(sum(self.values))
 
 
+def _check_spectra(values: np.ndarray) -> None:
+    """Spectrum's checks on an array (..., n) of spectra, one per row: the
+    ValueError Spectrum raises, for the first row (in C order) that fails."""
+    infinite = ~np.isfinite(values).all(axis=-1)
+    bad = infinite | (values[..., :-1] < values[..., 1:]).any(axis=-1)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        if infinite[first]:
+            raise ValueError("spectrum values must be finite")
+        raise ValueError("spectrum values must be non-increasing")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectrum plus matching orthonormal eigenvector columns."""

@@ -23,6 +23,7 @@ from eigb.bounds import (
     selected_sums,
     selection_bounds,
     selection_bounds_batch,
+    selection_index,
     stable_bounds,
     trace_bounds,
     verify_tolerance,
@@ -580,33 +581,37 @@ class TestSelectionBoundsBatch:
             for k in range(1, n + 1)
             for c in combinations(range(1, n + 1), k)
         ]
-        rows = np.zeros((len(seqs), n), dtype=np.intp)
-        for r, idx in enumerate(seqs):
-            rows[r, : idx.k] = idx.indices
-        ks = np.array([idx.k for idx in seqs])
-        batch = selection_bounds_batch(spec_a, spec_b, rows, ks)
-        scalar = [selection_bounds(spec_a, spec_b, idx) for idx in seqs]
-        for field in ("lower", "upper", "split_upper", "t1", "t2"):
-            assert self.bits(getattr(batch, field)) == self.bits(getattr(s, field) for s in scalar)
-        assert batch.kap.tolist() == [s.kap for s in scalar]
-        b = bounds._clamped(spec_b)
-        psd = [bounds._bracket(bounds._selected(spec_a, idx), b, idx.k) for idx in seqs]
-        stable = [bounds._bracket(bounds._selected(spec_a, idx), b, 0) for idx in seqs]
-        assert self.bits(batch.psd_lower) == self.bits(lo for lo, _ in psd)
-        assert self.bits(batch.psd_upper) == self.bits(up for _, up in psd)
-        assert self.bits(batch.stable_lower) == self.bits(lo for lo, _ in stable)
-        assert self.bits(batch.stable_upper) == self.bits(up for _, up in stable)
-        w_lo, w_up = wielandt_sum_bounds_batch(spec_a, spec_b, rows)
-        wielandt = [wielandt_sum_bounds(spec_a, spec_b, idx) for idx in seqs]
-        assert self.bits(w_lo) == self.bits(lo for lo, _ in wielandt)
-        assert self.bits(w_up) == self.bits(up for _, up in wielandt)
-        assert self.bits(selected_sums(spec_a, rows)) == self.bits(
-            selected_sum(spec_a, idx) for idx in seqs
-        )
+        selections = [idx.indices for idx in seqs]
+        a, b_rows = np.array([spec_a.values]), np.array([spec_b.values])
+        # The selections shared by the stack, and as the one instance's own.
+        for index in (selection_index(selections, n), selection_index(selections, n, 1)):
+            batch = bounds.SelectionBoundsBatch(
+                *(x[0] for x in selection_bounds_batch(a, b_rows, index))
+            )
+            scalar = [selection_bounds(spec_a, spec_b, idx) for idx in seqs]
+            for field in ("lower", "upper", "split_upper", "t1", "t2"):
+                assert self.bits(getattr(batch, field)) == self.bits(
+                    getattr(s, field) for s in scalar
+                )
+            assert batch.kap.tolist() == [s.kap for s in scalar]
+            b = bounds._clamped(spec_b)
+            psd = [bounds._bracket(bounds._selected(spec_a, idx), b, idx.k) for idx in seqs]
+            stable = [bounds._bracket(bounds._selected(spec_a, idx), b, 0) for idx in seqs]
+            assert self.bits(batch.psd_lower) == self.bits(lo for lo, _ in psd)
+            assert self.bits(batch.psd_upper) == self.bits(up for _, up in psd)
+            assert self.bits(batch.stable_lower) == self.bits(lo for lo, _ in stable)
+            assert self.bits(batch.stable_upper) == self.bits(up for _, up in stable)
+            w_lo, w_up = wielandt_sum_bounds_batch(a, b_rows, index)
+            wielandt = [wielandt_sum_bounds(spec_a, spec_b, idx) for idx in seqs]
+            assert self.bits(w_lo[0]) == self.bits(lo for lo, _ in wielandt)
+            assert self.bits(w_up[0]) == self.bits(up for _, up in wielandt)
+            assert self.bits(selected_sums(a, index)[0]) == self.bits(
+                selected_sum(spec_a, idx) for idx in seqs
+            )
 
     def test_dimension_guard(self):
-        rows = np.array([[1, 2, 0]])
+        index = selection_index([(1, 2)], 3)
         with pytest.raises(IndexOutOfRange):
-            selected_sums(Spectrum(values=(1.0, 0.0)), rows)
+            selected_sums(np.array([[1.0, 0.0]]), index)
         with pytest.raises(DimensionMismatch):
-            wielandt_sum_bounds_batch(SA, Spectrum(values=(1.0, 0.0)), rows)
+            wielandt_sum_bounds_batch(np.array([SA.values]), np.array([[1.0, 0.0]]), index)

@@ -17,6 +17,7 @@ from eigb.bounds import (
     ratio_tolerance,
     selected_sum,
     selection_bounds,
+    selection_index,
     stable_bounds,
     sum_tolerance,
     trace_bounds,
@@ -42,6 +43,8 @@ from eigb.harness import (
     CheckStats,
     GeneratorSpec,
     InstanceSpectra,
+    SelectionChecks,
+    SpectraStack,
     Tolerances,
     VerificationRecord,
     all_selections,
@@ -51,6 +54,8 @@ from eigb.harness import (
     gen_psd,
     instance_spectra,
     run_campaign,
+    sample_selections,
+    _check_stack,
     _error_record,
     _family_inertia,
     _family_selections,
@@ -437,8 +442,110 @@ class TestCheckSelections:
         assert record.checks[-1].detail.startswith("ConsistencyError")
         assert_batch_matches(sp, all_selections(2))
 
+    def test_negative_class_tolerance_rejected(self):
+        # A negative band makes the positive and negative counts overlap.
+        a = validate_hermitian(np.diag([0.0, -1.0, -2.0]))
+        sp = instance_spectra(a, validate_psd(np.diag([3.0, 2.0, 1.0])))
+        with pytest.raises(ValueError, match="inertia counts must be nonnegative"):
+            check_selections(sp, all_selections(3), Tolerances(tol_class=-1.0))
+
     def test_selection_order(self):
         assert all_selections(3) == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
+def hand_spectra(a, b, ab, total, trace=0.0):
+    """InstanceSpectra from given spectra (B already nonnegative, so raw = clamped)."""
+    return InstanceSpectra(
+        spec_a=Spectrum(values=a),
+        spec_b=Spectrum(values=b),
+        spec_b_raw=Spectrum(values=b),
+        spec_ab=Spectrum(values=ab),
+        spec_sum=Spectrum(values=total),
+        trace_product=trace,
+        norm_scale=1.0,
+    )
+
+
+def heterogeneous_stack():
+    """n = 4 instances that take different branches of every check."""
+    n = 4
+
+    def generated(a_inertia, b_inertia, seed):
+        a = gen_hermitian(GeneratorSpec(n=n, seed=seed, inertia_target=a_inertia))
+        b = gen_psd(GeneratorSpec(n=n, seed=seed + 1, inertia_target=b_inertia))
+        return instance_spectra(a, b)
+
+    with np.errstate(over="ignore"):  # the norm scale of the 1e+-200 pairs
+        extreme = [
+            instance_spectra(
+                validate_hermitian(np.diag([1e200, 1.0, -1.0, -2.0])),
+                validate_psd(np.diag([1.0, 1e200, 2.0, 3.0])),
+            ),
+            instance_spectra(
+                validate_hermitian(1e-200 * gen_hermitian(GeneratorSpec(n=n, seed=3)).matrix),
+                validate_psd(1e200 * gen_psd(GeneratorSpec(n=n, seed=4)).matrix),
+            ),
+        ]
+    return [
+        generated((2, 2, 0), (3, 0, 1), 10),  # singular B: no Ostrowski
+        generated((4, 0, 0), (4, 0, 0), 12),  # PSD A, one-signed product: no gap
+        generated((0, 3, 1), (4, 0, 0), 14),  # NSD A, its zero computed as about 1e-15
+        generated((1, 3, 0), (4, 0, 0), 16),
+        # NSD A with an exact zero, where the product is zero too (a 0/0 ratio).
+        hand_spectra((0.0, -1.0, -2.0, -3.0), (3.0, 2.0, 1.0, 0.5), (0.0, -0.6, -1.5, -4.0),
+                     (2.5, 1.0, -0.5, -1.0), trace=-6.0),
+        # A subnormal eigenvalue of A below the zero cut (an infinite ratio).
+        hand_spectra((2.0, 1e-310, -1.0, -3.0), (3.0, 2.0, 1.0, 0.5), (5.0, 1.0, -1.0, -4.0),
+                     (4.0, 2.0, 0.5, -1.0), trace=1.0),
+        # The product changes sign where A does not: gap_bound raises ConsistencyError.
+        hand_spectra((-0.5, -1.0, -2.0, -3.0), (2.0, 1.5, 1.0, 0.5), (1.0, 0.5, -1.0, -2.0),
+                     (1.5, 0.0, -1.0, -2.5)),
+        *extreme,
+        generated((3, 1, 0), (4, 0, 0), 18),
+    ]
+
+
+def stack_of(spectra):
+    return SpectraStack(*(np.concatenate(x) for x in zip(*map(SpectraStack.of, spectra))))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestStackedChecks:
+    """_check_stack on a stack of different instances gives each instance
+    what check_selections gives it alone, and what the scalar oracle
+    run_checks gives each of its selections."""
+
+    @pytest.mark.parametrize("verify_base", [TOL_VERIFY_BASE, 0.0])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["shared", "per-instance"])
+    def test_matches_each_instance_alone(self, verify_base, sampled):
+        tol = Tolerances(verify_base=verify_base)
+        spectra = heterogeneous_stack()
+        n = 4
+        with pytest.raises(ConsistencyError):
+            gap_bound(spectra[6].spec_a, spectra[6].spec_b, spectra[6].spec_ab)
+        if sampled:
+            rng = np.random.default_rng(5)
+            selections = [sample_selections(rng, n, 9) for _ in spectra]
+            index = selection_index([c for s in selections for c in s], n, len(spectra))
+        else:
+            selections = [all_selections(n)] * len(spectra)
+            index = selection_index(selections[0], n)
+        checked = _check_stack(stack_of(spectra), index, tol)
+        names = {c.name for c in checked.columns}
+        assert {"reduction-psd", "reduction-stable", "gap", "ostrowski", "computation"} <= names
+        for i, (sp, sels) in enumerate(zip(spectra, selections)):
+            stacked = SelectionChecks(checked, i, sels, i, 100 + i)
+            alone = check_selections(sp, sels, tol, instance_id=i, seed=100 + i)
+            assert stacked.passed.tolist() == alone.passed.tolist()
+            for r, c in enumerate(sels):
+                worst = [bits(col.worst[r]) for col in stacked.columns if col.applies[r]]
+                assert worst == [bits(col.worst[r]) for col in alone.columns if col.applies[r]]
+                record = repr(run_checks(sp, IndexSequence(indices=c, n=n), tol, i, 100 + i))
+                assert repr(stacked.record(r)) == repr(alone.record(r)) == record
+            assert [repr(f) for f in stacked.failures] == [repr(f) for f in alone.failures]
 
 
 class TestRunCampaign:
@@ -592,6 +699,19 @@ class TestStackedCampaign:
         config = CampaignConfig(n_min=1, n_max=8)
         got = json.dumps(run_campaign(100, config, 9).to_json_dict())
         assert got == reference_campaign(100, config, 9)
+
+    def test_stacks_merged_in_instance_order(self, monkeypatch):
+        # 100 entries: stacks of 4 instances at n = 5, 2 at n = 6 and 7, 1 at
+        # n = 8, so each window holds many stacks of each n, interleaved in
+        # instance order, with sampled and exhaustive n and failure records.
+        import eigb.harness as harness
+
+        monkeypatch.setattr(harness, "STACK_ENTRIES", 100)
+        config = CampaignConfig(n_min=5, n_max=8, tolerances=Tolerances(verify_base=0.0))
+        count = STACK_WINDOW + 40
+        report = run_campaign(count, config, 13)
+        assert report.failed > 0
+        assert json.dumps(report.to_json_dict()) == reference_campaign(count, config, 13)
 
     def test_failing_instance_redone_alone(self, monkeypatch):
         # LAPACK fails on instance 7's A, inside the stack of all 20

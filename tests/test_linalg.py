@@ -500,14 +500,15 @@ class TestStackedMatchesPerMatrix:
     def test_instance_pipeline(self, n):
         # The stack against instance_spectra as composed from the
         # single-matrix functions, with the trace and norms taken per matrix.
-        from eigb.harness import _instance_spectra
+        from eigb.harness import _spectra_stack
         from eigb.linalg import TOL_HERM, _psd_eig, _validated
 
         a, b = instance_stack(n)
         a_sym, _ = _validated(a, TOL_HERM)
         b_sym, _ = _validated(b, TOL_HERM)
-        stacked = _instance_spectra(a_sym, b_sym, *_psd_eig(b_sym))
-        for i, sp in enumerate(stacked):
+        stacked = _spectra_stack(a_sym, b_sym, *_psd_eig(b_sym))
+        for i in range(len(a)):
+            sp = stacked.instance(i)
             ha = validate_hermitian(a[i].copy())
             pb = validate_psd(b[i].copy())
             assert same_bits(a_sym[i], ha.matrix)
@@ -524,6 +525,23 @@ class TestStackedMatchesPerMatrix:
             for name, value in want.items():
                 got = getattr(sp, name)
                 assert same_bits(getattr(got, "values", got), value), (name, i)
+
+
+    def test_spectrum_checks_on_a_stack(self):
+        # The stacked pipeline checks its spectra as Spectrum does, and
+        # reports the first failing row (instance, then spectrum).
+        from eigb.linalg import _check_spectra
+
+        good = [[2.0, 1.0], [1.0, 1.0]]
+        for bad, message in (([1.0, np.nan], "finite"), ([1.0, 2.0], "non-increasing")):
+            with pytest.raises(ValueError) as stacked:
+                _check_spectra(np.array([good, [good[0], bad]]))
+            with pytest.raises(ValueError) as single:
+                Spectrum(tuple(bad))
+            assert str(stacked.value) == str(single.value) == f"spectrum values must be {message}"
+        with pytest.raises(ValueError, match="non-increasing"):
+            _check_spectra(np.array([[[1.0, 2.0], [1.0, np.inf]]]))
+        _check_spectra(np.array([good, good]))
 
 
 def frobenius_reference(x):

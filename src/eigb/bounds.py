@@ -139,15 +139,16 @@ def zero_cut(spec: Spectrum, tol: float = TOL_CLASS) -> float:
     return tol * _radius(spec)
 
 
-def _product_cut(spec_a: Spectrum, spec_b: Spectrum, tol: float) -> float:
-    """zero_cut for the spectrum of AB, scaled by rho(A) * rho(B).
+def _product_cut(rho_a, rho_b, tol: float):
+    """zero_cut for the spectrum of AB, scaled by rho(A) * rho(B) (_radius of
+    each spectrum: floats, or (m, 1) columns).
 
     That is the scale of the product's rounding, not its spectral radius:
     when the exact product is zero (A vanishes on the range of B) its
     computed spectrum is mixed-sign noise of about eps * rho(A) * rho(B),
     and a band relative to that noise would count it as signed.
     """
-    return tol * _radius(spec_a) * _radius(spec_b)
+    return tol * rho_a * rho_b
 
 
 def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
@@ -156,18 +157,34 @@ def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VE
     k may be an integer array, and the spectra (m, n) arrays (one radius per
     row); the result is then an array, entry by entry equal to the scalar one.
     """
-    return base * (1.0 + _radius(spec_a) * _radius(spec_b) * k)
+    return _verify_tolerance(_radius(spec_a), _radius(spec_b), k, base)
 
 
 def ratio_tolerance(spec_b: Spectrum, base: float = TOL_VERIFY_BASE) -> float:
     """Slack tolerance for ratios bracketed by the spectrum of B (Ostrowski)."""
-    return base * (1.0 + _radius(spec_b))
+    return _ratio_tolerance(_radius(spec_b), base)
 
 
 def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
     """Slack tolerance scaled to the magnitude of a k-term bound for A + B
     (k may be an integer array, as in verify_tolerance)."""
-    return base * (1.0 + (_radius(spec_a) + _radius(spec_b)) * k)
+    return _sum_tolerance(_radius(spec_a), _radius(spec_b), k, base)
+
+
+# The three tolerances from the spectral radii (_radius) of A and B, for a
+# caller that computes each radius once for many checks.
+
+
+def _verify_tolerance(rho_a, rho_b, k, base: float):
+    return base * (1.0 + rho_a * rho_b * k)
+
+
+def _ratio_tolerance(rho_b, base: float):
+    return base * (1.0 + rho_b)
+
+
+def _sum_tolerance(rho_a, rho_b, k, base: float):
+    return base * (1.0 + (rho_a + rho_b) * k)
 
 
 def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
@@ -178,11 +195,12 @@ def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
     return Inertia(positive=positive, negative=negative, zero=len(spec) - positive - negative)
 
 
-def inertia_counts(values: np.ndarray, tol: float = TOL_CLASS) -> np.ndarray:
+def inertia_counts(values: np.ndarray, tol: float = TOL_CLASS, radius=None) -> np.ndarray:
     """inertia_of each row of an (m, n) array of spectra: an (m, 3) integer
     array of (positive, negative, zero) counts.  Raises Inertia's ValueError
-    where a negative tol makes the two bands overlap."""
-    cut = zero_cut(values, tol)
+    where a negative tol makes the two bands overlap.  radius is the rows'
+    _radius, if the caller has it."""
+    cut = tol * (_radius(values) if radius is None else radius)
     positive = (values > cut).sum(axis=1)
     negative = (values < -cut).sum(axis=1)
     zero = values.shape[1] - positive - negative
@@ -368,7 +386,7 @@ def pair_bounds(
     n = len(spec_a)
     if not (1 <= s < t <= n):
         raise IndexOutOfRange(f"need 1 <= s < t <= {n}, got s={s}, t={t}")
-    cut = _product_cut(spec_a, spec_b, tol)
+    cut = _product_cut(_radius(spec_a), _radius(spec_b), tol)
     if spec_ab[s - 1] <= cut:
         raise SignConditionViolated(
             f"product eigenvalue {s} is {spec_ab[s - 1]:.6g}, not positive"
@@ -398,7 +416,7 @@ def gap_bound(
     """
     _require_same_dim(spec_a, spec_b)
     _require_same_dim(spec_a, spec_ab)
-    cut = _product_cut(spec_a, spec_b, tol)
+    cut = _product_cut(_radius(spec_a), _radius(spec_b), tol)
     positives = [i for i, v in enumerate(spec_ab, start=1) if v > cut]
     negatives = [i for i, v in enumerate(spec_ab, start=1) if v < -cut]
     if not positives or not negatives:
@@ -552,19 +570,21 @@ def selection_bounds_batch(
     b: np.ndarray,
     index: SelectionIndex,
     tol: float = TOL_CLASS,
+    radius=None,
 ) -> SelectionBoundsBatch:
     """selection_bounds, psd_product_bounds and stable_bounds of a stack.
 
     a and b are (m, n) arrays, one spectrum per row (b is clamped here, as
     the scalar functions clamp it).  Every sum adds the terms of the scalar
     formula in the same order (_row_sums), so each entry equals the scalar
-    result for that instance and selection bit for bit.
+    result for that instance and selection bit for bit.  radius is a's
+    _radius, if the caller has it.
     """
     _require_same_shape(a, b)
     n = a.shape[1]
     b = np.where(b < 0.0, 0.0, b)
     sel = selected_values(a, index)
-    cut = zero_cut(a, tol)
+    cut = tol * (_radius(a) if radius is None else radius)
     kap = (index.live & (sel >= -cut[..., None])).sum(axis=-2)
     nu = n - (a < -cut).sum(axis=1)
     head = np.arange(n)[:, None] < kap[:, None, :]
@@ -612,11 +632,13 @@ def selection_bounds_batch(
 
 
 def wielandt_sum_bounds_batch(
-    a: np.ndarray, b: np.ndarray, index: SelectionIndex
+    a: np.ndarray, b: np.ndarray, index: SelectionIndex, base=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """wielandt_sum_bounds of a stack (see selection_bounds_batch)."""
+    """wielandt_sum_bounds of a stack (see selection_bounds_batch).  base is
+    selected_sums(a, index), if the caller has it."""
     _require_same_shape(a, b)
-    base = selected_sums(a, index)
+    if base is None:
+        base = selected_sums(a, index)
     return (
         _row_sums(_take(_padded(b[:, ::-1]), index.prefix), base),
         _row_sums(_take(_padded(b), index.prefix), base),
@@ -630,7 +652,7 @@ def trace_bounds_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def gap_bound_batch(
-    a: np.ndarray, b: np.ndarray, ab: np.ndarray, tol: float = TOL_CLASS
+    a: np.ndarray, b: np.ndarray, ab: np.ndarray, radii, tol: float = TOL_CLASS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
     """gap_bound of each instance of a stack: (applies, gap, bound, errors).
 
@@ -638,15 +660,17 @@ def gap_bound_batch(
     (m,) arrays, read only there.  An instance whose product spectrum is
     one-signed (NoSignChange) does not apply; one for which gap_bound raises
     ConsistencyError does not either, and errors maps it to that error.
+    radii is the _radius of a and of b.
     """
     rows = np.arange(len(a))
     n = a.shape[1]
-    cut = _product_cut(a, b, tol)
+    rho_a, rho_b = radii
+    cut = _product_cut(rho_a, rho_b, tol)
     positive, negative = ab > cut, ab < -cut
     signed = positive.any(axis=1) & negative.any(axis=1)
     p = n - 1 - np.argmax(positive[:, ::-1], axis=1)
     q = np.argmax(negative, axis=1)
-    cut_a = zero_cut(a, tol)[:, 0]
+    cut_a = tol * rho_a[:, 0]
     a_p, a_q = a[rows, p], a[rows, q]
     wrong = signed & ((a_p <= -cut_a) | (a_q >= cut_a))
     errors = {
@@ -669,7 +693,7 @@ class OstrowskiBatch(NamedTuple):
 
 
 def ostrowski_batch(
-    a: np.ndarray, ab: np.ndarray, b: np.ndarray, tol: float = TOL_CLASS
+    a: np.ndarray, ab: np.ndarray, b: np.ndarray, radii, tol: float = TOL_CLASS
 ) -> OstrowskiBatch:
     """The Ostrowski check's values for a stack: what Python's min gives over
     each instance's ratios, the first of equal values included.
@@ -677,18 +701,20 @@ def ostrowski_batch(
     A reported ratio divides a finite value by one above the zero cut, so
     it is finite or infinite but never NaN, and neither are its distances
     to the finite bounds; each minimum is then the entry np.argmin finds
-    first among the reported ratios (the others read +inf there).
+    first among the reported ratios (the others read +inf there).  radii is
+    the _radius of a and of b.
     """
     rows = np.arange(len(a))
     low, high = b[:, -1], b[:, 0]
-    used = np.abs(a) > zero_cut(a, tol)
+    rho_a, rho_b = radii
+    used = np.abs(a) > tol * rho_a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = ab / a
         to_low = np.where(used, ratios - low[:, None], np.inf)
         to_high = np.where(used, high[:, None] - ratios, np.inf)
     nearest = np.where(to_high < to_low, to_high, to_low)
     return OstrowskiBatch(
-        applies=(low > zero_cut(b, tol)[:, 0]) & used.any(axis=1),
+        applies=(low > tol * rho_b[:, 0]) & used.any(axis=1),
         low=low,
         high=high,
         offender=ratios[rows, np.argmin(nearest, axis=1)],

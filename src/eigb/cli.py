@@ -189,14 +189,15 @@ _VERIFY_SAMPLE_COUNT = 200
 
 def cmd_verify(args) -> int:
     a, b = _load_pair(args)
-    sp = harness.instance_spectra(a, b)
+    sp = harness._instance_stack(a, b)
     n = a.n
 
     if args.indices is not None:
         selections = [_parse_indices(args.indices, n).indices]
         print(f"checking 1 selection on n={n}")
     elif n <= _VERIFY_EXHAUSTIVE_MAX_N:
-        selections = harness.all_selections(n)
+        # Shared with every later call in this process, with its index.
+        selections = harness._exhaustive(n)[0]
         print(f"checking all {len(selections)} selections on n={n}")
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)

@@ -33,19 +33,19 @@ from .bounds import (
     SelectionIndex,
     TOL_CLASS,
     TOL_VERIFY_BASE,
+    _radius,
+    _ratio_tolerance,
+    _sum_tolerance,
+    _verify_tolerance,
     gap_bound_batch,
     inertia_counts,
     ostrowski_batch,
-    ratio_tolerance,
     selected_sums,
     selected_values,
     selection_bounds_batch,
     selection_index,
-    sum_tolerance,
     trace_bounds_batch,
-    verify_tolerance,
     wielandt_sum_bounds_batch,
-    zero_cut,
 )
 from .errors import (
     EigbError,
@@ -58,8 +58,8 @@ from .linalg import (
     PSDMatrix,
     Spectrum,
     _check_spectra,
-    _eig,
     _eig_stack,
+    _eig_values,
     _frobenius_norms,
     _product_values,
     _psd_eig,
@@ -118,8 +118,10 @@ class GeneratorSpec:
 
 
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An iid complex Gaussian n x n matrix."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    """An iid complex Gaussian n x n matrix: the real parts drawn first, then
+    the imaginary parts, in one call."""
+    re, im = rng.standard_normal((2, n, n))
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _haar_unitary(z: np.ndarray) -> np.ndarray:
@@ -143,15 +145,11 @@ def _target_values(rng: np.random.Generator, spec: GeneratorSpec, nonnegative: b
     if pos is None:
         mags = rng.uniform(lo, hi, size=spec.n)
         signs = rng.integers(0, 2, size=spec.n) * 2 - 1
-        values = mags * signs
-    else:
-        values = np.concatenate(
-            [
-                rng.uniform(lo, hi, size=pos),
-                -rng.uniform(lo, hi, size=neg),
-                np.zeros(zero),
-            ]
-        )
+        return mags * signs
+    # The positive magnitudes, then the negative ones, from one draw.
+    values = np.zeros(pos + neg + zero)
+    values[: pos + neg] = rng.uniform(lo, hi, size=pos + neg)
+    np.negative(values[pos : pos + neg], out=values[pos : pos + neg])
     return values
 
 
@@ -163,7 +161,7 @@ def _generated(specs: Sequence[GeneratorSpec], nonnegative: bool) -> np.ndarray:
         raise InvalidSpec("PSD target cannot contain negative eigenvalues")
     values, z = [], []
     for spec in specs:
-        rng = np.random.default_rng(spec.seed)
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
         values.append(_target_values(rng, spec, nonnegative))
         z.append(_gaussian(rng, spec.n))
     q = _haar_unitary(np.stack(z))
@@ -183,6 +181,25 @@ def gen_psd(spec: GeneratorSpec) -> PSDMatrix:
 def all_selections(n: int) -> list[tuple[int, ...]]:
     """Every nonempty selection of 1..n as an index tuple: by size, then lexicographic."""
     return [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+
+
+# n -> _exhaustive(n).  Only the exhaustive checks fill it: a campaign's up to
+# EXHAUSTIVE_MAX_N and `eigb verify`'s up to n = 10, about 0.8 MB for all of
+# n = 1..10.
+_EXHAUSTIVE: dict[int, tuple[tuple[tuple[int, ...], ...], SelectionIndex]] = {}
+
+
+def _exhaustive(n: int) -> tuple[tuple[tuple[int, ...], ...], SelectionIndex]:
+    """all_selections(n) as a tuple, and its SelectionIndex with read-only
+    arrays: built once per n per process and shared by every caller."""
+    cached = _EXHAUSTIVE.get(n)
+    if cached is None:
+        selections = tuple(all_selections(n))
+        index = selection_index(selections, n)
+        for array in index:
+            array.flags.writeable = False
+        cached = _EXHAUSTIVE[n] = (selections, index)
+    return cached
 
 
 @dataclass(frozen=True)
@@ -296,7 +313,12 @@ class SpectraStack(NamedTuple):
 
 
 def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> InstanceSpectra:
-    return _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b)).instance(0)
+    return _instance_stack(a, b).instance(0)
+
+
+def _instance_stack(a: HermitianMatrix, b: PSDMatrix) -> SpectraStack:
+    """instance_spectra as a stack of one instance."""
+    return _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b))
 
 
 def _spectra_stack(
@@ -305,11 +327,13 @@ def _spectra_stack(
     """instance_spectra for a stack of instances: validated A and B as
     (m, n, n) stacks, with B's eigendecomposition from validate_psd.  Each
     spectrum passes Spectrum's checks, as if built one at a time."""
-    values_a = _eig(a)[0]
+    values_a = _eig_values(a)
     values_ab = _product_values(a, b_values, b_vectors)
-    values_sum = _eig(_validated(a + b, TOL_HERM)[0])[0]
+    values_sum = _eig_values(_validated(a + b, TOL_HERM)[0])
     traces = np.trace(a @ b, axis1=-2, axis2=-1).real
-    norm_scales = 1.0 + _frobenius_norms(a) * _frobenius_norms(b)
+    # The product of the norms overflows to inf at extreme scales.
+    with np.errstate(over="ignore"):
+        norm_scales = 1.0 + _frobenius_norms(a) * _frobenius_norms(b)
     # PSDMatrix.spectrum: eigenvalues of B below zero, within tolerance, read as zero.
     clamped = np.where(b_values < 0.0, 0.0, b_values)
     stack = SpectraStack(values_a, clamped, b_values, values_ab, values_sum, traces, norm_scales)
@@ -434,7 +458,7 @@ class SelectionChecks(NamedTuple):
 
 
 def check_selections(
-    sp: InstanceSpectra,
+    sp: InstanceSpectra | SpectraStack,
     selections: Sequence[tuple[int, ...]],
     tol: Tolerances = Tolerances(),
     instance_id: int = 0,
@@ -443,7 +467,8 @@ def check_selections(
     """Evaluate every applicable inequality on every selection of one
     instance, in one numpy pass.
 
-    Each check is a column over the selections (overflow to inf and nan
+    sp is the instance's InstanceSpectra, or its SpectraStack of one.  Each
+    check is a column over the selections (overflow to inf and nan
     included, silently as with Python floats).  The checks that do not
     depend on the selection (gap, Ostrowski and the trace pair) are
     evaluated once.  Records are read off the columns, and built only when
@@ -451,11 +476,18 @@ def check_selections(
     errors never propagate: they end each record with a failed
     "computation" check.  This is a campaign's stacked check
     (_check_stack) on a stack of one instance.
+
+    The selections of _exhaustive(n) are checked against the SelectionIndex
+    cached with them; any other selections get an index built here.
     """
-    index = selection_index(selections, len(sp.spec_a))
-    return SelectionChecks(
-        _check_stack(SpectraStack.of(sp), index, tol), 0, selections, instance_id, seed
-    )
+    stack = sp if isinstance(sp, SpectraStack) else SpectraStack.of(sp)
+    n = stack.spec_a.shape[1]
+    cached = _EXHAUSTIVE.get(n)
+    if cached is not None and selections is cached[0]:
+        index = cached[1]
+    else:
+        index = selection_index(selections, n)
+    return SelectionChecks(_check_stack(stack, index, tol), 0, selections, instance_id, seed)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -468,21 +500,31 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
     whose gap check raises ConsistencyError gets, in place of the gap,
     Ostrowski and Wielandt checks, a failed "computation" check on each of
     its selections, as check_selections gives it for that instance alone.
+    The radii of A and B are computed once, for every zero cut and tolerance.
     """
-    a, b, ab = sp.spec_a, sp.spec_b, sp.spec_ab
+    a, b, ab, total = sp.spec_a, sp.spec_b, sp.spec_ab, sp.spec_sum
     n = a.shape[1]
     ks = index.ks
     every = np.ones((len(a), ks.shape[-1]), dtype=bool)
-    sums = selection_bounds_batch(a, b, index, tol.tol_class)
-    inertia = inertia_counts(a, tol.tol_class)
-    tau = verify_tolerance(a, b, ks, tol.verify_base)
+    radii = rho_a, rho_b = _radius(a), _radius(b)
+    sums = selection_bounds_batch(a, b, index, tol.tol_class, rho_a)
+    inertia = inertia_counts(a, tol.tol_class, rho_a)
+    tau = _verify_tolerance(rho_a, rho_b, ks, tol.verify_base)
     columns: list[CheckColumn] = []
 
     def split_terms(i: int, r: int) -> str:
         return f"T1={sums.t1[i, r].item()!r} T2={sums.t2[i, r].item()!r}"
 
     try:
-        actual = selected_sums(ab, index)
+        # With one index for the whole stack, the selected sums of AB, A + B
+        # and A are gathered and added as one (3m, n) array.
+        fused = index.pos.ndim == 2 and ab.shape == total.shape == a.shape
+        if fused:
+            actual, w_actual, a_sums = selected_sums(np.concatenate((ab, total, a)), index).reshape(
+                3, len(a), -1
+            )
+        else:
+            actual, w_actual, a_sums = selected_sums(ab, index), None, None
         columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
         columns.append(
             _upper_column("dominance", sums.upper, sums.split_upper, tau, every, split_terms)
@@ -495,7 +537,7 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
         stable = inertia[:, 0] == 0
         if stable.any():
             sel = selected_values(a, index)
-            cut = zero_cut(a, tol.tol_class)[..., None]
+            cut = (tol.tol_class * rho_a)[..., None]
             exact = ~np.any(index.live & (sel >= -cut) & (sel != 0.0), axis=-2)
             columns.append(
                 _reduction_column(
@@ -521,7 +563,7 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
                 )
             )
 
-        signed, gap, bound, errors = gap_bound_batch(a, b, ab, tol.tol_class)
+        signed, gap, bound, errors = gap_bound_batch(a, b, ab, radii, tol.tol_class)
         inconsistent = np.zeros(len(a), dtype=bool)
         inconsistent[list(errors)] = True
         consistent = every & ~inconsistent[:, None]
@@ -530,7 +572,7 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
                 _upper_column("gap", gap[:, None], bound[:, None], tau, every & signed[:, None])
             )
 
-        ost = ostrowski_batch(a, ab, b, tol.tol_class)
+        ost = ostrowski_batch(a, ab, b, radii, tol.tol_class)
         if ost.applies.any():
             columns.append(
                 _bracket_column(
@@ -538,15 +580,16 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
                     ost.low[:, None],
                     ost.offender[:, None],
                     ost.high[:, None],
-                    ratio_tolerance(b, tol.verify_base),
+                    _ratio_tolerance(rho_b, tol.verify_base),
                     consistent & ost.applies[:, None],
                     (ost.worst_low[:, None], ost.worst_high[:, None]),
                 )
             )
 
-        w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index)
-        w_actual = selected_sums(sp.spec_sum, index)
-        tau_sum = sum_tolerance(a, b, ks, tol.verify_base)
+        w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index, a_sums)
+        if w_actual is None:
+            w_actual = selected_sums(total, index)
+        tau_sum = _sum_tolerance(rho_a, rho_b, ks, tol.verify_base)
         columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, consistent))
         if errors:
             columns.append(
@@ -723,10 +766,10 @@ def _family_selections(
     if family >= 2:
         if nu >= 1:
             k = int(rng.integers(1, nu + 1))
-            chosen.add(tuple(sorted(rng.choice(range(1, nu + 1), size=k, replace=False).tolist())))
+            chosen.add(tuple(sorted((1 + rng.choice(nu, size=k, replace=False)).tolist())))
         if nu < n:
             k = int(rng.integers(1, n - nu + 1))
-            chosen.add(tuple(sorted(rng.choice(range(nu + 1, n + 1), size=k, replace=False).tolist())))
+            chosen.add(tuple(sorted((nu + 1 + rng.choice(n - nu, size=k, replace=False)).tolist())))
         if 1 <= nu < n:
             lo = int(rng.integers(1, nu + 1))
             hi = int(rng.integers(nu + 1, n + 1))
@@ -743,7 +786,7 @@ def sample_selections(
     count = min(count, 2**n - 1)
     while len(chosen) < count:
         k = int(rng.integers(1, n + 1))
-        chosen.add(tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())))
+        chosen.add(tuple(sorted((1 + rng.choice(n, size=k, replace=False)).tolist())))
     return sorted(chosen)
 
 
@@ -761,7 +804,7 @@ class _Plan(NamedTuple):
 def _plan(i: int, master_seed: int, config: CampaignConfig) -> _Plan:
     """Instance i's dimension and inertia: the first draws of its own generator."""
     seed_i = derive_seed(master_seed, i)
-    rng = np.random.default_rng(seed_i)
+    rng = np.random.Generator(np.random.PCG64(seed_i))
     if config.inertia is not None:
         inertia = config.inertia
         n = sum(inertia)
@@ -861,22 +904,15 @@ class _Tally:
 
 
 def _campaign_selections(
-    sp: SpectraStack,
-    members: list[int],
-    plans: Sequence[_Plan],
-    tol: Tolerances,
-    exhaustive: dict[int, tuple[list[tuple[int, ...]], SelectionIndex]],
-) -> tuple[list[list[tuple[int, ...]]], SelectionIndex]:
+    sp: SpectraStack, members: list[int], plans: Sequence[_Plan], tol: Tolerances
+) -> tuple[list[Sequence[tuple[int, ...]]], SelectionIndex]:
     """What each instance of a stack checks, and its SelectionIndex: every
-    selection up to EXHAUSTIVE_MAX_N (shared, built once per n in
-    exhaustive), else SAMPLED_SEQUENCES drawn by each instance's own
-    generator around its count of nonnegative eigenvalues."""
+    selection up to EXHAUSTIVE_MAX_N (shared, from _exhaustive), else
+    SAMPLED_SEQUENCES drawn by each instance's own generator around its
+    count of nonnegative eigenvalues."""
     n = sp.spec_a.shape[1]
     if n <= EXHAUSTIVE_MAX_N:
-        if n not in exhaustive:
-            selections = all_selections(n)
-            exhaustive[n] = (selections, selection_index(selections, n))
-        selections, index = exhaustive[n]
+        selections, index = _exhaustive(n)
         return [selections] * len(members), index
     inertia = inertia_counts(sp.spec_a, tol.tol_class)
     sampled = [
@@ -900,7 +936,9 @@ def run_campaign(
     a stack at a time (_check_stack), and their results merged back into
     instance order (_Tally).  An instance whose stack failed is generated,
     solved and checked on its own, exactly as the stack would have done it,
-    so the report is the same as one instance at a time.
+    so the report is the same as one instance at a time.  Instances up to
+    EXHAUSTIVE_MAX_N check the selections of _exhaustive(n), whose index is
+    built once per n per process, not once per campaign.
     """
     if count < 1:
         raise InvalidCount(f"instance count must be >= 1, got {count}")
@@ -910,8 +948,6 @@ def run_campaign(
     total = 0
     passed = 0
     tol = config.tolerances
-    # n -> all_selections(n) and its index, shared by the instances of that n.
-    exhaustive: dict[int, tuple[list[tuple[int, ...]], SelectionIndex]] = {}
 
     for first in range(0, count, STACK_WINDOW):
         window = range(first, min(first + STACK_WINDOW, count))
@@ -922,7 +958,7 @@ def run_campaign(
             if sp is None:
                 redo += members
                 continue
-            selections, index = _campaign_selections(sp, members, plans, tol, exhaustive)
+            selections, index = _campaign_selections(sp, members, plans, tol)
             tally.add(members, _check_stack(sp, index, tol), selections)
         # In instance order, so that a generation error propagates as it would one at a time.
         for j in sorted(redo):
@@ -931,12 +967,12 @@ def run_campaign(
             a = gen_hermitian(plan.a)
             b = gen_psd(plan.b)
             try:
-                sp = _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b))
+                sp = _instance_stack(a, b)
             except EigbError as exc:
                 full = IndexSequence(indices=tuple(range(1, n + 1)), n=n)
                 tally.error(j, _error_record(exc, n, full, plan.index, plan.seed))
                 continue
-            selections, index = _campaign_selections(sp, [j], plans, tol, exhaustive)
+            selections, index = _campaign_selections(sp, [j], plans, tol)
             tally.add([j], _check_stack(sp, index, tol), selections)
         tally.flush(stats, failures)
         total += tally.total

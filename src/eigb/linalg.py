@@ -49,7 +49,7 @@ JACOBI_MAX_SWEEPS = 60
 
 def _finite(m: np.ndarray) -> np.ndarray:
     """m itself, if every entry of it is finite; NonFinite otherwise."""
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m.real).all() or not np.isfinite(m.imag).all():
         raise NonFinite("matrix contains NaN or infinite entries")
     return m
 
@@ -167,7 +167,7 @@ def _validated(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     sym, defects = _symmetrized(_finite(m))
     scaled, exponents = _unit_scaled(m)
     exponents = exponents[:, 0, 0]
-    limits = tol * np.max(np.abs(scaled), axis=(-2, -1))
+    limits = tol * np.abs(scaled).max(axis=(-2, -1))
     rejected = np.ldexp(defects, -exponents) > limits
     if rejected.any():
         i = int(np.argmax(rejected))
@@ -184,15 +184,15 @@ def _symmetrized(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     large as the entries.
     """
     adjoint = m.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore"):
-        defects = np.max(np.abs(m - adjoint), axis=(-2, -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (m + adjoint) / 2.0
+        defects = np.abs(m - adjoint).max(axis=(-2, -1))
+        sym = m + adjoint
+        sym /= 2.0
     # The sum overflows for entries above about 9e307.  Halving first is
     # exact at that magnitude, but rounds subnormals, so only the
     # overflowed entries are recomputed that way.
-    overflowed = ~np.isfinite(sym)
-    if overflowed.any():
+    if not np.isfinite(sym).all():
+        overflowed = ~np.isfinite(sym)
         sym[overflowed] = m[overflowed] / 2.0 + adjoint[overflowed] / 2.0
     # Diagonal of (M + M*)/2 is real in exact arithmetic; force it so.
     diagonal = np.arange(m.shape[-1])
@@ -277,15 +277,11 @@ def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     neither overflows nor underflows.  ldexp, not a multiplication by
     2.0 ** -e, which overflows for a subnormal peak.
     """
-    peak = np.maximum(
-        np.max(np.abs(m.real), axis=(-2, -1), keepdims=True, initial=0.0),
-        np.max(np.abs(m.imag), axis=(-2, -1), keepdims=True, initial=0.0),
-    )
+    # Each row as its real and imaginary parts, interleaved: (..., n, 2n).
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    peak = np.abs(parts).max(axis=(-2, -1), keepdims=True, initial=0.0)
     exponents = np.frexp(peak)[1]
-    scaled = np.empty_like(m, dtype=np.complex128)
-    scaled.real = np.ldexp(m.real, -exponents)
-    scaled.imag = np.ldexp(m.imag, -exponents)
-    return scaled, exponents
+    return np.ldexp(parts, -exponents).view(np.complex128), exponents
 
 
 def _off_norm(a: np.ndarray) -> float:
@@ -310,14 +306,27 @@ def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled back by 2^e, so the result does not depend on how M is scaled
     until the eigenvalues themselves leave the floating-point range
     (NonFinite).  A LAPACK failure on any matrix of the stack surfaces as
-    NoConvergence.
+    NoConvergence.  _eig_values is the same call for callers that read only
+    the eigenvalues: it leaves the eigenvector columns unordered.
     """
+    values, order, vectors = _eigh(m)
+    return values, _ordered_columns(vectors, order)
+
+
+def _eig_values(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues (m, n) of _eig, each row descending."""
+    return _eigh(m)[0]
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eig's eigenvalues, the order (m, n) that sorted them, and the
+    eigenvector columns in LAPACK's order."""
     work, exponents = _unit_scaled(m)
     try:
         values, vectors = eigh(work)
     except LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
-    return _finish_eig(values, vectors, exponents)
+    return (*_finish_eig(values, exponents), vectors)
 
 
 def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
@@ -355,24 +364,26 @@ def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
                 if abs(work[p, q]) > threshold:
                     _jacobi_rotate(work, vectors, p, q)
         sweeps += 1
-    return _decomposition(*_finish_eig(work.diagonal().real[None], vectors[None], exponents))
+    values, order = _finish_eig(work.diagonal().real[None], exponents)
+    return _decomposition(values, _ordered_columns(vectors[None], order))
 
 
-def _finish_eig(
-    values: np.ndarray, vectors: np.ndarray, exponents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _finish_eig(values: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale the eigenvalues (m, n) of each M / 2^e back by 2^e (exponents as
-    _unit_scaled gives them); sort each row descending, stably, with its
-    eigenvector columns."""
+    _unit_scaled gives them) and sort each row descending, stably: the
+    sorted rows and the order (m, n) that sorts them."""
     with np.errstate(over="ignore"):
         values = np.ldexp(values, exponents[..., 0])
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFinite("eigenvalues exceed the floating-point range")
     order = np.argsort(-values, axis=-1, kind="stable")
-    return (
-        np.take_along_axis(values, order, axis=-1),
-        np.take_along_axis(vectors, order[..., None, :], axis=-1),
-    )
+    return values[np.arange(len(values))[:, None], order], order
+
+
+def _ordered_columns(vectors: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The columns of each matrix of a stack (m, n, n) in the order of its row of order (m, n)."""
+    m, n = order.shape
+    return vectors[np.arange(m)[:, None, None], np.arange(n)[:, None], order[:, None, :]]
 
 
 def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
@@ -423,7 +434,7 @@ def _product_values(a: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray) 
         n, k = a.shape[-1], b_values.shape[-1]
         raise DimensionMismatch(f"A is {n}x{n} but B is {k}x{k}")
     root = _psd_root(b_values, b_vectors)[0]
-    return _eig(_symmetrized(_finite(root @ a @ root))[0])[0]
+    return _eig_values(_symmetrized(_finite(root @ a @ root))[0])
 
 
 def frobenius_norm(x) -> float:

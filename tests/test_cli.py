@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON output, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,29 @@ class TestVerify:
             save_matrix(b_path, (q * [3.0, 1.0, 0.0, 0.0]) @ q.conj().T)
             assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0, seed
             assert "all inequalities hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["bounds", "--indices", "1", "--tol-verify", "0"],
+            ["bounds", "--indices", "2", "--json"],
+        ],
+        ids=["verify", "bounds", "bounds-json"],
+    )
+    def test_extreme_scale_prints_no_warning(self, tmp_path, capsys, argv):
+        # ||A||_F * ||B||_F overflows for A = diag(1e200, 1) against
+        # B = diag(1, 1e200), though every spectrum is finite: the overflow
+        # must stay silent, as numpy warnings turned into errors show.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.diag([1e200, 1.0]))
+        save_matrix(b_path, np.diag([1.0, 1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--a", str(a_path), "--b", str(b_path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code in (0, 1) and captured.out
 
     def test_ostrowski_tolerance_scales_with_b(self, tmp_path, capsys):
         # The Ostrowski ratios are about 1e200 here, so their rounding error

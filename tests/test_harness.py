@@ -57,8 +57,11 @@ from eigb.harness import (
     sample_selections,
     _check_stack,
     _error_record,
+    _exhaustive,
     _family_inertia,
     _family_selections,
+    _gaussian,
+    _instance_stack,
     _plan,
     _target_values,
 )
@@ -133,6 +136,90 @@ class TestGenHermitian:
         targets = np.sort(_target_values(np.random.default_rng(3), spec, nonnegative=False))[::-1]
         got = np.array(hermitian_eig(gen_hermitian(spec)).spectrum.values)
         np.testing.assert_allclose(got, targets, rtol=1e-9, atol=1e-9)
+
+
+def old_target_values(rng, spec, nonnegative):
+    """_target_values as first written: one draw for the positive magnitudes,
+    one for the negative ones."""
+    lo, hi = spec.eigenvalue_range
+    if spec.inertia_target is None and not nonnegative:
+        mags = rng.uniform(lo, hi, size=spec.n)
+        return mags * (rng.integers(0, 2, size=spec.n) * 2 - 1)
+    pos, neg, zero = spec.inertia_target or (spec.n, 0, 0)
+    return np.concatenate(
+        [rng.uniform(lo, hi, size=pos), -rng.uniform(lo, hi, size=neg), np.zeros(zero)]
+    )
+
+
+def old_gaussian(rng, n):
+    """_gaussian as first written: the real and imaginary parts in two draws."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+
+def old_sample_selections(rng, n, count, chosen=()):
+    """sample_selections as first written, drawing from a range of indices."""
+    chosen = set(chosen)
+    count = min(count, 2**n - 1)
+    while len(chosen) < count:
+        k = int(rng.integers(1, n + 1))
+        chosen.add(tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())))
+    return sorted(chosen)
+
+
+def old_family_selections(rng, family, n, nu, count):
+    """_family_selections as first written, drawing from ranges of indices."""
+    chosen = set()
+    if family >= 2:
+        if nu >= 1:
+            k = int(rng.integers(1, nu + 1))
+            chosen.add(tuple(sorted(rng.choice(range(1, nu + 1), size=k, replace=False).tolist())))
+        if nu < n:
+            k = int(rng.integers(1, n - nu + 1))
+            chosen.add(tuple(sorted(rng.choice(range(nu + 1, n + 1), size=k, replace=False).tolist())))
+        if 1 <= nu < n:
+            lo = int(rng.integers(1, nu + 1))
+            hi = int(rng.integers(nu + 1, n + 1))
+            chosen.add((lo, hi))
+    return old_sample_selections(rng, n, count, chosen)
+
+
+class TestGeneratorStreams:
+    """The generators draw in fewer, larger calls than they were first
+    written with, from the same streams: every value is the old one, to the
+    bit, and each generator is left in the same state."""
+
+    INERTIAS = [None, (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3),
+                (2, 3, 0), (2, 0, 3), (0, 2, 3), (2, 2, 1), (1, 5, 2)]
+
+    @pytest.mark.parametrize(
+        "inertia, nonnegative",
+        [(t, False) for t in INERTIAS] + [(t, True) for t in INERTIAS if t is None or not t[1]],
+        ids=str,
+    )
+    def test_instance_draws(self, inertia, nonnegative):
+        for seed in range(20):
+            n = sum(inertia) if inertia else 1 + seed % 8
+            spec = GeneratorSpec(n=n, seed=seed, inertia_target=inertia)
+            new = np.random.Generator(np.random.PCG64(seed))
+            old = np.random.default_rng(seed)
+            assert bits(_target_values(new, spec, nonnegative)) == bits(
+                old_target_values(old, spec, nonnegative)
+            )
+            got, want = _gaussian(new, n), old_gaussian(old, n)
+            assert bits(got.real) == bits(want.real) and bits(got.imag) == bits(want.imag)
+            assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_selection_draws(self, n):
+        for seed in range(8):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_selections(new, n, 12) == old_sample_selections(old, n, 12)
+            for family in range(5):
+                for nu in range(n + 1):
+                    assert _family_selections(new, family, n, nu, 12) == old_family_selections(
+                        old, family, n, nu, 12
+                    )
+            assert new.bit_generator.state == old.bit_generator.state
 
 
 class TestGenPsd:
@@ -451,6 +538,49 @@ class TestCheckSelections:
 
     def test_selection_order(self):
         assert all_selections(3) == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
+class TestExhaustiveCache:
+    """_exhaustive(n): all_selections(n) and its SelectionIndex, built once
+    per n and shared, read-only, by every exhaustive check."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_a_fresh_index(self, n):
+        selections, index = _exhaustive(n)
+        assert selections == tuple(all_selections(n))
+        fresh = selection_index(all_selections(n), n)
+        for name, got, want in zip(index._fields, index, fresh):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert _exhaustive(n) is _exhaustive(n)
+
+    def test_read_only(self):
+        _, index = _exhaustive(4)
+        for array in index:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_all_selections_is_a_fresh_list(self):
+        selections = all_selections(5)
+        assert isinstance(selections, list) and selections is not all_selections(5)
+        selections.clear()
+        assert _exhaustive(5)[0] == tuple(all_selections(5))
+        assert len(_exhaustive(5)[0]) == 31
+
+    @pytest.mark.parametrize("verify_base", [TOL_VERIFY_BASE, 0.0])
+    @pytest.mark.parametrize("n", [1, 4, 7, 10])
+    def test_records_match_a_fresh_index(self, n, verify_base):
+        # The cached selections check against the cached index, a list of
+        # the same selections against an index built for it: every record,
+        # passing or not, is the same.
+        tol = Tolerances(verify_base=verify_base)
+        a = gen_hermitian(GeneratorSpec(n=n, seed=n, inertia_target=(n // 2, n - n // 2, 0)))
+        b = gen_psd(GeneratorSpec(n=n, seed=n + 1, inertia_target=(n - 1, 0, 1)))
+        cached = check_selections(_instance_stack(a, b), _exhaustive(n)[0], tol)
+        fresh = check_selections(instance_spectra(a, b), all_selections(n), tol)
+        assert cached.passed.tolist() == fresh.passed.tolist()
+        for r in range(2**n - 1):
+            assert repr(cached.record(r)) == repr(fresh.record(r))
 
 
 def hand_spectra(a, b, ab, total, trace=0.0):

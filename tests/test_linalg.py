@@ -454,6 +454,41 @@ def instance_stack(n, m=5, seed=0):
     return np.stack(a), np.stack(b)
 
 
+class TestEigOrder:
+    """_eig sorts each row of eigenvalues descending, stably, and its
+    eigenvector columns with it; _eig_values gives the same eigenvalues."""
+
+    def test_matches_take_along_axis(self):
+        from eigb.linalg import _finish_eig, _ordered_columns
+
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((6, 7))
+        # Ties, signed zeros among them: a stable sort keeps their order.
+        values[1] = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 1.0]
+        values[2] = -0.0
+        vectors = rng.standard_normal((6, 7, 7))
+        exponents = rng.integers(-3, 4, size=(6, 1, 1))
+        got, order = _finish_eig(values, exponents)
+        scaled = np.ldexp(values, exponents[..., 0])
+        want = np.argsort(-scaled, axis=-1, kind="stable")
+        assert order.tolist() == want.tolist()
+        assert same_bits(got, np.take_along_axis(scaled, want, axis=-1))
+        assert same_bits(
+            _ordered_columns(vectors, order), np.take_along_axis(vectors, want[:, None, :], axis=-1)
+        )
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_values_alone(self, n):
+        from eigb.linalg import TOL_HERM, _eig, _eig_values, _validated
+
+        a, _ = _validated(instance_stack(n)[0], TOL_HERM)
+        values, vectors = _eig(a)
+        assert same_bits(_eig_values(a), values)
+        for i in range(len(a)):
+            d = hermitian_eig(validate_hermitian(a[i].copy()))
+            assert same_bits(vectors[i], d.vectors)
+
+
 class TestStackedMatchesPerMatrix:
     """Campaigns generate and solve instances in same-n stacks and must report
     what one instance at a time reports.  That rests on numpy running LAPACK

@@ -21,9 +21,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import add
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -84,7 +84,8 @@ STACK_ENTRIES = 1 << 16
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Stable splittable hash (splitmix64 finalizer) for per-instance seeds."""
+    """Stable splittable hash (splitmix64 finalizer) for per-instance seeds.
+    The master seed is read mod 2^64."""
     x = (int(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -94,9 +95,61 @@ def derive_seed(master_seed: int, index: int) -> int:
     return x
 
 
+# derive_seed's increments (index + 1) * golden ratio for index 0..3.
+_WORD_STEPS = np.array([(j * 0x9E3779B97F4A7C15) & _MASK64 for j in range(1, 5)], dtype=np.uint64)
+
+
+def _words(seeds: Iterable[int]) -> np.ndarray:
+    """[derive_seed(s, j) for j in 0..3] for each seed, as a (len, 4) uint64
+    array computed in one pass: each seed's stream state.  Every operand is
+    uint64, so the arithmetic wraps mod 2^64 under any numpy's promotion
+    rules."""
+    u64 = np.uint64
+    x = np.array([int(s) & _MASK64 for s in seeds], dtype=u64)[:, None] + _WORD_STEPS
+    x ^= x >> u64(30)
+    x *= u64(0xBF58476D1CE4E5B9)
+    x ^= x >> u64(27)
+    x *= u64(0x94D049BB133111EB)
+    x ^= x >> u64(31)
+    return x
+
+
+def _streams(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator set to each stream of words (from _words) in turn.
+
+    A seed's stream is the PCG64 generator whose 128-bit state is words 0
+    and 1 and whose increment is words 2 and 3, made odd as PCG requires
+    (SplitMix seeding: Steele, Lea & Flood, OOPSLA 2014).  Setting the state
+    also clears the buffered 32-bit half, so a stream's draws do not depend
+    on what was drawn before it.  The same Generator is yielded each time:
+    draw from it before taking the next.
+    """
+    # The carrier's own seed is never drawn from: each stream replaces its state.
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo | 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def _below(u: np.ndarray, count) -> np.ndarray:
+    """floor(u * count) for uniforms u in [0, 1): uniform on 0..count - 1
+    (the product rounds below count for every count up to 2^53)."""
+    return (u * count).astype(np.intp)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for one random matrix: dimension, spectrum shape, and seed."""
+    """Recipe for one random matrix: dimension, spectrum shape, and seed.
+
+    The matrix draws from the stream of `seed` (read mod 2^64): its uniforms
+    set the magnitudes and, without an inertia target, the signs of the
+    eigenvalues; its Gaussians make the eigenvectors."""
 
     n: int
     seed: int
@@ -117,13 +170,6 @@ class GeneratorSpec:
                 )
 
 
-def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An iid complex Gaussian n x n matrix: the real parts drawn first, then
-    the imaginary parts, in one call."""
-    re, im = rng.standard_normal((2, n, n))
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
 def _haar_unitary(z: np.ndarray) -> np.ndarray:
     """Orthonormalize a stack (m, n, n) of complex Gaussian matrices; fix the
     QR phase ambiguity."""
@@ -133,39 +179,37 @@ def _haar_unitary(z: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def _target_values(rng: np.random.Generator, spec: GeneratorSpec, nonnegative: bool) -> np.ndarray:
-    lo, hi = spec.eigenvalue_range
-    if spec.inertia_target is not None:
-        pos, neg, zero = spec.inertia_target
-    elif nonnegative:
-        pos, neg, zero = spec.n, 0, 0
-    else:
-        # Unconstrained: independent random sign per eigenvalue.
-        pos, neg, zero = None, None, None
-    if pos is None:
-        mags = rng.uniform(lo, hi, size=spec.n)
-        signs = rng.integers(0, 2, size=spec.n) * 2 - 1
-        return mags * signs
-    # The positive magnitudes, then the negative ones, from one draw.
-    values = np.zeros(pos + neg + zero)
-    values[: pos + neg] = rng.uniform(lo, hi, size=pos + neg)
-    np.negative(values[pos : pos + neg], out=values[pos : pos + neg])
-    return values
-
-
 def _generated(specs: Sequence[GeneratorSpec], nonnegative: bool) -> np.ndarray:
-    """The stack (m, n, n) of Q diag(values) Q* for same-n specs, each drawn
-    from its own seed: target values first, then the Gaussian matrix of Q."""
+    """The stack (m, n, n) of Q diag(values) Q* for same-n specs.
+
+    Each spec's stream gives one random(2n) draw, then one
+    standard_normal((2, n, n)) draw.  Eigenvalue t's magnitude is
+    lo + (hi - lo) u_t.  With an inertia target (pos, neg, zero) the first
+    pos values are positive, the next neg negative and the rest zero;
+    without one a PSD matrix is all positive, and a Hermitian one takes
+    eigenvalue t negative where u_(n+t) < 1/2.  Q is the unitary of the QR
+    of (re + i im) / sqrt(2), with the diagonal of R made positive."""
     targets = [s.inertia_target for s in specs]
     if nonnegative and any(t is not None and t[1] != 0 for t in targets):
         raise InvalidSpec("PSD target cannot contain negative eigenvalues")
-    values, z = [], []
-    for spec in specs:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        values.append(_target_values(rng, spec, nonnegative))
-        z.append(_gaussian(rng, spec.n))
-    q = _haar_unitary(np.stack(z))
-    return (q * np.stack(values)[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    n = specs[0].n
+    u = np.empty((len(specs), 2 * n))
+    gauss = np.empty((len(specs), 2, n, n))
+    for rng, u_j, gauss_j in zip(_streams(_words(s.seed for s in specs)), u, gauss):
+        rng.random(out=u_j)
+        rng.standard_normal(out=gauss_j)
+    ranges = np.array([s.eigenvalue_range for s in specs], dtype=float)
+    lo, hi = ranges[:, :1], ranges[:, 1:]
+    layout = np.array([t or (n, 0, 0) for t in targets])
+    col = np.arange(n)
+    pos, signed = layout[:, :1], layout[:, :1] + layout[:, 1:2]
+    signs = np.where(col < pos, 1.0, np.where(col < signed, -1.0, 0.0))
+    if not nonnegative:
+        free = np.array([t is None for t in targets])[:, None]
+        signs = np.where(free, np.where(u[:, n:] < 0.5, -1.0, 1.0), signs)
+    values = (lo + (hi - lo) * u[:, :n]) * signs
+    q = _haar_unitary((gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0))
+    return (q * values[:, None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def gen_hermitian(spec: GeneratorSpec) -> HermitianMatrix:
@@ -748,78 +792,171 @@ class CampaignReport:
         }
 
 
-def _family_inertia(rng: np.random.Generator, family: int, n: int) -> tuple[int, int, int]:
-    if family == 1:
-        return (0, n, 0)
-    if family == 0 or n == 1:
-        return (n, 0, 0)
-    pos = int(rng.integers(1, n))
-    return (pos, n - pos, 0)
+def _smallest(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mask of the k smallest keys of each row (k broadcasting against the
+    rows): the first k positions of its stable argsort.  Over uniform keys,
+    a uniform k-subset of the positions."""
+    order = np.argsort(keys, axis=-1, kind="stable")
+    mask = np.empty(keys.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(keys.shape[-1]) < k[..., None], axis=-1)
+    return mask
 
 
-def _family_selections(
-    rng: np.random.Generator, family: int, n: int, nu: int, count: int
-) -> list[tuple[int, ...]]:
-    """Sampled selections for large n: inside, beyond, and straddling the
-    nonnegative block, padded with random subsets."""
-    chosen: set[tuple[int, ...]] = set()
-    if family >= 2:
-        if nu >= 1:
-            k = int(rng.integers(1, nu + 1))
-            chosen.add(tuple(sorted((1 + rng.choice(nu, size=k, replace=False)).tolist())))
-        if nu < n:
-            k = int(rng.integers(1, n - nu + 1))
-            chosen.add(tuple(sorted((nu + 1 + rng.choice(n - nu, size=k, replace=False)).tolist())))
-        if 1 <= nu < n:
-            lo = int(rng.integers(1, nu + 1))
-            hi = int(rng.integers(nu + 1, n + 1))
-            chosen.add((lo, hi))
-    return sample_selections(rng, n, count, chosen)
+def _as_selections(masks: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """Masks (m, R, n) as m lists of R selections of 1-based indices."""
+    where = iter((np.nonzero(masks)[-1] + 1).tolist())
+    return [[tuple(islice(where, k)) for k in row] for row in masks.sum(axis=-1).tolist()]
+
+
+def _block_selections(block: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """A block (m, R, n + 1) of uniforms as m lists of R random selections:
+    the last column gives the size k, uniform on 1..n, and the k smallest of
+    the other n columns give a uniform k-subset."""
+    n = block.shape[-1] - 1
+    return _as_selections(_smallest(block[..., :n], 1 + _below(block[..., n], n)))
+
+
+def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tuple[int, ...]]]:
+    """Each instance's selections inside, beyond and straddling its
+    nonnegative block 1..nu, from the n + 4 uniforms of its head row:
+
+    - inside: k uniform on 1..nu, then a uniform k-subset of 1..nu (if nu >= 1);
+    - beyond: k uniform on 1..n - nu, then a uniform k-subset of nu+1..n
+      (if nu < n);
+    - straddling: (lo, hi), lo uniform on 1..nu and hi on nu+1..n (if both).
+
+    The subsets are the smallest of the first n uniforms within each block.
+    None (no picks) reads as nu = 0 with nothing kept."""
+    n = head.shape[-1] - 4
+    wanted = np.array([nu is not None for nu in nus])
+    nu = np.array([nu or 0 for nu in nus])
+    rest = n - nu
+    col = np.arange(n)
+    inner = col < nu[:, None]
+    u = head[:, :n]
+    masks = np.stack(
+        (
+            _smallest(np.where(inner, u, 2.0), 1 + _below(head[:, n], nu)),
+            _smallest(np.where(inner, 2.0, u), 1 + _below(head[:, n + 1], rest)),
+            (col == _below(head[:, n + 2], nu)[:, None])
+            | (col == (nu + _below(head[:, n + 3], rest))[:, None]),
+        ),
+        axis=1,
+    )
+    kept = wanted[:, None] & np.stack((nu >= 1, rest >= 1, (nu >= 1) & (rest >= 1)), axis=1)
+    return [
+        [pick for pick, keep in zip(picks, row) if keep]
+        for picks, row in zip(_as_selections(masks), kept.tolist())
+    ]
+
+
+def _sampled_selections(
+    seeds: Sequence[int], n: int, count: int, nus: Sequence[int | None]
+) -> list[list[tuple[int, ...]]]:
+    """sample_selections for several seeds at once, each on its own stream,
+    with the draws shaped and turned into selections for all of them at
+    once.  nus[i] is None, or instance i's nonnegative count for its family
+    picks."""
+    count = min(count, 2**n - 1)
+    rows = 2 * count
+    head, block = n + 4, rows * (n + 1)
+    words = _words(seeds)
+    u = np.empty((len(seeds), head + block))
+    for rng, out in zip(_streams(words), u):
+        rng.random(out=out)
+    drawn = _block_selections(u[:, head:].reshape(len(seeds), rows, n + 1))
+    sampled = []
+    for i, (picks, first) in enumerate(zip(_family_picks(u[:, :head], nus), drawn)):
+        chosen = dict.fromkeys(picks)
+        if len(chosen) < count:
+            for selection in chain(first, _further_rows(words[i : i + 1], head + block, rows, n)):
+                chosen[selection] = None
+                if len(chosen) == count:
+                    break
+        sampled.append(sorted(chosen))
+    return sampled
+
+
+def _further_rows(words: np.ndarray, drawn: int, rows: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The selections of the blocks that follow the first `drawn` uniforms
+    of one stream, block after block, for an instance whose first block
+    held too few distinct rows.  Nothing is drawn until the first is asked
+    for."""
+    rng = next(_streams(words))
+    rng.random(drawn)
+    while True:
+        yield from _block_selections(rng.random((1, rows, n + 1)))[0]
 
 
 def sample_selections(
-    rng: np.random.Generator, n: int, count: int, chosen: Iterable[tuple[int, ...]] = ()
+    seed: int, n: int, count: int, nu: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Pad `chosen` with random nonempty subsets of 1..n up to `count`
-    distinct selections (at most 2^n - 1); returned in lexicographic order."""
-    chosen = set(chosen)
-    count = min(count, 2**n - 1)
-    while len(chosen) < count:
-        k = int(rng.integers(1, n + 1))
-        chosen.add(tuple(sorted((1 + rng.choice(n, size=k, replace=False)).tolist())))
-    return sorted(chosen)
+    """`count` distinct random nonempty selections of 1..n (at most
+    2^n - 1), drawn from the stream of `seed` (read mod 2^64), in
+    lexicographic order.
+
+    The stream's first n + 4 uniforms give, when nu is given, the picks
+    inside, beyond and straddling the nonnegative block 1..nu
+    (_family_picks), which come first.  Then blocks of 2 * count rows of
+    n + 1 uniforms each give one random selection per row (_block_selections):
+    its size uniform on 1..n, then a uniform subset of that size.  Rows are
+    taken in order, each kept if new, until there are `count`."""
+    return _sampled_selections([seed], n, count, [nu])[0]
 
 
 class _Plan(NamedTuple):
     """One campaign instance before generation: its index and seed, the
-    generator that later samples its selections, and the recipes of A and B."""
+    recipes of A and B, and the seed its sampled selections draw from."""
 
     index: int
     seed: int
-    rng: np.random.Generator
     a: GeneratorSpec
     b: GeneratorSpec
+    selection_seed: int
 
 
-def _plan(i: int, master_seed: int, config: CampaignConfig) -> _Plan:
-    """Instance i's dimension and inertia: the first draws of its own generator."""
-    seed_i = derive_seed(master_seed, i)
-    rng = np.random.Generator(np.random.PCG64(seed_i))
-    if config.inertia is not None:
-        inertia = config.inertia
-        n = sum(inertia)
+def _plans(window: range, master_seed: int, config: CampaignConfig) -> list[_Plan]:
+    """The window's instances before generation.
+
+    Instance i's seed is derive_seed(master_seed, i).  Unless the config
+    pins the inertia, two uniforms of its stream give its dimension, uniform
+    on n_min..n_max, and, in families 2-4 (i mod 5), its count of positive
+    eigenvalues, uniform on 1..n - 1; family 0 is PSD and family 1 negative
+    definite.  A, B and the sampled selections draw from the streams of
+    derive_seed(seed, 1), (seed, 2) and (seed, 3): words 1..3 of its stream.
+    """
+    seeds = [derive_seed(master_seed, i) for i in window]
+    words = _words(seeds)
+    if config.inertia is None:
+        u = np.empty((len(seeds), 2))
+        for rng, out in zip(_streams(words), u):
+            rng.random(out=out)
+        ns = config.n_min + _below(u[:, 0], config.n_max - config.n_min + 1)
+        drawn = zip(ns.tolist(), (1 + _below(u[:, 1], ns - 1)).tolist())
     else:
-        n = int(rng.integers(config.n_min, config.n_max + 1))
-        inertia = _family_inertia(rng, i % 5, n)
-    # Every third instance gets a singular B for boundary coverage.
-    b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
-    return _Plan(
-        index=i,
-        seed=seed_i,
-        rng=rng,
-        a=GeneratorSpec(n=n, seed=derive_seed(seed_i, 1), inertia_target=inertia),
-        b=GeneratorSpec(n=n, seed=derive_seed(seed_i, 2), inertia_target=b_inertia),
-    )
+        drawn = [(sum(config.inertia), 0)] * len(seeds)
+    plans = []
+    for i, seed, (_, a_seed, b_seed, s_seed), (n, p) in zip(window, seeds, words.tolist(), drawn):
+        if config.inertia is not None:
+            inertia = config.inertia
+        elif i % 5 == 1:
+            inertia = (0, n, 0)
+        elif i % 5 == 0 or n == 1:
+            inertia = (n, 0, 0)
+        else:
+            inertia = (p, n - p, 0)
+        # Every third instance gets a singular B for boundary coverage.
+        b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
+        plans.append(
+            _Plan(
+                index=i,
+                seed=seed,
+                a=GeneratorSpec(n=n, seed=a_seed, inertia_target=inertia),
+                b=GeneratorSpec(n=n, seed=b_seed, inertia_target=b_inertia),
+                selection_seed=s_seed,
+            )
+        )
+    return plans
 
 
 def _stacked_spectra(plans: Sequence[_Plan]) -> list[tuple[list[int], SpectraStack | None]]:
@@ -908,17 +1045,19 @@ def _campaign_selections(
 ) -> tuple[list[Sequence[tuple[int, ...]]], SelectionIndex]:
     """What each instance of a stack checks, and its SelectionIndex: every
     selection up to EXHAUSTIVE_MAX_N (shared, from _exhaustive), else
-    SAMPLED_SEQUENCES drawn by each instance's own generator around its
-    count of nonnegative eigenvalues."""
+    SAMPLED_SEQUENCES from each instance's selection stream, with the family
+    picks around its count of nonnegative eigenvalues in families 2-4."""
     n = sp.spec_a.shape[1]
     if n <= EXHAUSTIVE_MAX_N:
         selections, index = _exhaustive(n)
         return [selections] * len(members), index
     inertia = inertia_counts(sp.spec_a, tol.tol_class)
-    sampled = [
-        _family_selections(plans[j].rng, plans[j].index % 5, n, nu, SAMPLED_SEQUENCES)
+    nus = [
+        nu if plans[j].index % 5 >= 2 else None
         for j, nu in zip(members, (inertia[:, 0] + inertia[:, 2]).tolist())
     ]
+    seeds = [plans[j].selection_seed for j in members]
+    sampled = _sampled_selections(seeds, n, SAMPLED_SEQUENCES, nus)
     return sampled, selection_index(list(chain.from_iterable(sampled)), n, len(members))
 
 
@@ -951,7 +1090,7 @@ def run_campaign(
 
     for first in range(0, count, STACK_WINDOW):
         window = range(first, min(first + STACK_WINDOW, count))
-        plans = [_plan(i, master_seed, config) for i in window]
+        plans = _plans(window, master_seed, config)
         tally = _Tally(plans)
         redo: list[int] = []
         for members, sp in _stacked_spectra(plans):

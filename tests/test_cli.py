@@ -148,6 +148,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "sampled selections" in out
 
+    def test_sampling_seed_read_mod_2_64(self, tmp_path, capsys):
+        # --seed -1 samples the stream of 2^64 - 1, as fuzz's seeds do.
+        a = gen_hermitian(GeneratorSpec(n=11, seed=5, inertia_target=(5, 6, 0)))
+        b = gen_psd(GeneratorSpec(n=11, seed=6))
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, a.matrix)
+        save_matrix(b_path, b.matrix)
+        outputs = []
+        for seed in ["-1", str(2**64 - 1)]:
+            argv = ["verify", "--a", str(a_path), "--b", str(b_path), "--seed", seed]
+            code = main(argv + ["--tol-verify", "0"])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1)
+        assert "checking 200 sampled selections on n=11" in outputs[0][1]
+
     def test_negative_tolerance_rejected(self, example_files, capsys):
         a, b = example_files
         assert main(["verify", "--a", a, "--b", b, "--tol-verify", "-1"]) == 2

@@ -55,15 +55,17 @@ from eigb.harness import (
     instance_spectra,
     run_campaign,
     sample_selections,
+    _block_selections,
     _check_stack,
     _error_record,
     _exhaustive,
-    _family_inertia,
-    _family_selections,
-    _gaussian,
+    _generated,
+    _haar_unitary,
     _instance_stack,
-    _plan,
-    _target_values,
+    _plans,
+    _sampled_selections,
+    _streams,
+    _words,
 )
 from eigb.linalg import Spectrum, hermitian_eig, validate_hermitian, validate_psd
 
@@ -120,76 +122,129 @@ class TestGenHermitian:
         assert inertia_of(spec_a).as_tuple() == (2, 2, 1)
 
     def test_recipe(self):
-        # Q diag(values) Q*, values drawn first, then the complex Gaussian
-        # matrix whose QR gives Q, with the diagonal of R made positive.
+        # Q diag(values) Q*: the stream's uniforms give the values, its
+        # Gaussians the complex matrix whose QR gives Q, with the diagonal
+        # of R made positive.
         spec = GeneratorSpec(n=5, seed=42, inertia_target=(2, 2, 1))
-        rng = np.random.default_rng(42)
-        values = _target_values(rng, spec, nonnegative=False)
-        z = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
+        rng = stream(42)
+        values = recipe_values(rng, spec, nonnegative=False)
+        re, im = rng.standard_normal((2, 5, 5))
+        q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         want = (q * values) @ q.conj().T
         np.testing.assert_allclose(gen_hermitian(spec).matrix, want, rtol=0, atol=1e-12)
 
     def test_spectrum_matches_targets(self):
         spec = GeneratorSpec(n=6, seed=3, inertia_target=(3, 2, 1))
-        targets = np.sort(_target_values(np.random.default_rng(3), spec, nonnegative=False))[::-1]
+        targets = np.sort(recipe_values(stream(3), spec, nonnegative=False))[::-1]
         got = np.array(hermitian_eig(gen_hermitian(spec)).spectrum.values)
         np.testing.assert_allclose(got, targets, rtol=1e-9, atol=1e-9)
 
+    def test_seed_read_mod_2_64(self):
+        # A negative or oversized seed names the stream of its residue.
+        for seed, residue in [(-1, 2**64 - 1), (-(2**64) + 5, 5), (2**64 + 7, 7)]:
+            spec = GeneratorSpec(n=3, seed=seed, inertia_target=(1, 1, 1))
+            want = gen_hermitian(GeneratorSpec(n=3, seed=residue, inertia_target=(1, 1, 1)))
+            assert bits(gen_hermitian(spec).matrix.view(float)) == bits(want.matrix.view(float))
+            assert np.array_equal(
+                gen_psd(GeneratorSpec(n=3, seed=seed)).matrix,
+                gen_psd(GeneratorSpec(n=3, seed=residue)).matrix,
+            )
 
-def old_target_values(rng, spec, nonnegative):
-    """_target_values as first written: one draw for the positive magnitudes,
-    one for the negative ones."""
+
+def stream(seed):
+    """The stream of seed, from its words derive_seed(seed, 0..3): the state
+    is words 0 and 1, the increment words 2 and 3, made odd."""
+    w = [derive_seed(seed, j) for j in range(4)]
+    bits = np.random.PCG64(0)
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3] | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
+def recipe_values(rng, spec, nonnegative):
+    """The target eigenvalues of a spec, one at a time, from one random(2n) draw."""
+    n = spec.n
     lo, hi = spec.eigenvalue_range
-    if spec.inertia_target is None and not nonnegative:
-        mags = rng.uniform(lo, hi, size=spec.n)
-        return mags * (rng.integers(0, 2, size=spec.n) * 2 - 1)
-    pos, neg, zero = spec.inertia_target or (spec.n, 0, 0)
-    return np.concatenate(
-        [rng.uniform(lo, hi, size=pos), -rng.uniform(lo, hi, size=neg), np.zeros(zero)]
-    )
+    u = rng.random(2 * n).tolist()
+    pos, neg, _ = spec.inertia_target or (n, 0, 0)
+    values = []
+    for t in range(n):
+        if spec.inertia_target is None and not nonnegative:
+            sign = -1.0 if u[n + t] < 0.5 else 1.0
+        else:
+            sign = 1.0 if t < pos else -1.0 if t < pos + neg else 0.0
+        values.append((lo + (hi - lo) * u[t]) * sign)
+    return np.array(values)
 
 
-def old_gaussian(rng, n):
-    """_gaussian as first written: the real and imaginary parts in two draws."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def first_of_sort(keys, k):
+    """The first k positions of a stable sort of keys, 1-based and ascending."""
+    return tuple(sorted(1 + t for t in sorted(range(len(keys)), key=keys.__getitem__)[:k]))
 
 
-def old_sample_selections(rng, n, count, chosen=()):
-    """sample_selections as first written, drawing from a range of indices."""
-    chosen = set(chosen)
+def recipe_selections(seed, n, count, nu=None):
+    """sample_selections one row at a time, on Python floats."""
     count = min(count, 2**n - 1)
+    rows = 2 * count
+    rng = stream(seed)
+    head = rng.random(n + 4).tolist()
+    chosen = []
+    if nu is not None:
+        if nu >= 1:
+            chosen.append(first_of_sort(head[:nu], 1 + int(head[n] * nu)))
+        if nu < n:
+            beyond = first_of_sort(head[nu:n], 1 + int(head[n + 1] * (n - nu)))
+            chosen.append(tuple(nu + t for t in beyond))
+        if 1 <= nu < n:
+            chosen.append((1 + int(head[n + 2] * nu), nu + 1 + int(head[n + 3] * (n - nu))))
     while len(chosen) < count:
-        k = int(rng.integers(1, n + 1))
-        chosen.add(tuple(sorted(rng.choice(range(1, n + 1), size=k, replace=False).tolist())))
+        for row in rng.random((rows, n + 1)).tolist():
+            selection = first_of_sort(row[:n], 1 + int(row[n] * n))
+            if selection not in chosen:
+                chosen.append(selection)
+            if len(chosen) == count:
+                break
     return sorted(chosen)
 
 
-def old_family_selections(rng, family, n, nu, count):
-    """_family_selections as first written, drawing from ranges of indices."""
-    chosen = set()
-    if family >= 2:
-        if nu >= 1:
-            k = int(rng.integers(1, nu + 1))
-            chosen.add(tuple(sorted(rng.choice(range(1, nu + 1), size=k, replace=False).tolist())))
-        if nu < n:
-            k = int(rng.integers(1, n - nu + 1))
-            chosen.add(tuple(sorted(rng.choice(range(nu + 1, n + 1), size=k, replace=False).tolist())))
-        if 1 <= nu < n:
-            lo = int(rng.integers(1, nu + 1))
-            hi = int(rng.integers(nu + 1, n + 1))
-            chosen.add((lo, hi))
-    return old_sample_selections(rng, n, count, chosen)
-
-
 class TestGeneratorStreams:
-    """The generators draw in fewer, larger calls than they were first
-    written with, from the same streams: every value is the old one, to the
-    bit, and each generator is left in the same state."""
+    """The campaign's streams: seeding from derive_seed's words, the draws
+    of a generated matrix, and the sampled selections, each against a
+    one-at-a-time recipe written here, with golden values that pin the
+    streams to numpy's PCG64."""
 
     INERTIAS = [None, (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3),
                 (2, 3, 0), (2, 0, 3), (0, 2, 3), (2, 2, 1), (1, 5, 2)]
+    SEEDS = [0, 1, 2**64 - 1]
+
+    def test_words_are_derive_seed(self):
+        seeds = self.SEEDS + [-1, 2**64, 2**70 + 3, *range(2, 40)]
+        assert _words(seeds).tolist() == [[derive_seed(s, j) for j in range(4)] for s in seeds]
+
+    def test_golden_first_draws(self):
+        first = [rng.random(3).tolist() for rng in _streams(_words(self.SEEDS))]
+        assert first == [
+            [0.31180829186671066, 0.6183988066074692, 0.23095412452404473],
+            [0.9656098517096204, 0.6061045069762236, 0.8957877462602849],
+            [0.2847459492965757, 0.7056451692254766, 0.8747189373628952],
+        ]
+        assert first == [stream(s).random(3).tolist() for s in self.SEEDS]
+
+    def test_streams_ignore_earlier_draws(self):
+        # A bounded 32-bit draw leaves half a 64-bit output buffered; the
+        # next stream starts clean all the same.
+        seeds = [5, 6, 5]
+        got = []
+        for rng in _streams(_words(seeds)):
+            got.append(rng.random(2).tolist())
+            rng.integers(0, 7, size=3, dtype=np.uint32)
+        assert got == [stream(s).random(2).tolist() for s in seeds]
+        assert got[0] == got[2]
 
     @pytest.mark.parametrize(
         "inertia, nonnegative",
@@ -197,29 +252,97 @@ class TestGeneratorStreams:
         ids=str,
     )
     def test_instance_draws(self, inertia, nonnegative):
-        for seed in range(20):
+        specs = []
+        for seed in [*range(20), -3, 2**64 - 1]:
             n = sum(inertia) if inertia else 1 + seed % 8
             spec = GeneratorSpec(n=n, seed=seed, inertia_target=inertia)
-            new = np.random.Generator(np.random.PCG64(seed))
-            old = np.random.default_rng(seed)
-            assert bits(_target_values(new, spec, nonnegative)) == bits(
-                old_target_values(old, spec, nonnegative)
-            )
-            got, want = _gaussian(new, n), old_gaussian(old, n)
-            assert bits(got.real) == bits(want.real) and bits(got.imag) == bits(want.imag)
-            assert new.bit_generator.state == old.bit_generator.state
+            rng = stream(seed)
+            values = recipe_values(rng, spec, nonnegative)
+            re, im = rng.standard_normal((2, n, n))
+            q = _haar_unitary(((re + 1j * im) / np.sqrt(2.0))[None])
+            want = (q * values) @ q.conj().swapaxes(-1, -2)
+            assert bits(_generated([spec], nonnegative).view(float)) == bits(want.view(float))
+            specs.append(spec)
+        # A stack of same-n specs gives each matrix its bits alone.
+        same_n = [s for s in specs if s.n == specs[0].n]
+        stacked = _generated(same_n, nonnegative)
+        for spec, got in zip(same_n, stacked):
+            assert bits(got.view(float)) == bits(_generated([spec], nonnegative)[0].view(float))
+
+    def test_mixed_targets_in_one_stack(self):
+        n = 4
+        targets = [None, (2, 2, 0), (0, 4, 0), None, (1, 0, 3), (4, 0, 0)]
+        specs = [
+            GeneratorSpec(n=n, seed=100 + j, inertia_target=t, eigenvalue_range=(0.5 * j, 1.0 + j))
+            for j, t in enumerate(targets)
+        ]
+        stacked = _generated(specs, nonnegative=False)
+        for spec, got in zip(specs, stacked):
+            assert bits(got.view(float)) == bits(_generated([spec], False)[0].view(float))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_selection_draws(self, n):
+        nus = [None, *range(n + 1)]
         for seed in range(8):
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sample_selections(new, n, 12) == old_sample_selections(old, n, 12)
-            for family in range(5):
-                for nu in range(n + 1):
-                    assert _family_selections(new, family, n, nu, 12) == old_family_selections(
-                        old, family, n, nu, 12
-                    )
-            assert new.bit_generator.state == old.bit_generator.state
+            for nu in nus:
+                assert sample_selections(seed, n, 12, nu) == recipe_selections(seed, n, 12, nu)
+            # Several streams at once give each its selections alone.
+            seeds = [seed * 100 + j for j in range(len(nus))]
+            assert _sampled_selections(seeds, n, 12, nus) == [
+                recipe_selections(s, n, 12, nu) for s, nu in zip(seeds, nus)
+            ]
+
+    def test_further_blocks(self):
+        # At n = 3 all 7 selections are wanted, from blocks of 14 rows: most
+        # seeds need a second block, drawn from the same stream.
+        for seed in range(30):
+            assert sample_selections(seed, 3, 12) == recipe_selections(seed, 3, 12)
+            assert sample_selections(seed, 3, 12) == sorted(all_selections(3))
+
+
+selection_counts = st.integers(min_value=1, max_value=200)
+any_seeds = st.integers(min_value=-(2**65), max_value=2**65)
+
+
+class TestSampler:
+    """Properties of sample_selections."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=12), count=selection_counts, seed=any_seeds)
+    def test_distinct_sorted_selections(self, n, count, seed):
+        got = sample_selections(seed, n, count)
+        assert len(got) == min(count, 2**n - 1)
+        assert got == sorted(set(got))
+        for selection in got:
+            assert len(selection) >= 1
+            assert list(selection) == sorted(set(selection))
+            assert 1 <= selection[0] and selection[-1] <= n
+        if count >= 2**n - 1:  # every selection, for any count at n <= 2
+            assert got == sorted(all_selections(n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=12), seed=any_seeds)
+    def test_family_picks_present(self, data, n, seed):
+        nu = data.draw(st.integers(min_value=0, max_value=n))
+        count = data.draw(st.integers(min_value=3, max_value=200))
+        got = sample_selections(seed, n, count, nu)
+        assert len(got) == min(count, 2**n - 1)
+        assert got == sorted(set(got))
+        if nu >= 1:
+            assert any(max(c) <= nu for c in got)
+        if nu < n:
+            assert any(min(c) > nu for c in got)
+        if 1 <= nu < n:
+            assert any(len(c) == 2 and c[0] <= nu < c[1] for c in got)
+
+    def test_every_size_occurs(self):
+        n = 8
+        rng = next(_streams(_words([4])))
+        rows = _block_selections(rng.random((1, 2000, n + 1)))[0]
+        assert {len(c) for c in rows} == set(range(1, n + 1))
+        sampled = [c for seed in range(170) for c in sample_selections(seed, n, 12)]
+        assert len(sampled) == 2040
+        assert {len(c) for c in sampled} == set(range(1, n + 1))
 
 
 class TestGenPsd:
@@ -325,12 +448,11 @@ class TestBoundaryEigenvalues:
     and the scaled verification tolerance must absorb the difference."""
 
     def test_near_zero_eigenvalues_pass_all_checks(self):
-        from eigb.harness import _gaussian, _haar_unitary
-
         for seed in range(5):
             rng = np.random.default_rng(seed)
             vals = np.array([5.0, 1e-12, -1e-12, -3.0])
-            q = _haar_unitary(_gaussian(rng, 4)[None])[0]
+            re, im = rng.standard_normal((2, 4, 4))
+            q = _haar_unitary(((re + 1j * im) / np.sqrt(2.0))[None])[0]
             a = validate_hermitian((q * vals) @ q.conj().T)
             b = gen_psd(GeneratorSpec(n=4, seed=seed + 50))
             sp = instance_spectra(a, b)
@@ -657,8 +779,7 @@ class TestStackedChecks:
         with pytest.raises(ConsistencyError):
             gap_bound(spectra[6].spec_a, spectra[6].spec_b, spectra[6].spec_ab)
         if sampled:
-            rng = np.random.default_rng(5)
-            selections = [sample_selections(rng, n, 9) for _ in spectra]
+            selections = [sample_selections(5 + i, n, 9) for i in range(len(spectra))]
             index = selection_index([c for s in selections for c in s], n, len(spectra))
         else:
             selections = [all_selections(n)] * len(spectra)
@@ -747,6 +868,29 @@ class TestRunCampaign:
         ).record(0)
         assert again.to_dict() == record.to_dict()
 
+    def test_sampled_failure_records_reproduce_from_seed(self):
+        # n = 7..8 check sampled selections: rebuild A, B and the instance's
+        # selections from the record's seed and instance id alone.
+        tol0 = Tolerances(verify_base=0.0)
+        config = CampaignConfig(n_min=7, n_max=8, tolerances=tol0)
+        report = run_campaign(30, config, master_seed=4)
+        assert {r.n for r in report.failures} == {7, 8}
+        by_instance = {}
+        for record in report.failures:
+            by_instance.setdefault(record.instance_id, []).append(record)
+        for instance_id, records in by_instance.items():
+            seed, n, inertia = records[0].seed, records[0].n, records[0].inertia
+            a = gen_hermitian(GeneratorSpec(n=n, seed=derive_seed(seed, 1), inertia_target=inertia))
+            b_inertia = (n - 1, 0, 1) if instance_id % 3 == 2 else (n, 0, 0)
+            b = gen_psd(GeneratorSpec(n=n, seed=derive_seed(seed, 2), inertia_target=b_inertia))
+            sp = instance_spectra(a, b)
+            nu = inertia_of(sp.spec_a, tol0.tol_class).nonnegative
+            family_nu = nu if instance_id % 5 >= 2 else None
+            selections = sample_selections(derive_seed(seed, 3), n, SAMPLED_SEQUENCES, family_nu)
+            assert len(selections) == SAMPLED_SEQUENCES
+            again = check_selections(sp, selections, tol0, instance_id=instance_id, seed=seed)
+            assert [repr(r) for r in again.failures] == [repr(r) for r in records]
+
 
 def reference_campaign(count, config=CampaignConfig(), master_seed=0):
     """run_campaign one instance at a time, through the single-instance
@@ -758,13 +902,19 @@ def reference_campaign(count, config=CampaignConfig(), master_seed=0):
     tol = config.tolerances
     for i in range(count):
         seed_i = derive_seed(master_seed, i)
-        rng = np.random.default_rng(seed_i)
         if config.inertia is not None:
             inertia = config.inertia
             n = sum(inertia)
         else:
-            n = int(rng.integers(config.n_min, config.n_max + 1))
-            inertia = _family_inertia(rng, i % 5, n)
+            u_n, u_pos = stream(seed_i).random(2).tolist()
+            n = config.n_min + int(u_n * (config.n_max - config.n_min + 1))
+            if i % 5 == 1:
+                inertia = (0, n, 0)
+            elif i % 5 == 0 or n == 1:
+                inertia = (n, 0, 0)
+            else:
+                pos = 1 + int(u_pos * (n - 1))
+                inertia = (pos, n - pos, 0)
         a = gen_hermitian(GeneratorSpec(n=n, seed=derive_seed(seed_i, 1), inertia_target=inertia))
         b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
         b = gen_psd(GeneratorSpec(n=n, seed=derive_seed(seed_i, 2), inertia_target=b_inertia))
@@ -783,7 +933,8 @@ def reference_campaign(count, config=CampaignConfig(), master_seed=0):
         if n <= EXHAUSTIVE_MAX_N:
             selections = all_selections(n)
         else:
-            selections = _family_selections(rng, i % 5, n, nu, SAMPLED_SEQUENCES)
+            family_nu = nu if i % 5 >= 2 else None
+            selections = sample_selections(derive_seed(seed_i, 3), n, SAMPLED_SEQUENCES, family_nu)
         checked = check_selections(sp, selections, tol, instance_id=i, seed=seed_i)
         total += len(selections)
         passed += int(np.count_nonzero(checked.passed))
@@ -849,7 +1000,7 @@ class TestStackedCampaign:
         import eigb.linalg as linalg
 
         config = CampaignConfig(n_min=4, n_max=4, tolerances=Tolerances(verify_base=0.0))
-        a_7 = gen_hermitian(_plan(7, 11, config).a)
+        a_7 = gen_hermitian(_plans(range(7, 8), 11, config)[0].a)
         poisoned = linalg._unit_scaled(a_7.matrix[None])[0][0]
         calls = []
 

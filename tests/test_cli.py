@@ -419,3 +419,212 @@ class TestInputErrors:
         save_matrix(b_path, np.eye(4))
         assert main([command, "--a", str(a_path), "--b", str(b_path)]) == 2
         assert capsys.readouterr().err == "error: A is 3x3 but B is 4x4\n"
+
+
+# Literal stdout of `bounds` and `example`, recorded with numpy 2.4.6 and its
+# bundled OpenBLAS: the computed spectrum of AB, and every sum read off it,
+# carry that LAPACK build's rounding in their last bits.
+BOUNDS_GOLDEN = {
+    '1': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=1 k=1 selected_nonneg=1 branch=all-selected-nonnegative\n'
+        'main bounds: lower=3 actual=3 upper=9\n'
+        'slacks:      lower=-8.881784197e-16 upper=6\n'
+        'splitting:   upper=9 T1=0 T2=0 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [1], "selected_nonneg": 1,'
+        ' "branch": "all-selected-nonnegative", "lower": 3.0, "actual": 2.999999999999999,'
+        ' "upper": 9.0, "lower_slack": -8.881784197001252e-16, "upper_slack": 6.000000000000001,'
+        ' "splitting_upper": 9.0, "t1": 0.0, "t2": 0.0, "dominance_ok": true, "gap": {"p": 1,'
+        ' "q": 2, "gap": 5.999999999999998, "bound": 12.0}, "ostrowski": {"low": 1.0, "high": 3.0,'
+        ' "ratios": [{"t": 1, "ratio": 0.9999999999999997}, {"t": 2, "ratio": 2.999999999999999},'
+        ' {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+    '2': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=2 k=1 selected_nonneg=0 branch=all-selected-negative\n'
+        'main bounds: lower=-3 actual=-3 upper=-1\n'
+        'slacks:      lower=8.881784197e-16 upper=2\n'
+        'splitting:   upper=0 T1=-1 T2=0 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [2], "selected_nonneg": 0,'
+        ' "branch": "all-selected-negative", "lower": -3.0, "actual": -2.999999999999999,'
+        ' "upper": -1.0, "lower_slack": 8.881784197001252e-16, "upper_slack": 1.9999999999999991,'
+        ' "splitting_upper": 0.0, "t1": -1.0, "t2": 0.0, "dominance_ok": true, "gap": {"p": 1,'
+        ' "q": 2, "gap": 5.999999999999998, "bound": 12.0}, "ostrowski": {"low": 1.0, "high": 3.0,'
+        ' "ratios": [{"t": 1, "ratio": 0.9999999999999997}, {"t": 2, "ratio": 2.999999999999999},'
+        ' {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+    '3': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=3 k=1 selected_nonneg=0 branch=all-selected-negative\n'
+        'main bounds: lower=-12 actual=-8 upper=-4\n'
+        'slacks:      lower=4 upper=4\n'
+        'splitting:   upper=0 T1=-4 T2=0 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [3], "selected_nonneg": 0,'
+        ' "branch": "all-selected-negative", "lower": -12.0, "actual": -8.000000000000002,'
+        ' "upper": -4.0, "lower_slack": 3.9999999999999982, "upper_slack": 4.000000000000002,'
+        ' "splitting_upper": 0.0, "t1": -4.0, "t2": 0.0, "dominance_ok": true, "gap": {"p": 1,'
+        ' "q": 2, "gap": 5.999999999999998, "bound": 12.0}, "ostrowski": {"low": 1.0, "high": 3.0,'
+        ' "ratios": [{"t": 1, "ratio": 0.9999999999999997}, {"t": 2, "ratio": 2.999999999999999},'
+        ' {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+    '1,2': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=1,2 k=2 selected_nonneg=1 branch=mixed-selection\n'
+        'main bounds: lower=0 actual=0 upper=8\n'
+        'slacks:      lower=0 upper=8\n'
+        'splitting:   upper=8 T1=-1 T2=-1 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [1, 2], "selected_nonneg": 1,'
+        ' "branch": "mixed-selection", "lower": 0.0, "actual": 0.0, "upper": 8.0,'
+        ' "lower_slack": 0.0, "upper_slack": 8.0, "splitting_upper": 8.0, "t1": -1.0, "t2": -1.0,'
+        ' "dominance_ok": true, "gap": {"p": 1, "q": 2, "gap": 5.999999999999998, "bound": 12.0},'
+        ' "ostrowski": {"low": 1.0, "high": 3.0, "ratios": [{"t": 1, "ratio": 0.9999999999999997},'
+        ' {"t": 2, "ratio": 2.999999999999999}, {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+    '1,3': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=1,3 k=2 selected_nonneg=1 branch=mixed-selection\n'
+        'main bounds: lower=-9 actual=-5 upper=5\n'
+        'slacks:      lower=4 upper=10\n'
+        'splitting:   upper=8 T1=-4 T2=-1 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [1, 3], "selected_nonneg": 1,'
+        ' "branch": "mixed-selection", "lower": -9.0, "actual": -5.000000000000003, "upper": 5.0,'
+        ' "lower_slack": 3.9999999999999973, "upper_slack": 10.000000000000004,'
+        ' "splitting_upper": 8.0, "t1": -4.0, "t2": -1.0, "dominance_ok": true, "gap": {"p": 1,'
+        ' "q": 2, "gap": 5.999999999999998, "bound": 12.0}, "ostrowski": {"low": 1.0, "high": 3.0,'
+        ' "ratios": [{"t": 1, "ratio": 0.9999999999999997}, {"t": 2, "ratio": 2.999999999999999},'
+        ' {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+    '2,3': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=2,3 k=2 selected_nonneg=0 branch=all-selected-negative\n'
+        'main bounds: lower=-14 actual=-11 upper=-6\n'
+        'slacks:      lower=3 upper=5\n'
+        'splitting:   upper=-1 T1=-6 T2=-1 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [2, 3], "selected_nonneg": 0,'
+        ' "branch": "all-selected-negative", "lower": -14.0, "actual": -11.0, "upper": -6.0,'
+        ' "lower_slack": 3.0, "upper_slack": 5.0, "splitting_upper": -1.0, "t1": -6.0, "t2": -1.0,'
+        ' "dominance_ok": true, "gap": {"p": 1, "q": 2, "gap": 5.999999999999998, "bound": 12.0},'
+        ' "ostrowski": {"low": 1.0, "high": 3.0, "ratios": [{"t": 1, "ratio": 0.9999999999999997},'
+        ' {"t": 2, "ratio": 2.999999999999999}, {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+    '1,2,3': (
+        'spectrum A:  3 -1 -4\n'
+        'spectrum B:  3 2 1\n'
+        'spectrum AB: 3 -3 -8\n'
+        'inertia A:   positive=1 negative=2 zero=0 (nonnegative=1)\n'
+        'selection:   indices=1,2,3 k=3 selected_nonneg=1 branch=mixed-selection\n'
+        'main bounds: lower=-11 actual=-8 upper=3\n'
+        'slacks:      lower=3 upper=11\n'
+        'splitting:   upper=3 T1=-6 T2=-6 dominance_ok=True\n'
+        'gap:         p=1 q=2 gap=6 bound=12\n'
+        'ostrowski:   range=[1, 3] ratios 1:1 2:3 3:2\n',
+        '{"version": "EIGB1", "spectrum_a": [3.0, -1.0, -4.0], "spectrum_b": [3.0, 2.0, 1.0],'
+        ' "spectrum_ab": [2.999999999999999, -2.999999999999999, -8.000000000000002],'
+        ' "inertia_a": [1, 2, 0], "indices": [1, 2, 3], "selected_nonneg": 1,'
+        ' "branch": "mixed-selection", "lower": -11.0, "actual": -8.000000000000002, "upper": 3.0,'
+        ' "lower_slack": 2.9999999999999982, "upper_slack": 11.000000000000002,'
+        ' "splitting_upper": 3.0, "t1": -6.0, "t2": -6.0, "dominance_ok": true, "gap": {"p": 1,'
+        ' "q": 2, "gap": 5.999999999999998, "bound": 12.0}, "ostrowski": {"low": 1.0, "high": 3.0,'
+        ' "ratios": [{"t": 1, "ratio": 0.9999999999999997}, {"t": 2, "ratio": 2.999999999999999},'
+        ' {"t": 3, "ratio": 2.0000000000000004}]}}\n',
+    ),
+}
+EXTREME_GOLDEN = (
+    'spectrum A:  1e+200 1\n'
+    'spectrum B:  1e+200 1\n'
+    'spectrum AB: 1e+200 0\n'
+    'inertia A:   positive=1 negative=0 zero=1 (nonnegative=2)\n'
+    'selection:   indices=1 k=1 selected_nonneg=1 branch=all-selected-nonnegative\n'
+    'main bounds: lower=1e+200 actual=1e+200 upper=inf\n'
+    'slacks:      lower=0 upper=inf\n'
+    'splitting:   upper=inf T1=0 T2=0 dominance_ok=False\n',
+    '{"version": "EIGB1", "spectrum_a": [1e+200, 1.0], "spectrum_b": [1e+200, 1.0],'
+    ' "spectrum_ab": [1e+200, 0.0], "inertia_a": [1, 0, 1], "indices": [1],'
+    ' "selected_nonneg": 1, "branch": "all-selected-nonnegative", "lower": 1e+200,'
+    ' "actual": 1e+200, "upper": Infinity, "lower_slack": 0.0, "upper_slack": Infinity,'
+    ' "splitting_upper": Infinity, "t1": 0.0, "t2": 0.0, "dominance_ok": false, "gap": null,'
+    ' "ostrowski": null}\n',
+)
+EXAMPLE_GOLDEN = (
+    'case  indices  upper  actual  lower\n'
+    'I     1,2      8      0       0\n'
+    'II    1,3      5      -5      -9\n'
+    'III   2,3      -6     -11     -14\n'
+    'max deviation from expected values: 2.665e-15\n',
+    '{"version": "EIGB1", "cases": [{"case": "I", "indices": [1, 2], "upper": 8.0,'
+    ' "actual": 0.0, "lower": 0.0}, {"case": "II", "indices": [1, 3], "upper": 5.0,'
+    ' "actual": -5.000000000000003, "lower": -9.0}, {"case": "III", "indices": [2, 3],'
+    ' "upper": -6.0, "actual": -11.0, "lower": -14.0}],'
+    ' "max_deviation": 2.6645352591003757e-15, "ok": true}\n',
+)
+
+
+class TestGoldenOutput:
+    """Every number `bounds` and `example` print, byte for byte."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("indices", list(BOUNDS_GOLDEN))
+    def test_bounds_on_the_example_pair(self, example_files, capsys, indices, as_json):
+        a, b = example_files
+        argv = ["bounds", "--a", a, "--b", b, "--indices", indices] + ["--json"] * as_json
+        assert main(argv) == 0
+        assert capsys.readouterr() == (BOUNDS_GOLDEN[indices][as_json], "")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_bounds_at_extreme_scale(self, tmp_path, capsys, as_json):
+        # A = diag(1e200, 1) against B = diag(1, 1e200): the upper bounds
+        # overflow to inf (ROADMAP item 2), silently.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.diag([1e200, 1.0]))
+        save_matrix(b_path, np.diag([1.0, 1e200]))
+        argv = ["bounds", "--a", str(a_path), "--b", str(b_path), "--indices", "1",
+                "--tol-verify", "0"] + ["--json"] * as_json
+        assert main(argv) == 0
+        assert capsys.readouterr() == (EXTREME_GOLDEN[as_json], "")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_example(self, capsys, as_json):
+        assert main(["example"] + ["--json"] * as_json) == 0
+        assert capsys.readouterr() == (EXAMPLE_GOLDEN[as_json], "")

@@ -10,19 +10,21 @@ All indices on the public surface are 1-based.  Summations over an empty
 range contribute zero, and a spectrum value counts as nonnegative when it
 is within the relative classification tolerance of zero.
 
-The *_batch functions evaluate the same formulas on stacks: m same-n
-spectra as an (m, n) array, one descending row per instance, against a
-SelectionIndex.  Each entry equals the scalar formula's result bit for bit.
-zero_cut and the tolerances accept such an array too and then give one
-value per row, as an (m, 1) column.
+Each formula is written once, for stacks: m same-n spectra as an (m, n)
+array, one descending row per instance, against a SelectionIndex (the
+*_batch functions, selected_sums and inertia_counts).  Every pairing sum
+adds its terms one position at a time, left to right (_row_sums).  The
+functions on Spectrum objects (selection_bounds, gap_bound, ...) run that
+code on a stack of one instance and one selection, raise where it has no
+answer, and return Python numbers; overflow gives inf there silently, as
+in Python floats.  zero_cut and verify_tolerance accept a Spectrum, or an
+(m, n) array and then give one value per row, as an (m, 1) column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -160,39 +162,17 @@ def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VE
     return _verify_tolerance(_radius(spec_a), _radius(spec_b), k, base)
 
 
-def ratio_tolerance(spec_b: Spectrum, base: float = TOL_VERIFY_BASE) -> float:
-    """Slack tolerance for ratios bracketed by the spectrum of B (Ostrowski)."""
-    return _ratio_tolerance(_radius(spec_b), base)
-
-
-def sum_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
-    """Slack tolerance scaled to the magnitude of a k-term bound for A + B
-    (k may be an integer array, as in verify_tolerance)."""
-    return _sum_tolerance(_radius(spec_a), _radius(spec_b), k, base)
-
-
-# The three tolerances from the spectral radii (_radius) of A and B, for a
-# caller that computes each radius once for many checks.
-
-
 def _verify_tolerance(rho_a, rho_b, k, base: float):
+    """verify_tolerance from the spectral radii (_radius) of A and B, for a
+    caller that computes each radius once for many checks."""
     return base * (1.0 + rho_a * rho_b * k)
 
 
-def _ratio_tolerance(rho_b, base: float):
-    return base * (1.0 + rho_b)
-
-
-def _sum_tolerance(rho_a, rho_b, k, base: float):
-    return base * (1.0 + (rho_a + rho_b) * k)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def inertia_of(spec: Spectrum, tol: float = TOL_CLASS) -> Inertia:
     """Count positive/negative/zero eigenvalues with a relative zero band."""
-    cut = zero_cut(spec, tol)
-    positive = sum(1 for v in spec if v > cut)
-    negative = sum(1 for v in spec if v < -cut)
-    return Inertia(positive=positive, negative=negative, zero=len(spec) - positive - negative)
+    (values,) = _rows(spec)
+    return Inertia(*inertia_counts(values, tol)[0].tolist())
 
 
 def inertia_counts(values: np.ndarray, tol: float = TOL_CLASS, radius=None) -> np.ndarray:
@@ -209,21 +189,23 @@ def inertia_counts(values: np.ndarray, tol: float = TOL_CLASS, radius=None) -> n
     return np.stack([positive, negative, zero], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def count_selected_nonnegative(spec: Spectrum, idx: IndexSequence, tol: float = TOL_CLASS) -> int:
     """How many selected eigenvalues are nonnegative (within tolerance).
 
     The spectrum is sorted, so these occupy the first positions of the
     selection.
     """
-    _require_indexable(spec, idx)
-    cut = zero_cut(spec, tol)
-    return sum(1 for i in idx.indices if spec[i - 1] >= -cut)
+    (values,) = _rows(spec)
+    index = _index(idx, values)
+    return _kap(selected_values(values, index), index, zero_cut(values, tol))[0, 0].item()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def selected_sum(spec: Spectrum, idx: IndexSequence) -> float:
     """Sum of the selected eigenvalues."""
-    _require_indexable(spec, idx)
-    return reduce(add, _selected(spec, idx), 0.0)
+    (values,) = _rows(spec)
+    return selected_sums(values, _index(idx, values))[0, 0].item()
 
 
 def main_bounds(
@@ -247,6 +229,7 @@ def main_bounds(
     return selection_bounds(spec_a, spec_b, idx, tol)[:3]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def selection_bounds(
     spec_a: Spectrum,
     spec_b: Spectrum,
@@ -266,19 +249,9 @@ def selection_bounds(
     statement that the main upper bound is at least as tight as the
     splitting one (dominance).
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_indexable(spec_a, idx)
-    n, k = idx.n, idx.k
-    sel = _selected(spec_a, idx)
-    b = _clamped(spec_b)
-    kap = count_selected_nonnegative(spec_a, idx, tol)
-    nu = inertia_of(spec_a, tol).nonnegative
-    # The splitting bound's second summation: a[nu+1..k] against b[n-k+nu+1..n].
-    rest_a, rest_b = spec_a.values[nu:k], b[n - k + nu:]
-    lower, upper = _bracket(sel, b, kap)
-    split_upper = _pair_sum(sel[:kap] + rest_a, b[:kap] + rest_b)
-    t1 = _pair_sum(sel[kap:], b[n - k + kap:])
-    return SelectionBounds(lower, upper, kap, split_upper, t1, _pair_sum(rest_a, rest_b))
+    a, b = _rows(spec_a, spec_b)
+    sums = selection_bounds_batch(a, b, _index(idx, a), tol)
+    return SelectionBounds(*(x[0, 0].item() for x in sums[:6]))
 
 
 def main_bound_report(
@@ -308,6 +281,7 @@ def main_bound_report(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def psd_product_bounds(
     spec_a: Spectrum,
     spec_b: Spectrum,
@@ -319,14 +293,15 @@ def psd_product_bounds(
     Coincides with main_bounds whenever every selected eigenvalue of A is
     nonnegative; requires spec_a itself nonnegative (within tolerance).
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_indexable(spec_a, idx)
-    cut = zero_cut(spec_a, tol)
-    if spec_a[-1] < -cut:
+    a, b = _rows(spec_a, spec_b)
+    index = _index(idx, a)
+    if a[0, -1] < -zero_cut(a, tol)[0, 0]:
         raise NotNonnegative(f"spectrum has negative entry {spec_a[-1]:.6g}")
-    return _bracket(_selected(spec_a, idx), _clamped(spec_b), idx.k)
+    sums = selection_bounds_batch(a, b, index, tol)
+    return sums.psd_lower[0, 0].item(), sums.psd_upper[0, 0].item()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stable_bounds(
     spec_a: Spectrum,
     spec_b: Spectrum,
@@ -340,31 +315,31 @@ def stable_bounds(
     Equals main_bounds when the selected nonnegative eigenvalues (if any)
     are exactly zero.
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_indexable(spec_a, idx)
-    cut = zero_cut(spec_a, tol)
-    if spec_a[0] > cut:
+    a, b = _rows(spec_a, spec_b)
+    index = _index(idx, a)
+    if a[0, 0] > zero_cut(a, tol)[0, 0]:
         raise NotStable(f"spectrum has positive entry {spec_a[0]:.6g}")
-    return _bracket(_selected(spec_a, idx), _clamped(spec_b), 0)
+    sums = selection_bounds_batch(a, b, index, tol)
+    return sums.stable_lower[0, 0].item(), sums.stable_upper[0, 0].item()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def wielandt_sum_bounds(
     spec_a: Spectrum,
     spec_b: Spectrum,
     idx: IndexSequence,
 ) -> tuple[float, float]:
     """Classical bracket for the selected eigenvalue sum of A + B (both Hermitian)."""
-    _require_same_dim(spec_a, spec_b)
-    _require_indexable(spec_a, idx)
-    b = spec_b.values
-    base = selected_sum(spec_a, idx)
-    return reduce(add, b[::-1][:idx.k], base), reduce(add, b[:idx.k], base)
+    a, b = _rows(spec_a, spec_b)
+    lower, upper = wielandt_sum_bounds_batch(a, b, _index(idx, a))
+    return lower[0, 0].item(), upper[0, 0].item()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def trace_bounds(spec_a: Spectrum, spec_b: Spectrum) -> tuple[float, float]:
     """Full-trace bracket: sorted-against-reversed and sorted-against-sorted pairings."""
-    _require_same_dim(spec_a, spec_b)
-    return _bracket(spec_a.values, spec_b.values, len(spec_a))
+    lower, upper = trace_bounds_batch(*_rows(spec_a, spec_b))
+    return lower[0].item(), upper[0].item()
 
 
 def pair_bounds(
@@ -402,6 +377,7 @@ def pair_bounds(
     return lower, upper
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gap_bound(
     spec_a: Spectrum,
     spec_b: Spectrum,
@@ -414,21 +390,13 @@ def gap_bound(
     Returns (p, q, gap, bound) with 1-based p, q.  Raises NoSignChange when
     the product spectrum is one-signed.
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_same_dim(spec_a, spec_ab)
-    cut = _product_cut(_radius(spec_a), _radius(spec_b), tol)
-    positives = [i for i, v in enumerate(spec_ab, start=1) if v > cut]
-    negatives = [i for i, v in enumerate(spec_ab, start=1) if v < -cut]
-    if not positives or not negatives:
+    a, b, ab = _rows(spec_a, spec_b, spec_ab)
+    gap = gap_bound_batch(a, b, ab, tol=tol)
+    if gap.errors:
+        raise gap.errors[0]
+    if not gap.applies[0]:
         raise NoSignChange("product spectrum has no positive/negative pair")
-    p = positives[-1]
-    q = negatives[0]
-    cut_a = zero_cut(spec_a, tol)
-    if spec_a[p - 1] <= -cut_a or spec_a[q - 1] >= cut_a:
-        raise _sign_mismatch(p, q, spec_a[p - 1], spec_a[q - 1])
-    gap = spec_ab[p - 1] - spec_ab[q - 1]
-    bound = (spec_a[p - 1] - spec_a[q - 1]) * spec_b[0]
-    return p, q, gap, bound
+    return gap.p[0].item(), gap.q[0].item(), gap.gap[0].item(), gap.bound[0].item()
 
 
 def _sign_mismatch(p: int, q: int, a_p: float, a_q: float) -> ConsistencyError:
@@ -438,6 +406,7 @@ def _sign_mismatch(p: int, q: int, a_p: float, a_q: float) -> ConsistencyError:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ostrowski_ratios(
     spec_a: Spectrum,
     spec_ab: Spectrum,
@@ -450,40 +419,17 @@ def ostrowski_ratios(
     tolerance; each ratio must land in [smallest, largest] eigenvalue
     of B.
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_same_dim(spec_a, spec_ab)
-    cut_b = zero_cut(spec_b, tol)
-    if spec_b[-1] <= cut_b:
+    a, b, ab = _rows(spec_a, spec_b, spec_ab)
+    ost = ostrowski_batch(a, ab, b, tol=tol)
+    if not ost.definite[0]:
         raise NotPositiveDefinite(
             f"smallest eigenvalue of B is {spec_b[-1]:.6g}, not strictly positive"
         )
-    cut_a = zero_cut(spec_a, tol)
-    ratios = []
-    for t, v in enumerate(spec_a, start=1):
-        if abs(v) > cut_a:
-            ratios.append((t, spec_ab[t - 1] / v))
-    return OstrowskiReport(ratios=tuple(ratios), low=spec_b[-1], high=spec_b[0])
-
-
-def _pair_sum(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
-    """The pairing kernel: sum of xs[t] * ys[t], accumulated left to right."""
-    total = 0.0
-    for x, y in zip(xs, ys, strict=True):
-        total += x * y
-    return total
-
-
-def _bracket(sel: tuple[float, ...], b: tuple[float, ...], kap: int) -> tuple[float, float]:
-    """(lower, upper) pairing sel with reversed b / b in the pattern b[:kap] + b[n-k+kap:].
-
-    kap = k gives the both-PSD bracket, kap = 0 the stable one, and
-    sel = a with kap = k = n the trace one.
-    """
-    n, k = len(b), len(sel)
-    rev = b[::-1]
-    return (
-        _pair_sum(sel, rev[:kap] + rev[n - k + kap:]),
-        _pair_sum(sel, b[:kap] + b[n - k + kap:]),
+    ratios = zip(range(1, a.shape[1] + 1), ost.ratios[0].tolist(), ost.used[0].tolist())
+    return OstrowskiReport(
+        ratios=tuple((t, ratio) for t, ratio, used in ratios if used),
+        low=ost.low[0].item(),
+        high=ost.high[0].item(),
     )
 
 
@@ -551,7 +497,8 @@ def selection_index(
 class SelectionBoundsBatch(NamedTuple):
     """selection_bounds of S selections of m instances, one (m, S) array entry
     per selection, plus the both-PSD (kap = k) and stable (kap = 0) brackets
-    the reductions use."""
+    the reductions use, and each instance's inertia (inertia_counts), from
+    which nu comes."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -563,6 +510,7 @@ class SelectionBoundsBatch(NamedTuple):
     psd_upper: np.ndarray
     stable_lower: np.ndarray
     stable_upper: np.ndarray
+    inertia: np.ndarray
 
 
 def selection_bounds_batch(
@@ -571,30 +519,34 @@ def selection_bounds_batch(
     index: SelectionIndex,
     tol: float = TOL_CLASS,
     radius=None,
+    sel=None,
 ) -> SelectionBoundsBatch:
     """selection_bounds, psd_product_bounds and stable_bounds of a stack.
 
-    a and b are (m, n) arrays, one spectrum per row (b is clamped here, as
-    the scalar functions clamp it).  Every sum adds the terms of the scalar
-    formula in the same order (_row_sums), so each entry equals the scalar
-    result for that instance and selection bit for bit.  radius is a's
-    _radius, if the caller has it.
+    a and b are (m, n) arrays, one spectrum per row; b is clamped to
+    nonnegative values here.  Every sum adds the terms of its formula in
+    order, one position at a time (_row_sums).  radius is a's _radius and
+    sel its selected_values, if the caller has them.
     """
     _require_same_shape(a, b)
     n = a.shape[1]
     b = np.where(b < 0.0, 0.0, b)
-    sel = selected_values(a, index)
-    cut = tol * (_radius(a) if radius is None else radius)
-    kap = (index.live & (sel >= -cut[..., None])).sum(axis=-2)
-    nu = n - (a < -cut).sum(axis=1)
+    if radius is None:
+        radius = _radius(a)
+    if sel is None:
+        sel = selected_values(a, index)
+    kap = _kap(sel, index, tol * radius)
+    inertia = inertia_counts(a, tol, radius)
+    nu = n - inertia[:, 1]
     head = np.arange(n)[:, None] < kap[:, None, :]
     tail = index.live & ~head
     late = _take(b, index.late)
     # The eight pairing rows, written into one buffer: the four products of
-    # _bracket (sel against b[n-1-t], b[t], b[k-1-t] and b[n-k+t]) and the
-    # main and T1 pairings spliced from them at kap.  sel is 0.0 outside each
-    # selection and b is finite, so the products are too.  The buffer is
-    # position-major, so _row_sums adds one contiguous slab per position.
+    # the both-PSD and stable brackets (sel against b[n-1-t], b[t], b[k-1-t]
+    # and b[n-k+t]) and the main and T1 pairings spliced from them at kap.
+    # sel is 0.0 outside each selection and b is finite, so the products
+    # are too.  The buffer is position-major, so _row_sums adds one
+    # contiguous slab per position.
     terms = np.moveaxis(np.empty((n, 8) + kap.shape), 0, -2)
     lower, upper, t1, first, bottom, top, early, late_terms = terms
     np.multiply(sel, b[:, ::-1, None], out=bottom)
@@ -628,7 +580,14 @@ def selection_bounds_batch(
         psd_upper=sums[5],
         stable_lower=sums[6],
         stable_upper=sums[7],
+        inertia=inertia,
     )
+
+
+def _kap(sel: np.ndarray, index: SelectionIndex, cut: np.ndarray) -> np.ndarray:
+    """count_selected_nonnegative of each selection, (m, S), from the
+    selected_values and each row's zero_cut, (m, 1)."""
+    return (index.live & (sel >= -cut[..., None])).sum(axis=-2)
 
 
 def wielandt_sum_bounds_batch(
@@ -651,20 +610,28 @@ def trace_bounds_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return _row_sums((a * b[:, ::-1])[:, :, None])[:, 0], _row_sums((a * b)[:, :, None])[:, 0]
 
 
-def gap_bound_batch(
-    a: np.ndarray, b: np.ndarray, ab: np.ndarray, radii, tol: float = TOL_CLASS
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
-    """gap_bound of each instance of a stack: (applies, gap, bound, errors).
+class GapBoundBatch(NamedTuple):
+    """gap_bound of each instance of a stack; each array is (m,) and read
+    only where applies."""
 
-    applies marks the instances gap_bound returns for; gap and bound are
-    (m,) arrays, read only there.  An instance whose product spectrum is
-    one-signed (NoSignChange) does not apply; one for which gap_bound raises
-    ConsistencyError does not either, and errors maps it to that error.
-    radii is the _radius of a and of b.
-    """
+    applies: np.ndarray  # gap_bound returns (the product spectrum has both signs)
+    p: np.ndarray  # 1-based
+    q: np.ndarray
+    gap: np.ndarray
+    bound: np.ndarray
+    # The instances for which gap_bound raises ConsistencyError; those that
+    # neither apply nor have an error are one-signed (NoSignChange).
+    errors: dict[int, ConsistencyError]
+
+
+def gap_bound_batch(
+    a: np.ndarray, b: np.ndarray, ab: np.ndarray, radii=None, tol: float = TOL_CLASS
+) -> GapBoundBatch:
+    """gap_bound of each instance of a stack.  radii is the _radius of a and
+    of b, if the caller has them."""
     rows = np.arange(len(a))
     n = a.shape[1]
-    rho_a, rho_b = radii
+    rho_a, rho_b = (_radius(a), _radius(b)) if radii is None else radii
     cut = _product_cut(rho_a, rho_b, tol)
     positive, negative = ab > cut, ab < -cut
     signed = positive.any(axis=1) & negative.any(axis=1)
@@ -677,36 +644,45 @@ def gap_bound_batch(
         i: _sign_mismatch(int(p[i]) + 1, int(q[i]) + 1, float(a_p[i]), float(a_q[i]))
         for i in np.flatnonzero(wrong).tolist()
     }
-    return signed & ~wrong, ab[rows, p] - ab[rows, q], (a_p - a_q) * b[:, 0], errors
+    return GapBoundBatch(
+        applies=signed & ~wrong,
+        p=p + 1,
+        q=q + 1,
+        gap=ab[rows, p] - ab[rows, q],
+        bound=(a_p - a_q) * b[:, 0],
+        errors=errors,
+    )
 
 
 class OstrowskiBatch(NamedTuple):
-    """ostrowski_ratios of each instance of a stack, reduced as the check
-    reports them; each field is (m,) and read only where applies."""
+    """ostrowski_ratios of each instance of a stack, and the values the
+    check reports; each field is (m,), or (m, n) by position t."""
 
-    applies: np.ndarray  # B positive definite and some ratio reported
+    definite: np.ndarray  # B positive definite (else NotPositiveDefinite)
     low: np.ndarray
     high: np.ndarray
-    offender: np.ndarray  # the ratio nearest a bound
-    worst_low: np.ndarray  # min over the ratios of ratio - low
-    worst_high: np.ndarray  # min over the ratios of high - ratio
+    ratios: np.ndarray  # (m, n): ab / a, reported where used
+    used: np.ndarray  # (m, n): a beyond the zero cut
+    offender: np.ndarray  # the reported ratio nearest a bound
+    worst_low: np.ndarray  # min over the reported ratios of ratio - low
+    worst_high: np.ndarray  # min over the reported ratios of high - ratio
 
 
 def ostrowski_batch(
-    a: np.ndarray, ab: np.ndarray, b: np.ndarray, radii, tol: float = TOL_CLASS
+    a: np.ndarray, ab: np.ndarray, b: np.ndarray, radii=None, tol: float = TOL_CLASS
 ) -> OstrowskiBatch:
-    """The Ostrowski check's values for a stack: what Python's min gives over
-    each instance's ratios, the first of equal values included.
+    """The Ostrowski ratios of a stack, and what Python's min gives over
+    each instance's reported ratios, the first of equal values included.
 
     A reported ratio divides a finite value by one above the zero cut, so
     it is finite or infinite but never NaN, and neither are its distances
     to the finite bounds; each minimum is then the entry np.argmin finds
     first among the reported ratios (the others read +inf there).  radii is
-    the _radius of a and of b.
+    the _radius of a and of b, if the caller has them.
     """
     rows = np.arange(len(a))
     low, high = b[:, -1], b[:, 0]
-    rho_a, rho_b = radii
+    rho_a, rho_b = (_radius(a), _radius(b)) if radii is None else radii
     used = np.abs(a) > tol * rho_a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = ab / a
@@ -714,9 +690,11 @@ def ostrowski_batch(
         to_high = np.where(used, high[:, None] - ratios, np.inf)
     nearest = np.where(to_high < to_low, to_high, to_low)
     return OstrowskiBatch(
-        applies=(low > tol * rho_b[:, 0]) & used.any(axis=1),
+        definite=low > tol * rho_b[:, 0],
         low=low,
         high=high,
+        ratios=ratios,
+        used=used,
         offender=ratios[rows, np.argmin(nearest, axis=1)],
         worst_low=to_low[rows, np.argmin(to_low, axis=1)],
         worst_high=to_high[rows, np.argmin(to_high, axis=1)],
@@ -730,18 +708,13 @@ def selected_values(values: np.ndarray, index: SelectionIndex) -> np.ndarray:
 
 def selected_sums(values: np.ndarray, index: SelectionIndex) -> np.ndarray:
     """selected_sum of every selection of a stack, (m, S) (see selection_bounds_batch)."""
-    if index.pos.shape[-2] != values.shape[-1]:
-        raise IndexOutOfRange(
-            f"index sequence is for dimension {index.pos.shape[-2]}, "
-            f"spectrum has {values.shape[-1]}"
-        )
+    _require_indexable(values, index.pos.shape[-2])
     return _row_sums(selected_values(values, index))
 
 
 def _row_sums(terms: np.ndarray, start=0.0) -> np.ndarray:
-    """The batched pairing kernel: sums over the position axis of terms
-    (..., n, S), added position by position, left to right, onto start,
-    exactly as _pair_sum adds.  Gives (..., S).
+    """The pairing kernel: sums over the position axis of terms (..., n, S),
+    added position by position, left to right, onto start.  Gives (..., S).
 
     Terms outside a selection must be zero.  Adding 0.0 leaves a running
     total unchanged unless the total is -0.0, which a sum started from
@@ -767,12 +740,18 @@ def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values[:, :, None], idx, axis=1)
 
 
-def _selected(spec: Spectrum, idx: IndexSequence) -> tuple[float, ...]:
-    return tuple(spec[i - 1] for i in idx.indices)
+def _rows(*specs: Spectrum) -> list[np.ndarray]:
+    """Each spectrum as a stack of one instance, (1, n); DimensionMismatch
+    unless every one has the length of the first (checked in turn)."""
+    for spec in specs[1:]:
+        _require_same_dim(specs[0], spec)
+    return [np.array([spec.values]) for spec in specs]
 
 
-def _clamped(spec: Spectrum) -> tuple[float, ...]:
-    return tuple(max(v, 0.0) for v in spec.values)
+def _index(idx: IndexSequence, values: np.ndarray) -> SelectionIndex:
+    """The SelectionIndex of one selection, for a stack of spectra of its dimension."""
+    _require_indexable(values, idx.n)
+    return selection_index([idx.indices], idx.n)
 
 
 def _radius(spec):
@@ -796,8 +775,9 @@ def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatch(f"spectra have different lengths: {a.shape[-1]} vs {b.shape[-1]}")
 
 
-def _require_indexable(spec: Spectrum, idx: IndexSequence) -> None:
-    if idx.n != len(spec):
+def _require_indexable(values: np.ndarray, n: int) -> None:
+    """IndexOutOfRange unless spectra values (..., length) fit selections of 1..n."""
+    if n != values.shape[-1]:
         raise IndexOutOfRange(
-            f"index sequence is for dimension {idx.n}, spectrum has {len(spec)}"
+            f"index sequence is for dimension {n}, spectrum has {values.shape[-1]}"
         )

@@ -22,7 +22,7 @@ import sys
 from . import bounds as bnd
 from . import harness
 from .errors import EigbError, NoSignChange, NotPositiveDefinite
-from .linalg import hermitian_eig, product_spectrum, validate_hermitian, validate_psd
+from .linalg import Spectrum, hermitian_eig, product_spectrum, validate_hermitian, validate_psd
 from .matfile import FORMAT_VERSION, load_matrix
 
 # Built-in regression example: integer spectra (3,-1,-4), (3,2,1), (3,-3,-8).
@@ -55,14 +55,15 @@ def _default_tol_verify() -> float:
         raise EigbError(f"EIGB_TOL_VERIFY must be a number, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, json_output: bool = True) -> None:
     parser.add_argument("--tol-class", type=float, default=bnd.TOL_CLASS,
                         help="relative threshold classifying eigenvalues as zero")
     parser.add_argument("--tol-verify", type=float, default=None,
                         help="base slack tolerance (env EIGB_TOL_VERIFY overrides the default)")
     parser.add_argument("--tol-herm", type=float, default=1e-9,
                         help="relative hermiticity acceptance tolerance")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    if json_output:
+        parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
 def _parse_indices(text: str, n: int) -> bnd.IndexSequence:
@@ -91,25 +92,31 @@ def _load_pair(args):
     return a, b
 
 
+def _spectra(a, b) -> tuple[Spectrum, Spectrum, Spectrum]:
+    """The spectra of A, B (clamped) and AB, from the instance's SpectraStack."""
+    sp = harness.instance_spectra(a, b)
+    return tuple(Spectrum(s[0].tolist()) for s in (sp.spec_a, sp.spec_b, sp.spec_ab))
+
+
 def cmd_bounds(args) -> int:
     a, b = _load_pair(args)
-    sp = harness.instance_spectra(a, b)
+    spec_a, spec_b, spec_ab = _spectra(a, b)
     idx = _parse_indices(args.indices, a.n)
-    report = bnd.main_bound_report(sp.spec_a, sp.spec_b, sp.spec_ab, idx, args.tol_class)
-    inertia = bnd.inertia_of(sp.spec_a, args.tol_class)
-    sums = bnd.selection_bounds(sp.spec_a, sp.spec_b, idx, args.tol_class)
-    tau = bnd.verify_tolerance(sp.spec_a, sp.spec_b, idx.k, args.tol_verify)
+    report = bnd.main_bound_report(spec_a, spec_b, spec_ab, idx, args.tol_class)
+    inertia = bnd.inertia_of(spec_a, args.tol_class)
+    sums = bnd.selection_bounds(spec_a, spec_b, idx, args.tol_class)
+    tau = bnd.verify_tolerance(spec_a, spec_b, idx.k, args.tol_verify)
     dominance_ok = sums.t1 <= sums.t2 + tau
 
     gap_section = None
     try:
-        p, q, gap, cap = bnd.gap_bound(sp.spec_a, sp.spec_b, sp.spec_ab, args.tol_class)
+        p, q, gap, cap = bnd.gap_bound(spec_a, spec_b, spec_ab, args.tol_class)
         gap_section = {"p": p, "q": q, "gap": gap, "bound": cap}
     except NoSignChange:
         pass
     ostrowski_section = None
     try:
-        rep = bnd.ostrowski_ratios(sp.spec_a, sp.spec_ab, sp.spec_b, args.tol_class)
+        rep = bnd.ostrowski_ratios(spec_a, spec_ab, spec_b, args.tol_class)
         ostrowski_section = {
             "low": rep.low,
             "high": rep.high,
@@ -121,9 +128,9 @@ def cmd_bounds(args) -> int:
     if args.json:
         payload = {
             "version": FORMAT_VERSION,
-            "spectrum_a": list(sp.spec_a),
-            "spectrum_b": list(sp.spec_b),
-            "spectrum_ab": list(sp.spec_ab),
+            "spectrum_a": list(spec_a),
+            "spectrum_b": list(spec_b),
+            "spectrum_ab": list(spec_ab),
             "inertia_a": list(inertia.as_tuple()),
             "indices": list(idx.indices),
             "selected_nonneg": report.selected_nonneg,
@@ -143,9 +150,9 @@ def cmd_bounds(args) -> int:
         print(json.dumps(payload))
         return 0
 
-    print(f"spectrum A:  {_fmt_seq(sp.spec_a)}")
-    print(f"spectrum B:  {_fmt_seq(sp.spec_b)}")
-    print(f"spectrum AB: {_fmt_seq(sp.spec_ab)}")
+    print(f"spectrum A:  {_fmt_seq(spec_a)}")
+    print(f"spectrum B:  {_fmt_seq(spec_b)}")
+    print(f"spectrum AB: {_fmt_seq(spec_ab)}")
     print(
         f"inertia A:   positive={inertia.positive} negative={inertia.negative} "
         f"zero={inertia.zero} (nonnegative={inertia.nonnegative})"
@@ -187,7 +194,7 @@ _VERIFY_SAMPLE_COUNT = 200
 
 def cmd_verify(args) -> int:
     a, b = _load_pair(args)
-    sp = harness._instance_stack(a, b)
+    sp = harness.instance_spectra(a, b)
     n = a.n
 
     if args.indices is not None:
@@ -259,13 +266,13 @@ def cmd_fuzz(args) -> int:
 def cmd_example(args) -> int:
     a = validate_hermitian(EXAMPLE_A, args.tol_herm)
     b = validate_psd(EXAMPLE_B, herm_tol=args.tol_herm)
-    sp = harness.instance_spectra(a, b)
+    spec_a, spec_b, spec_ab = _spectra(a, b)
 
     rows = []
     worst = 0.0
     for label, indices in (("I", (1, 2)), ("II", (1, 3)), ("III", (2, 3))):
         idx = bnd.IndexSequence(indices=indices, n=3)
-        report = bnd.main_bound_report(sp.spec_a, sp.spec_b, sp.spec_ab, idx, args.tol_class)
+        report = bnd.main_bound_report(spec_a, spec_b, spec_ab, idx, args.tol_class)
         exp_upper, exp_actual, exp_lower = EXAMPLE_EXPECTED[indices]
         worst = max(
             worst,
@@ -350,7 +357,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--seed", type=int, default=None, help="sampling seed for n > 10 (read mod 2^64)"
     )
-    _add_common(p_verify)
+    _add_common(p_verify, json_output=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized verification campaign")

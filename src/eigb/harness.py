@@ -13,7 +13,8 @@ arrays with a leading axis of m same-n instances, each drawn from its own
 seed.  A campaign runs them on whole groups of instances (SpectraStack,
 _check_stack); gen_hermitian, gen_psd, instance_spectra and
 check_selections are the same code with m = 1, so a stacked campaign
-reports exactly what one instance at a time would.
+reports exactly what one instance at a time would.  An instance's spectra
+are always a SpectraStack, of one instance where there is one.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .bounds import (
     TOL_CLASS,
     TOL_VERIFY_BASE,
     _radius,
-    _ratio_tolerance,
-    _sum_tolerance,
+    _row_sums,
     _verify_tolerance,
     gap_bound_batch,
     inertia_counts,
@@ -56,7 +56,6 @@ from .linalg import (
     TOL_HERM,
     HermitianMatrix,
     PSDMatrix,
-    Spectrum,
     _check_spectra,
     _eig_stack,
     _eig_values,
@@ -313,22 +312,11 @@ class VerificationRecord:
         }
 
 
-@dataclass
-class InstanceSpectra:
-    """Eigendata computed once per (A, B) instance and shared across selections."""
-
-    spec_a: Spectrum
-    spec_b: Spectrum
-    spec_b_raw: Spectrum
-    spec_ab: Spectrum
-    spec_sum: Spectrum
-    trace_product: float
-    norm_scale: float
-
-
 class SpectraStack(NamedTuple):
-    """The InstanceSpectra of m same-n instances as arrays: each spectrum an
-    (m, n) array, one row per instance; trace_product and norm_scale (m,)."""
+    """Eigendata computed once per (A, B) instance and shared across its
+    selections, for m same-n instances: each spectrum an (m, n) array, one
+    descending row per instance (spec_b clamped to nonnegative values,
+    spec_b_raw as computed); trace_product and norm_scale (m,)."""
 
     spec_a: np.ndarray
     spec_b: np.ndarray
@@ -338,30 +326,9 @@ class SpectraStack(NamedTuple):
     trace_product: np.ndarray
     norm_scale: np.ndarray
 
-    @classmethod
-    def of(cls, sp: InstanceSpectra) -> SpectraStack:
-        """The stack of one instance."""
-        spectra = (sp.spec_a, sp.spec_b, sp.spec_b_raw, sp.spec_ab, sp.spec_sum)
-        return cls(
-            *(np.array([s.values]) for s in spectra),
-            np.array([sp.trace_product]),
-            np.array([sp.norm_scale]),
-        )
 
-    def instance(self, i: int) -> InstanceSpectra:
-        return InstanceSpectra(
-            *(Spectrum(tuple(s[i].tolist())) for s in self[:5]),
-            trace_product=float(self.trace_product[i]),
-            norm_scale=float(self.norm_scale[i]),
-        )
-
-
-def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> InstanceSpectra:
-    return _instance_stack(a, b).instance(0)
-
-
-def _instance_stack(a: HermitianMatrix, b: PSDMatrix) -> SpectraStack:
-    """instance_spectra as a stack of one instance."""
+def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> SpectraStack:
+    """The SpectraStack of one instance."""
     return _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b))
 
 
@@ -502,7 +469,7 @@ class SelectionChecks(NamedTuple):
 
 
 def check_selections(
-    sp: InstanceSpectra | SpectraStack,
+    sp: SpectraStack,
     selections: Sequence[tuple[int, ...]],
     tol: Tolerances = Tolerances(),
     instance_id: int = 0,
@@ -511,8 +478,7 @@ def check_selections(
     """Evaluate every applicable inequality on every selection of one
     instance, in one numpy pass.
 
-    sp is the instance's InstanceSpectra, or its SpectraStack of one.  Each
-    check is a column over the selections (overflow to inf and nan
+    sp is the instance's SpectraStack (instance_spectra).  Each check is a column over the selections (overflow to inf and nan
     included, silently as with Python floats).  The checks that do not
     depend on the selection (gap, Ostrowski and the trace pair) are
     evaluated once.  Records are read off the columns, and built only when
@@ -522,16 +488,19 @@ def check_selections(
     (_check_stack) on a stack of one instance.
 
     The selections of _exhaustive(n) are checked against the SelectionIndex
-    cached with them; any other selections get an index built here.
+    cached with them.  Any other selections are first checked as
+    IndexSequence checks them (InvalidIndexSequence), then get an index
+    built here.
     """
-    stack = sp if isinstance(sp, SpectraStack) else SpectraStack.of(sp)
-    n = stack.spec_a.shape[1]
+    n = sp.spec_a.shape[1]
     cached = _EXHAUSTIVE.get(n)
     if cached is not None and selections is cached[0]:
         index = cached[1]
     else:
+        for selection in selections:
+            IndexSequence(indices=selection, n=n)
         index = selection_index(selections, n)
-    return SelectionChecks(_check_stack(stack, index, tol), 0, selections, instance_id, seed)
+    return SelectionChecks(_check_stack(sp, index, tol), 0, selections, instance_id, seed)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -544,15 +513,24 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
     whose gap check raises ConsistencyError gets, in place of the gap,
     Ostrowski and Wielandt checks, a failed "computation" check on each of
     its selections, as check_selections gives it for that instance alone.
-    The radii of A and B are computed once, for every zero cut and tolerance.
+    The radii of A and B are computed once, for every zero cut and tolerance,
+    and A's selected values are gathered once.
     """
     a, b, ab, total = sp.spec_a, sp.spec_b, sp.spec_ab, sp.spec_sum
-    n = a.shape[1]
+    m, n = a.shape
     ks = index.ks
-    every = np.ones((len(a), ks.shape[-1]), dtype=bool)
+    every = np.ones((m, ks.shape[-1]), dtype=bool)
     radii = rho_a, rho_b = _radius(a), _radius(b)
-    sums = selection_bounds_batch(a, b, index, tol.tol_class, rho_a)
-    inertia = inertia_counts(a, tol.tol_class, rho_a)
+    # With one index for the whole stack, the selected values of AB, A + B
+    # and A are gathered as one (3m, n) array, and summed as one.
+    fused = index.pos.ndim == 2 and ab.shape == total.shape == a.shape
+    if fused:
+        gathered = selected_values(np.concatenate((ab, total, a)), index)
+        sel = gathered[2 * m :]
+    else:
+        sel = selected_values(a, index)
+    sums = selection_bounds_batch(a, b, index, tol.tol_class, rho_a, sel)
+    inertia = sums.inertia
     tau = _verify_tolerance(rho_a, rho_b, ks, tol.verify_base)
     columns: list[CheckColumn] = []
 
@@ -560,15 +538,10 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
         return f"T1={sums.t1[i, r].item()!r} T2={sums.t2[i, r].item()!r}"
 
     try:
-        # With one index for the whole stack, the selected sums of AB, A + B
-        # and A are gathered and added as one (3m, n) array.
-        fused = index.pos.ndim == 2 and ab.shape == total.shape == a.shape
         if fused:
-            actual, w_actual, a_sums = selected_sums(np.concatenate((ab, total, a)), index).reshape(
-                3, len(a), -1
-            )
+            actual, w_actual, a_sums = _row_sums(gathered).reshape(3, m, -1)
         else:
-            actual, w_actual, a_sums = selected_sums(ab, index), None, None
+            actual, w_actual, a_sums = selected_sums(ab, index), None, _row_sums(sel)
         columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
         columns.append(
             _upper_column("dominance", sums.upper, sums.split_upper, tau, every, split_terms)
@@ -580,7 +553,6 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
             )
         stable = inertia[:, 0] == 0
         if stable.any():
-            sel = selected_values(a, index)
             cut = (tol.tol_class * rho_a)[..., None]
             exact = ~np.any(index.live & (sel >= -cut) & (sel != 0.0), axis=-2)
             columns.append(
@@ -607,25 +579,30 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
                 )
             )
 
-        signed, gap, bound, errors = gap_bound_batch(a, b, ab, radii, tol.tol_class)
-        inconsistent = np.zeros(len(a), dtype=bool)
+        gap = gap_bound_batch(a, b, ab, radii, tol.tol_class)
+        errors = gap.errors
+        inconsistent = np.zeros(m, dtype=bool)
         inconsistent[list(errors)] = True
         consistent = every & ~inconsistent[:, None]
-        if signed.any():
+        if gap.applies.any():
             columns.append(
-                _upper_column("gap", gap[:, None], bound[:, None], tau, every & signed[:, None])
+                _upper_column(
+                    "gap", gap.gap[:, None], gap.bound[:, None], tau, every & gap.applies[:, None]
+                )
             )
 
         ost = ostrowski_batch(a, ab, b, radii, tol.tol_class)
-        if ost.applies.any():
+        ost_applies = ost.definite & ost.used.any(axis=1)
+        if ost_applies.any():
             columns.append(
                 _bracket_column(
                     "ostrowski",
                     ost.low[:, None],
                     ost.offender[:, None],
                     ost.high[:, None],
-                    _ratio_tolerance(rho_b, tol.verify_base),
-                    consistent & ost.applies[:, None],
+                    # The Ostrowski ratios are bracketed by the spectrum of B.
+                    tol.verify_base * (1.0 + rho_b),
+                    consistent & ost_applies[:, None],
                     (ost.worst_low[:, None], ost.worst_high[:, None]),
                 )
             )
@@ -633,7 +610,8 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
         w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index, a_sums)
         if w_actual is None:
             w_actual = selected_sums(total, index)
-        tau_sum = _sum_tolerance(rho_a, rho_b, ks, tol.verify_base)
+        # The A + B bracket sums k terms of A and of B.
+        tau_sum = tol.verify_base * (1.0 + (rho_a + rho_b) * ks)
         columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, consistent))
         if errors:
             columns.append(
@@ -1106,7 +1084,7 @@ def run_campaign(
             a = gen_hermitian(plan.a)
             b = gen_psd(plan.b)
             try:
-                sp = _instance_stack(a, b)
+                sp = instance_spectra(a, b)
             except EigbError as exc:
                 full = IndexSequence(indices=tuple(range(1, n + 1)), n=n)
                 tally.error(j, _error_record(exc, n, full, plan.index, plan.seed))

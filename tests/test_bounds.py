@@ -1,6 +1,10 @@
 """Bound formulas: frozen values from the 3x3 integer case, formula identities,
-and property-based checks over random sorted spectra."""
+property-based checks over random sorted spectra, and the batch code and the
+public functions built on it against the scalar oracle, bit for bit."""
 
+import contextlib
+import dataclasses
+import inspect
 from itertools import combinations
 
 import numpy as np
@@ -8,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eigb
+import oracle
 from eigb import bounds
 from eigb.bounds import (
+    TOL_CLASS,
     IndexSequence,
     count_selected_nonnegative,
     gap_bound,
@@ -32,6 +39,7 @@ from eigb.bounds import (
 )
 from eigb.errors import (
     DimensionMismatch,
+    EigbError,
     IndexOutOfRange,
     InvalidIndexSequence,
     NoSignChange,
@@ -559,7 +567,7 @@ class TestSignBoundsK1:
 
 
 class TestSelectionBoundsBatch:
-    """The batched kernel against the scalar formulas, every selection, to the bit."""
+    """The batched kernel against the scalar oracle, every selection, to the bit."""
 
     @staticmethod
     def bits(values):
@@ -588,25 +596,26 @@ class TestSelectionBoundsBatch:
             batch = bounds.SelectionBoundsBatch(
                 *(x[0] for x in selection_bounds_batch(a, b_rows, index))
             )
-            scalar = [selection_bounds(spec_a, spec_b, idx) for idx in seqs]
+            scalar = [oracle.selection_bounds(spec_a, spec_b, idx) for idx in seqs]
             for field in ("lower", "upper", "split_upper", "t1", "t2"):
                 assert self.bits(getattr(batch, field)) == self.bits(
                     getattr(s, field) for s in scalar
                 )
             assert batch.kap.tolist() == [s.kap for s in scalar]
-            b = bounds._clamped(spec_b)
-            psd = [bounds._bracket(bounds._selected(spec_a, idx), b, idx.k) for idx in seqs]
-            stable = [bounds._bracket(bounds._selected(spec_a, idx), b, 0) for idx in seqs]
+            assert tuple(batch.inertia.tolist()) == oracle.inertia_of(spec_a).as_tuple()
+            b = oracle.clamped(spec_b)
+            psd = [oracle.bracket(oracle.selected(spec_a, idx), b, idx.k) for idx in seqs]
+            stable = [oracle.bracket(oracle.selected(spec_a, idx), b, 0) for idx in seqs]
             assert self.bits(batch.psd_lower) == self.bits(lo for lo, _ in psd)
             assert self.bits(batch.psd_upper) == self.bits(up for _, up in psd)
             assert self.bits(batch.stable_lower) == self.bits(lo for lo, _ in stable)
             assert self.bits(batch.stable_upper) == self.bits(up for _, up in stable)
             w_lo, w_up = wielandt_sum_bounds_batch(a, b_rows, index)
-            wielandt = [wielandt_sum_bounds(spec_a, spec_b, idx) for idx in seqs]
+            wielandt = [oracle.wielandt_sum_bounds(spec_a, spec_b, idx) for idx in seqs]
             assert self.bits(w_lo[0]) == self.bits(lo for lo, _ in wielandt)
             assert self.bits(w_up[0]) == self.bits(up for _, up in wielandt)
             assert self.bits(selected_sums(a, index)[0]) == self.bits(
-                selected_sum(spec_a, idx) for idx in seqs
+                oracle.selected_sum(spec_a, idx) for idx in seqs
             )
 
     def test_dimension_guard(self):
@@ -615,3 +624,133 @@ class TestSelectionBoundsBatch:
             selected_sums(np.array([[1.0, 0.0]]), index)
         with pytest.raises(DimensionMismatch):
             wielandt_sum_bounds_batch(np.array([SA.values]), np.array([[1.0, 0.0]]), index)
+
+
+# Spectrum entries: moderate values, and the zeros, band edges and extreme
+# scales at which the zero cuts underflow and the pairing sums overflow.
+entries = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from(
+        [0.0, -0.0, 1e-9, -1e-9, 5e-324, 1e-300, -1e-300, 1e200, -1e200, 1.7e308, -1.7e308]
+    ),
+)
+
+
+def any_spectra(n):
+    return st.lists(entries, min_size=n, max_size=n).map(
+        lambda vals: Spectrum(values=tuple(sorted(vals, reverse=True)))
+    )
+
+
+@st.composite
+def arguments(draw):
+    """Spectra of A, B and AB, a selection and a tolerance, usually all of one
+    dimension; one in eight spectra or selections has another, so that the
+    errors of every kind occur, several at once."""
+    n = draw(st.integers(1, 6))
+
+    def dimension():
+        return draw(st.sampled_from([n] * 7 + [n + 1 if n == 1 else n - 1]))
+
+    spec_a = draw(any_spectra(n))
+    spec_b = draw(any_spectra(dimension()))
+    spec_ab = draw(any_spectra(dimension()))
+    idx = draw(index_sequences(dimension()))
+    tol = draw(
+        st.one_of(st.sampled_from([TOL_CLASS, 0.0, 0.5]), st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
+    )
+    return spec_a, spec_b, spec_ab, idx, tol
+
+
+# name -> the arguments of the function of that name, from arguments().
+# ostrowski_ratios takes |tol|: at a negative tol it reports the ratio at a
+# zero eigenvalue of A, which divides by zero (ZeroDivisionError on Python
+# floats, inf or nan in numpy).
+SCALAR_CALLS = {
+    "inertia_of": lambda a, b, ab, idx, tol: (a, tol),
+    "count_selected_nonnegative": lambda a, b, ab, idx, tol: (a, idx, tol),
+    "selected_sum": lambda a, b, ab, idx, tol: (ab, idx),
+    "selection_bounds": lambda a, b, ab, idx, tol: (a, b, idx, tol),
+    "main_bounds": lambda a, b, ab, idx, tol: (a, b, idx, tol),
+    "main_bound_report": lambda a, b, ab, idx, tol: (a, b, ab, idx, tol),
+    "psd_product_bounds": lambda a, b, ab, idx, tol: (a, b, idx, tol),
+    "stable_bounds": lambda a, b, ab, idx, tol: (a, b, idx, tol),
+    "wielandt_sum_bounds": lambda a, b, ab, idx, tol: (a, b, idx),
+    "trace_bounds": lambda a, b, ab, idx, tol: (a, b),
+    "gap_bound": lambda a, b, ab, idx, tol: (a, b, ab, tol),
+    "ostrowski_ratios": lambda a, b, ab, idx, tol: (a, ab, b, abs(tol)),
+    "verify_tolerance": lambda a, b, ab, idx, tol: (a, b, idx.k, abs(tol)),
+}
+
+
+def exact(value):
+    """value with every float as its hex and every part tagged with its
+    type: equal for two values only if they are equal bit for bit and type
+    for type (a numpy scalar is not a Python float or int)."""
+    if type(value) is float:
+        return "float", value.hex()
+    if isinstance(value, tuple):
+        return type(value).__name__, [exact(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, [exact(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return type(value).__name__, value
+
+
+def outcome(func, args):
+    """exact(func(*args)), or the class and message of what it raises."""
+    try:
+        return exact(func(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return "raised", type(exc).__name__, str(exc)
+
+
+class TestScalarFunctions:
+    """Each function on Spectrum objects runs the batch code on a stack of
+    one; it gives the scalar oracle's result bit for bit, in Python types,
+    and raises its error (the first of several) with its message."""
+
+    def test_every_function_is_covered(self):
+        public = {name for name in eigb.__all__ if inspect.isfunction(getattr(bounds, name, None))}
+        assert public - set(SCALAR_CALLS) == {"pair_bounds"}  # one implementation only
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+    @settings(max_examples=100, deadline=None)
+    @given(args=arguments())
+    def test_matches_oracle(self, name, args):
+        call = SCALAR_CALLS[name](*args)
+        assert outcome(getattr(bounds, name), call) == outcome(getattr(oracle, name), call)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+    def test_dimension_errors_in_order(self, name):
+        # A, B and AB of three lengths and a selection of a fourth: the first
+        # check each function makes raises.
+        a, b, ab = SA, Spectrum(values=(1.0, 0.5)), Spectrum(values=(1.0,))
+        call = SCALAR_CALLS[name](a, b, ab, idx_of((1,), 4), TOL_CLASS)
+        want = outcome(getattr(oracle, name), call)
+        assert outcome(getattr(bounds, name), call) == want
+        assert want[0] == "raised" or name in ("inertia_of", "verify_tolerance")
+
+    def test_results_serialize_as_json(self):
+        import json
+
+        values = {}
+        for name in sorted(SCALAR_CALLS):
+            # A mixed, PSD and stable A: each function returns for one of them.
+            for spec_a in (SA, SB, Spectrum(values=(-1.0, -2.0, -4.0))):
+                call = SCALAR_CALLS[name](spec_a, SB, SAB, idx_of((1, 3), 3), TOL_CLASS)
+                with contextlib.suppress(EigbError):
+                    value = getattr(bounds, name)(*call)
+                    value = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else value
+                    values.setdefault(name, []).append(value)
+        assert set(values) == set(SCALAR_CALLS)
+        json.dumps(values)
+
+    def test_overflow_is_silent(self):
+        # Python floats overflow to inf silently; so must the stack of one
+        # (a RuntimeWarning is an error in this suite).
+        big = Spectrum(values=(1.7e308, 1.7e308))
+        idx = idx_of((1, 2), 2)
+        for name in ("trace_bounds", "main_bounds", "selected_sum", "wielandt_sum_bounds"):
+            call = SCALAR_CALLS[name](big, big, big, idx, TOL_CLASS)
+            assert outcome(getattr(bounds, name), call) == outcome(getattr(oracle, name), call)
+        assert bounds.main_bounds(big, big, idx)[:2] == (float("inf"), float("inf"))

@@ -138,6 +138,14 @@ class TestVerify:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", "--a", str(tmp_path / "x"), "--b", str(tmp_path / "y")]) == 2
 
+    def test_json_is_a_usage_error(self, example_files, capsys):
+        # verify prints text only: --json is not one of its options.
+        a, b = example_files
+        assert main(["verify", "--a", a, "--b", b, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: unrecognized arguments: --json\n")
+
     def test_sampled_selections_beyond_n10(self, tmp_path, capsys):
         a = gen_hermitian(GeneratorSpec(n=12, seed=31, inertia_target=(6, 6, 0)))
         b = gen_psd(GeneratorSpec(n=12, seed=32))

@@ -1,6 +1,7 @@
 """Generators, per-instance checks, and campaign aggregation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,26 +13,14 @@ from eigb.bounds import (
     IndexSequence,
     gap_bound,
     inertia_of,
-    ostrowski_ratios,
-    psd_product_bounds,
-    ratio_tolerance,
-    selected_sum,
-    selection_bounds,
     selection_index,
-    stable_bounds,
-    sum_tolerance,
-    trace_bounds,
-    verify_tolerance,
-    wielandt_sum_bounds,
-    zero_cut,
 )
 from eigb.errors import (
     ConsistencyError,
     EigbError,
     InvalidCount,
+    InvalidIndexSequence,
     InvalidSpec,
-    NoSignChange,
-    NotPositiveDefinite,
 )
 from eigb.harness import (
     EXHAUSTIVE_MAX_N,
@@ -42,7 +31,6 @@ from eigb.harness import (
     CheckResult,
     CheckStats,
     GeneratorSpec,
-    InstanceSpectra,
     SelectionChecks,
     SpectraStack,
     Tolerances,
@@ -61,13 +49,13 @@ from eigb.harness import (
     _exhaustive,
     _generated,
     _haar_unitary,
-    _instance_stack,
     _plans,
     _sampled_selections,
     _streams,
     _words,
 )
 from eigb.linalg import Spectrum, hermitian_eig, validate_hermitian, validate_psd
+from oracle import run_checks
 
 A3 = [[1, 2, 0], [2, 1, 0], [0, 0, -4]]
 B3 = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
@@ -460,127 +448,12 @@ class TestBoundaryEigenvalues:
                 assert check_selections(sp, [c]).record(0).passed
 
 
-def _bracket_check(name, lower, actual, upper, tol):
-    lo_slack = actual - lower
-    up_slack = upper - actual
-    return CheckResult(
-        name=name,
-        actual=actual,
-        lower=lower,
-        upper=upper,
-        lower_slack=lo_slack,
-        upper_slack=up_slack,
-        passed=lo_slack >= -tol and up_slack >= -tol,
-    )
-
-
-def _upper_check(name, actual, upper, tol, detail=""):
-    slack = upper - actual
-    return CheckResult(
-        name=name,
-        actual=actual,
-        upper=upper,
-        upper_slack=slack,
-        passed=slack >= -tol,
-        detail=detail,
-    )
-
-
-def run_checks(sp, idx, tol=Tolerances(), instance_id=0, seed=0):
-    """The record of one selection, check by check on Python floats through
-    the scalar formulas of eigb.bounds: the oracle for check_selections."""
-    checks = []
-    spec_a, spec_b, spec_ab = sp.spec_a, sp.spec_b, sp.spec_ab
-    n, k = idx.n, idx.k
-    sums = selection_bounds(spec_a, spec_b, idx, tol.tol_class)
-    lower, upper = sums.lower, sums.upper
-    inertia = inertia_of(spec_a, tol.tol_class)
-    tau = verify_tolerance(spec_a, spec_b, k, tol.verify_base)
-
-    try:
-        actual = selected_sum(spec_ab, idx)
-        checks.append(_bracket_check("main-bounds", lower, actual, upper, tau))
-        checks.append(
-            _upper_check(
-                "dominance", upper, sums.split_upper, tau, detail=f"T1={sums.t1!r} T2={sums.t2!r}"
-            )
-        )
-        if inertia.negative == 0:
-            red_lo, red_up = psd_product_bounds(spec_a, spec_b, idx, tol.tol_class)
-            diff = max(abs(red_lo - lower), abs(red_up - upper))
-            checks.append(_upper_check("reduction-psd", diff, 0.0, 0.0, detail="exact identity"))
-        if inertia.positive == 0:
-            cut = zero_cut(spec_a, tol.tol_class)
-            near_zero = [spec_a[i - 1] for i in idx.indices if spec_a[i - 1] >= -cut]
-            if all(v == 0.0 for v in near_zero):
-                red_lo, red_up = stable_bounds(spec_a, spec_b, idx, tol.tol_class)
-                diff = max(abs(red_lo - lower), abs(red_up - upper))
-                checks.append(
-                    _upper_check("reduction-stable", diff, 0.0, 0.0, detail="exact identity")
-                )
-
-        if k == n:
-            tr_lo, tr_up = trace_bounds(spec_a, spec_b)
-            agreement = abs(sp.trace_product - spec_ab.sum())
-            checks.append(_bracket_check("trace-bracket", tr_lo, sp.trace_product, tr_up, tau))
-            checks.append(
-                _upper_check("trace-consistency", agreement, 1e-9 * sp.norm_scale, 0.0)
-            )
-
-        try:
-            _, _, gap, bound = gap_bound(spec_a, spec_b, spec_ab, tol.tol_class)
-            checks.append(_upper_check("gap", gap, bound, tau))
-        except NoSignChange:
-            pass
-
-        try:
-            rep = ostrowski_ratios(spec_a, spec_ab, spec_b, tol.tol_class)
-        except NotPositiveDefinite:
-            rep = None
-        if rep is not None and rep.ratios:
-            worst_low = min(r - rep.low for _, r in rep.ratios)
-            worst_high = min(rep.high - r for _, r in rep.ratios)
-            offender = min(rep.ratios, key=lambda tr: min(tr[1] - rep.low, rep.high - tr[1]))
-            tau_ratio = ratio_tolerance(spec_b, tol.verify_base)
-            checks.append(
-                CheckResult(
-                    name="ostrowski",
-                    actual=offender[1],
-                    lower=rep.low,
-                    upper=rep.high,
-                    lower_slack=worst_low,
-                    upper_slack=worst_high,
-                    passed=worst_low >= -tau_ratio and worst_high >= -tau_ratio,
-                )
-            )
-
-        w_lo, w_up = wielandt_sum_bounds(spec_a, sp.spec_b_raw, idx)
-        w_actual = selected_sum(sp.spec_sum, idx)
-        tau_sum = sum_tolerance(spec_a, spec_b, k, tol.verify_base)
-        checks.append(_bracket_check("wielandt", w_lo, w_actual, w_up, tau_sum))
-    except EigbError as exc:
-        checks.append(
-            CheckResult(
-                name="computation", actual=0.0, passed=False, detail=f"{type(exc).__name__}: {exc}"
-            )
-        )
-
-    return VerificationRecord(
-        instance_id=instance_id,
-        seed=seed,
-        n=n,
-        indices=idx.indices,
-        selected_nonneg=sums.kap,
-        inertia=inertia.as_tuple(),
-        checks=tuple(checks),
-    )
-
-
 def assert_batch_matches(sp, selections, tol=Tolerances()):
-    """check_selections gives, on every selection, the record run_checks
-    gives, field for field and type for type (compared by repr), with the
-    same pass flags and worst slacks to the bit, and the same failures."""
-    n = len(sp.spec_a)
+    """check_selections gives, on every selection, the record of the scalar
+    oracle run_checks, field for field and type for type (compared by repr),
+    with the same pass flags and worst slacks to the bit, and the same
+    failures."""
+    n = sp.spec_a.shape[1]
     batch = check_selections(sp, selections, tol)
     records = [run_checks(sp, IndexSequence(indices=c, n=n), tol) for c in selections]
     for r, record in enumerate(records):
@@ -624,20 +497,9 @@ class TestCheckSelections:
         # The product changes sign where the factor A does not, so gap_bound
         # raises ConsistencyError: the record keeps the checks before the gap
         # check and ends with "computation", with no Ostrowski or Wielandt.
-        spec_a = Spectrum(values=(-0.5, -1.0))
-        spec_b = Spectrum(values=(2.0, 1.0))
-        spec_ab = Spectrum(values=(1.0, -1.0))
-        sp = InstanceSpectra(
-            spec_a=spec_a,
-            spec_b=spec_b,
-            spec_b_raw=spec_b,
-            spec_ab=spec_ab,
-            spec_sum=Spectrum(values=(1.5, -0.5)),
-            trace_product=0.0,
-            norm_scale=1.0,
-        )
+        sp = hand_spectra((-0.5, -1.0), (2.0, 1.0), (1.0, -1.0), (1.5, -0.5))
         with pytest.raises(ConsistencyError):
-            gap_bound(spec_a, spec_b, spec_ab)
+            gap_bound(*spectra_of(sp))
         record = check_selections(sp, [(1, 2)]).record(0)
         assert [c.name for c in record.checks] == [
             "main-bounds",
@@ -657,6 +519,19 @@ class TestCheckSelections:
         sp = instance_spectra(a, validate_psd(np.diag([3.0, 2.0, 1.0])))
         with pytest.raises(ValueError, match="inertia counts must be nonnegative"):
             check_selections(sp, all_selections(3), Tolerances(tol_class=-1.0))
+
+    @pytest.mark.parametrize("selection", [(2, 1), (1, 1), (0,), (), (4,), (1, 4), (3, 2, 1)])
+    def test_invalid_selection_rejected(self, selection):
+        # Each is a selection IndexSequence rejects, with its message.  Not
+        # checked, (1, 1) read as a false main-bounds violation (lower 9,
+        # actual 30, upper 21), (2, 1) too, (0,) read index -1, and ()
+        # passed vacuously.
+        a = validate_hermitian(np.diag([3.0, 1.0, -2.0]))
+        sp = instance_spectra(a, validate_psd(np.diag([5.0, 2.0, 1.0])))
+        with pytest.raises(InvalidIndexSequence) as expected:
+            IndexSequence(indices=selection, n=3)
+        with pytest.raises(InvalidIndexSequence, match=re.escape(str(expected.value))):
+            check_selections(sp, [(1, 2), selection])
 
     def test_selection_order(self):
         assert all_selections(3) == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
@@ -698,7 +573,7 @@ class TestExhaustiveCache:
         tol = Tolerances(verify_base=verify_base)
         a = gen_hermitian(GeneratorSpec(n=n, seed=n, inertia_target=(n // 2, n - n // 2, 0)))
         b = gen_psd(GeneratorSpec(n=n, seed=n + 1, inertia_target=(n - 1, 0, 1)))
-        cached = check_selections(_instance_stack(a, b), _exhaustive(n)[0], tol)
+        cached = check_selections(instance_spectra(a, b), _exhaustive(n)[0], tol)
         fresh = check_selections(instance_spectra(a, b), all_selections(n), tol)
         assert cached.passed.tolist() == fresh.passed.tolist()
         for r in range(2**n - 1):
@@ -706,16 +581,15 @@ class TestExhaustiveCache:
 
 
 def hand_spectra(a, b, ab, total, trace=0.0):
-    """InstanceSpectra from given spectra (B already nonnegative, so raw = clamped)."""
-    return InstanceSpectra(
-        spec_a=Spectrum(values=a),
-        spec_b=Spectrum(values=b),
-        spec_b_raw=Spectrum(values=b),
-        spec_ab=Spectrum(values=ab),
-        spec_sum=Spectrum(values=total),
-        trace_product=trace,
-        norm_scale=1.0,
-    )
+    """The SpectraStack of one instance with the given spectra (B already
+    nonnegative, so raw = clamped)."""
+    rows = (np.array([Spectrum(values=v).values]) for v in (a, b, b, ab, total))
+    return SpectraStack(*rows, np.array([trace]), np.array([1.0]))
+
+
+def spectra_of(sp):
+    """The spectra of A, B and AB of a SpectraStack of one, as Spectrum objects."""
+    return (Spectrum(s[0].tolist()) for s in (sp.spec_a, sp.spec_b, sp.spec_ab))
 
 
 def heterogeneous_stack():
@@ -758,7 +632,7 @@ def heterogeneous_stack():
 
 
 def stack_of(spectra):
-    return SpectraStack(*(np.concatenate(x) for x in zip(*map(SpectraStack.of, spectra))))
+    return SpectraStack(*(np.concatenate(x) for x in zip(*spectra)))
 
 
 def bits(values):
@@ -777,7 +651,7 @@ class TestStackedChecks:
         spectra = heterogeneous_stack()
         n = 4
         with pytest.raises(ConsistencyError):
-            gap_bound(spectra[6].spec_a, spectra[6].spec_b, spectra[6].spec_ab)
+            gap_bound(*spectra_of(spectra[6]))
         if sampled:
             selections = [sample_selections(5 + i, n, 9) for i in range(len(spectra))]
             index = selection_index([c for s in selections for c in s], n, len(spectra))
@@ -884,7 +758,7 @@ class TestRunCampaign:
             b_inertia = (n - 1, 0, 1) if instance_id % 3 == 2 else (n, 0, 0)
             b = gen_psd(GeneratorSpec(n=n, seed=derive_seed(seed, 2), inertia_target=b_inertia))
             sp = instance_spectra(a, b)
-            nu = inertia_of(sp.spec_a, tol0.tol_class).nonnegative
+            nu = inertia_of(next(spectra_of(sp)), tol0.tol_class).nonnegative
             family_nu = nu if instance_id % 5 >= 2 else None
             selections = sample_selections(derive_seed(seed, 3), n, SAMPLED_SEQUENCES, family_nu)
             assert len(selections) == SAMPLED_SEQUENCES
@@ -929,7 +803,7 @@ def reference_campaign(count, config=CampaignConfig(), master_seed=0):
             st.failed += 1
             st.min_slack = min(st.min_slack, 0.0)
             continue
-        nu = inertia_of(sp.spec_a, tol.tol_class).nonnegative
+        nu = inertia_of(next(spectra_of(sp)), tol.tol_class).nonnegative
         if n <= EXHAUSTIVE_MAX_N:
             selections = all_selections(n)
         else:

@@ -13,8 +13,9 @@ arrays with a leading axis of m same-n instances, each drawn from its own
 seed.  A campaign runs them on whole groups of instances (SpectraStack,
 _check_stack); gen_hermitian, gen_psd, instance_spectra and
 check_selections are the same code with m = 1, so a stacked campaign
-reports exactly what one instance at a time would.  An instance's spectra
-are always a SpectraStack, of one instance where there is one.
+reports exactly what one instance at a time would.  SpectraStack is the
+one record of an instance's spectra: instance_spectra gives the stack of
+one instance.
 """
 
 from __future__ import annotations
@@ -478,14 +479,15 @@ def check_selections(
     """Evaluate every applicable inequality on every selection of one
     instance, in one numpy pass.
 
-    sp is the instance's SpectraStack (instance_spectra).  Each check is a column over the selections (overflow to inf and nan
-    included, silently as with Python floats).  The checks that do not
-    depend on the selection (gap, Ostrowski and the trace pair) are
-    evaluated once.  Records are read off the columns, and built only when
-    asked for: SelectionChecks.record(r), or .failures.  Computational
-    errors never propagate: they end each record with a failed
-    "computation" check.  This is a campaign's stacked check
-    (_check_stack) on a stack of one instance.
+    sp is the instance's SpectraStack (instance_spectra).  Each check is a
+    column over the selections (overflow to inf and nan included, silently
+    as with Python floats).  The checks that do not depend on the selection
+    (gap, Ostrowski and the trace pair) are evaluated once.  Records are
+    read off the columns, and built only when asked for:
+    SelectionChecks.record(r), or .failures.  Computational errors never
+    propagate: they end each record with a failed "computation" check.
+    This is a campaign's stacked check (_check_stack) on a stack of one
+    instance.
 
     The selections of _exhaustive(n) are checked against the SelectionIndex
     cached with them.  Any other selections are first checked as

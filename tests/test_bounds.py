@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eigb
@@ -53,6 +53,7 @@ from eigb.linalg import Spectrum, hermitian_eig, product_spectrum, validate_herm
 SA = Spectrum(values=(3.0, -1.0, -4.0))
 SB = Spectrum(values=(3.0, 2.0, 1.0))
 SAB = Spectrum(values=(3.0, -3.0, -8.0))
+SB2 = Spectrum(values=(3.0, 1.0))
 # A vanishing on the range of B (the product is exactly zero), with a
 # computed product spectrum of mixed-sign rounding noise.
 ZA = Spectrum(values=(2.58, 0.81, -0.62, -4.77))
@@ -636,9 +637,11 @@ entries = st.one_of(
 )
 
 
-def any_spectra(n):
+def any_spectra(n, nonnegative=False):
     return st.lists(entries, min_size=n, max_size=n).map(
-        lambda vals: Spectrum(values=tuple(sorted(vals, reverse=True)))
+        lambda vals: Spectrum(
+            values=tuple(sorted((abs(v) if nonnegative else v for v in vals), reverse=True))
+        )
     )
 
 
@@ -646,14 +649,15 @@ def any_spectra(n):
 def arguments(draw):
     """Spectra of A, B and AB, a selection and a tolerance, usually all of one
     dimension; one in eight spectra or selections has another, so that the
-    errors of every kind occur, several at once."""
+    errors of every kind occur, several at once.  B is nonnegative half of
+    the time."""
     n = draw(st.integers(1, 6))
 
     def dimension():
         return draw(st.sampled_from([n] * 7 + [n + 1 if n == 1 else n - 1]))
 
     spec_a = draw(any_spectra(n))
-    spec_b = draw(any_spectra(dimension()))
+    spec_b = draw(any_spectra(dimension(), nonnegative=draw(st.booleans())))
     spec_ab = draw(any_spectra(dimension()))
     idx = draw(index_sequences(dimension()))
     tol = draw(
@@ -716,6 +720,10 @@ class TestScalarFunctions:
     @pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
     @settings(max_examples=100, deadline=None)
     @given(args=arguments())
+    # A zero eigenvalue of A that Ostrowski skips, and gap_bound's
+    # ConsistencyError (SA against a product that changes sign at 2, 3).
+    @example(args=(Spectrum(values=(0.0, -2.0)), SB2, Spectrum(values=(0.0, -3.0)), idx_of((1,), 2), 0.0))
+    @example(args=(SA, SB, Spectrum(values=(3.0, 1.0, -8.0)), idx_of((2, 3), 3), TOL_CLASS))
     def test_matches_oracle(self, name, args):
         call = SCALAR_CALLS[name](*args)
         assert outcome(getattr(bounds, name), call) == outcome(getattr(oracle, name), call)

@@ -28,13 +28,11 @@ from eigb.harness import (
     STACK_WINDOW,
     CampaignConfig,
     CampaignReport,
-    CheckResult,
     CheckStats,
     GeneratorSpec,
     SelectionChecks,
     SpectraStack,
     Tolerances,
-    VerificationRecord,
     all_selections,
     check_selections,
     derive_seed,

@@ -23,6 +23,7 @@ in Python floats.  zero_cut and verify_tolerance accept a Spectrum, or an
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -80,7 +81,11 @@ class IndexSequence:
     n: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            # Python and numpy integers; a float is not truncated to one.
+            idx = tuple(operator.index(i) for i in self.indices)
+        except TypeError:
+            raise InvalidIndexSequence(f"indices must be integers, got {self.indices!r}") from None
         object.__setattr__(self, "indices", idx)
         if len(idx) == 0:
             raise InvalidIndexSequence("index sequence must select at least one eigenvalue")
@@ -262,23 +267,31 @@ def main_bound_report(
     tol: float = TOL_CLASS,
 ) -> BoundReport:
     """Evaluate the main bounds against the achieved product eigenvalue sum."""
-    lower, upper, kap = main_bounds(spec_a, spec_b, idx, tol)
+    return _bound_report(spec_a, spec_b, spec_ab, idx, tol)[0]
+
+
+def _bound_report(
+    spec_a: Spectrum, spec_b: Spectrum, spec_ab: Spectrum, idx: IndexSequence, tol: float
+) -> tuple[BoundReport, SelectionBounds]:
+    """main_bound_report, and the selection_bounds it is read from."""
+    sums = selection_bounds(spec_a, spec_b, idx, tol)
     actual = selected_sum(spec_ab, idx)
-    if kap == idx.k:
+    if sums.kap == idx.k:
         branch = "all-selected-nonnegative"
-    elif kap == 0:
+    elif sums.kap == 0:
         branch = "all-selected-negative"
     else:
         branch = "mixed-selection"
-    return BoundReport(
-        lower=lower,
-        upper=upper,
+    report = BoundReport(
+        lower=sums.lower,
+        upper=sums.upper,
         actual=actual,
-        selected_nonneg=kap,
-        lower_slack=actual - lower,
-        upper_slack=upper - actual,
+        selected_nonneg=sums.kap,
+        lower_slack=actual - sums.lower,
+        upper_slack=sums.upper - actual,
         branch=branch,
     )
+    return report, sums
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -702,7 +715,8 @@ def ostrowski_batch(
 
 
 def selected_values(values: np.ndarray, index: SelectionIndex) -> np.ndarray:
-    """(m, n, S): each selection's spectrum values, in its first positions, 0.0 after them."""
+    """(..., m, n, S): each selection's spectrum values, in its first
+    positions, 0.0 after them, for spectra (..., m, n)."""
     return _take(_padded(values), index.pos)
 
 
@@ -728,16 +742,17 @@ def _row_sums(terms: np.ndarray, start=0.0) -> np.ndarray:
 
 
 def _padded(values: np.ndarray) -> np.ndarray:
-    """values (m, n) with a column of 0.0 appended, read at index n."""
-    return np.concatenate((values, np.zeros((len(values), 1))), axis=1)
+    """values (..., m, n) with a column of 0.0 appended, read at index n."""
+    return np.concatenate((values, np.zeros(values.shape[:-1] + (1,))), axis=-1)
 
 
 def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values (m, n) gathered along each row at idx: (n, S) indices shared by
-    every row, or (m, n, S) with one set per row.  Gives (m, n, S)."""
+    """values (..., m, n) gathered along each row at idx: (n, S) indices
+    shared by every row, or (m, n, S) with one set per instance.  Gives
+    (..., m, n, S)."""
     if idx.ndim == 2:
-        return np.take(values, idx, axis=1)
-    return np.take_along_axis(values[:, :, None], idx, axis=1)
+        return np.take(values, idx, axis=-1)
+    return np.take_along_axis(values[..., None], idx[(None,) * (values.ndim - 2)], axis=-2)
 
 
 def _rows(*specs: Spectrum) -> list[np.ndarray]:

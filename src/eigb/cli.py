@@ -55,13 +55,20 @@ def _default_tol_verify() -> float:
         raise EigbError(f"EIGB_TOL_VERIFY must be a number, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, json_output: bool = True) -> None:
-    parser.add_argument("--tol-class", type=float, default=bnd.TOL_CLASS,
-                        help="relative threshold classifying eigenvalues as zero")
-    parser.add_argument("--tol-verify", type=float, default=None,
-                        help="base slack tolerance (env EIGB_TOL_VERIFY overrides the default)")
-    parser.add_argument("--tol-herm", type=float, default=1e-9,
-                        help="relative hermiticity acceptance tolerance")
+# The tolerance flags by name: each command takes the ones it reads.
+_TOLERANCE_FLAGS = {
+    "tol_class": (bnd.TOL_CLASS, "relative threshold classifying eigenvalues as zero"),
+    "tol_verify": (None, "base slack tolerance (env EIGB_TOL_VERIFY overrides the default)"),
+    "tol_herm": (1e-9, "relative hermiticity acceptance tolerance"),
+}
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, *tolerances: str, json_output: bool = True
+) -> None:
+    for name in tolerances:
+        default, text = _TOLERANCE_FLAGS[name]
+        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=default, help=text)
     if json_output:
         parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -75,9 +82,10 @@ def _parse_indices(text: str, n: int) -> bnd.IndexSequence:
 
 
 def _check_tolerances(args) -> None:
-    for name in ("tol_class", "tol_verify", "tol_herm"):
-        value = getattr(args, name)
-        # Written as "not >= 0" so that NaN fails too.
+    for name in _TOLERANCE_FLAGS:
+        # A command without the flag reads 0.0.  Written as "not >= 0" so
+        # that NaN fails too.
+        value = vars(args).get(name, 0.0)
         if not value >= 0:
             raise EigbError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
 
@@ -93,18 +101,16 @@ def _load_pair(args):
 
 
 def _spectra(a, b) -> tuple[Spectrum, Spectrum, Spectrum]:
-    """The spectra of A, B (clamped) and AB, from the instance's SpectraStack."""
-    sp = harness.instance_spectra(a, b)
-    return tuple(Spectrum(s[0].tolist()) for s in (sp.spec_a, sp.spec_b, sp.spec_ab))
+    """The spectra of A, B (clamped) and AB."""
+    return hermitian_eig(a).spectrum, b.spectrum, product_spectrum(a, b)
 
 
 def cmd_bounds(args) -> int:
     a, b = _load_pair(args)
     spec_a, spec_b, spec_ab = _spectra(a, b)
     idx = _parse_indices(args.indices, a.n)
-    report = bnd.main_bound_report(spec_a, spec_b, spec_ab, idx, args.tol_class)
+    report, sums = bnd._bound_report(spec_a, spec_b, spec_ab, idx, args.tol_class)
     inertia = bnd.inertia_of(spec_a, args.tol_class)
-    sums = bnd.selection_bounds(spec_a, spec_b, idx, args.tol_class)
     tau = bnd.verify_tolerance(spec_a, spec_b, idx.k, args.tol_verify)
     dominance_ok = sums.t1 <= sums.t2 + tau
 
@@ -347,7 +353,7 @@ def _parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--a", required=True, help="path to Hermitian matrix file")
     p_bounds.add_argument("--b", required=True, help="path to PSD matrix file")
     p_bounds.add_argument("--indices", required=True, help="comma list, e.g. 1,3")
-    _add_common(p_bounds)
+    _add_common(p_bounds, "tol_class", "tol_verify", "tol_herm")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="verify inequalities for one instance")
@@ -357,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--seed", type=int, default=None, help="sampling seed for n > 10 (read mod 2^64)"
     )
-    _add_common(p_verify, json_output=False)
+    _add_common(p_verify, "tol_class", "tol_verify", "tol_herm", json_output=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized verification campaign")
@@ -366,17 +372,17 @@ def _parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--n-max", type=int, default=8)
     p_fuzz.add_argument("--seed", type=int, default=0, help="campaign master seed (read mod 2^64)")
     p_fuzz.add_argument("--inertia", help="force inertia p,m,z for every instance")
-    _add_common(p_fuzz)
+    _add_common(p_fuzz, "tol_class", "tol_verify")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_example = sub.add_parser("example", help="built-in integer-valued regression case")
-    _add_common(p_example)
+    _add_common(p_example, "tol_class", "tol_herm")
     p_example.set_defaults(func=cmd_example)
 
     p_spectrum = sub.add_parser("spectrum", help="print spectra and inertia")
     p_spectrum.add_argument("--a", required=True)
     p_spectrum.add_argument("--b")
-    _add_common(p_spectrum)
+    _add_common(p_spectrum, "tol_class", "tol_herm")
     p_spectrum.set_defaults(func=cmd_spectrum)
 
     return parser
@@ -388,7 +394,7 @@ def main(argv=None) -> int:
         # call; before parsing, so a bad value exits 2 whatever the arguments.
         tol_verify = _default_tol_verify()
         args = _parser().parse_args(argv)
-        if args.tol_verify is None:
+        if "tol_verify" in vars(args) and args.tol_verify is None:
             args.tol_verify = tol_verify
         _check_tolerances(args)
         return args.func(args)

@@ -13,16 +13,18 @@ arrays with a leading axis of m same-n instances, each drawn from its own
 seed.  A campaign runs them on whole groups of instances (SpectraStack,
 _check_stack); gen_hermitian, gen_psd, instance_spectra and
 check_selections are the same code with m = 1, so a stacked campaign
-reports exactly what one instance at a time would.  SpectraStack is the
-one record of an instance's spectra: instance_spectra gives the stack of
-one instance.
+reports exactly what one instance at a time would.  A stack that fails is
+solved again as stacks of one, by the same code, and an instance that
+still fails gets a "computation" record.  SpectraStack is the one record
+of an instance's spectra: instance_spectra gives the stack of one
+instance.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, combinations, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -41,7 +43,6 @@ from .bounds import (
     gap_bound_batch,
     inertia_counts,
     ostrowski_batch,
-    selected_sums,
     selected_values,
     selection_bounds_batch,
     selection_index,
@@ -361,8 +362,7 @@ class CheckColumn(NamedTuple):
     all of it; detail is a string or a function of the position.
 
     The batch is (m, S), m instances by S selections (_check_stack); a value
-    the same for all of an instance's selections is an (m, 1) array.
-    instance(i) gives one instance's column, over its S selections."""
+    the same for all of an instance's selections is an (m, 1) array."""
 
     name: str
     applies: np.ndarray
@@ -396,27 +396,6 @@ class CheckColumn(NamedTuple):
             detail=self.detail(*at) if callable(self.detail) else self.detail,
         )
 
-    def instance(self, i: int) -> CheckColumn:
-        """Instance i's column: its row of every array, with applies, passed
-        and worst over all its selections."""
-
-        def row(field):
-            return field[i] if isinstance(field, np.ndarray) else field
-
-        applies = self.applies[i]
-        return CheckColumn(
-            name=self.name,
-            applies=applies,
-            passed=np.broadcast_to(self.passed[i], applies.shape),
-            worst=np.broadcast_to(self.worst[i], applies.shape),
-            actual=row(self.actual),
-            lower=row(self.lower),
-            upper=row(self.upper),
-            lower_slack=row(self.lower_slack),
-            upper_slack=row(self.upper_slack),
-            detail=partial(self.detail, i) if callable(self.detail) else self.detail,
-        )
-
 
 class StackChecks(NamedTuple):
     """Result of _check_stack: the check columns in record order over (m, S),
@@ -440,11 +419,6 @@ class SelectionChecks(NamedTuple):
     selections: Sequence[tuple[int, ...]]
     instance_id: int
     seed: int
-
-    @property
-    def columns(self) -> tuple[CheckColumn, ...]:
-        """The check columns in record order, over this instance's selections."""
-        return tuple(c.instance(self.i) for c in self.stack.columns)
 
     @property
     def passed(self) -> np.ndarray:
@@ -516,21 +490,18 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
     Ostrowski and Wielandt checks, a failed "computation" check on each of
     its selections, as check_selections gives it for that instance alone.
     The radii of A and B are computed once, for every zero cut and tolerance,
-    and A's selected values are gathered once.
+    and the selected values of AB, A + B and A are gathered once, for
+    either layout of the index.
     """
     a, b, ab, total = sp.spec_a, sp.spec_b, sp.spec_ab, sp.spec_sum
     m, n = a.shape
     ks = index.ks
     every = np.ones((m, ks.shape[-1]), dtype=bool)
     radii = rho_a, rho_b = _radius(a), _radius(b)
-    # With one index for the whole stack, the selected values of AB, A + B
-    # and A are gathered as one (3m, n) array, and summed as one.
-    fused = index.pos.ndim == 2 and ab.shape == total.shape == a.shape
-    if fused:
-        gathered = selected_values(np.concatenate((ab, total, a)), index)
-        sel = gathered[2 * m :]
-    else:
-        sel = selected_values(a, index)
+    # The selected values of AB, A + B and A, gathered as one (3, m, n, S)
+    # array, and summed as one.
+    gathered = selected_values(np.stack((ab, total, a)), index)
+    sel = gathered[2]
     sums = selection_bounds_batch(a, b, index, tol.tol_class, rho_a, sel)
     inertia = sums.inertia
     tau = _verify_tolerance(rho_a, rho_b, ks, tol.verify_base)
@@ -540,10 +511,7 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
         return f"T1={sums.t1[i, r].item()!r} T2={sums.t2[i, r].item()!r}"
 
     try:
-        if fused:
-            actual, w_actual, a_sums = _row_sums(gathered).reshape(3, m, -1)
-        else:
-            actual, w_actual, a_sums = selected_sums(ab, index), None, _row_sums(sel)
+        actual, w_actual, a_sums = _row_sums(gathered)
         columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
         columns.append(
             _upper_column("dominance", sums.upper, sums.split_upper, tau, every, split_terms)
@@ -610,8 +578,6 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
             )
 
         w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index, a_sums)
-        if w_actual is None:
-            w_actual = selected_sums(total, index)
         # The A + B bracket sums k terms of A and of B.
         tau_sum = tol.verify_base * (1.0 + (rho_a + rho_b) * ks)
         columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, consistent))
@@ -687,15 +653,14 @@ def _computation(exc: EigbError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _error_record(
-    exc: EigbError, n: int, idx: IndexSequence, instance_id: int, seed: int
-) -> VerificationRecord:
-    """Failed record for an instance whose spectra could not be computed."""
+def _error_record(exc: EigbError, n: int, instance_id: int, seed: int) -> VerificationRecord:
+    """Failed record, on the full selection 1..n, for an instance whose
+    spectra could not be computed."""
     return VerificationRecord(
         instance_id=instance_id,
         seed=seed,
         n=n,
-        indices=idx.indices,
+        indices=tuple(range(1, n + 1)),
         selected_nonneg=0,
         inertia=(0, 0, 0),
         checks=(
@@ -939,26 +904,36 @@ def _plans(window: range, master_seed: int, config: CampaignConfig) -> list[_Pla
     return plans
 
 
-def _stacked_spectra(plans: Sequence[_Plan]) -> list[tuple[list[int], SpectraStack | None]]:
+def _solved(plans: Sequence[_Plan]) -> SpectraStack:
+    """The spectra of same-n planned instances, generated, validated and
+    solved as one stack: gen_hermitian, gen_psd and instance_spectra at once."""
+    a, _ = _validated(_generated([plan.a for plan in plans], False), TOL_HERM)
+    b, _ = _validated(_generated([plan.b for plan in plans], True), TOL_HERM)
+    return _spectra_stack(a, b, *_psd_eig(b))
+
+
+def _stacked_spectra(plans: Sequence[_Plan]) -> list[tuple[list[int], SpectraStack | EigbError]]:
     """The planned instances in same-n stacks, as (members, spectra): the
     positions in plans of each stack's instances, in order, and their
-    spectra, generated and solved as a whole stack (gen_hermitian, gen_psd
-    and instance_spectra at once).  A stack in which a stage raises gets
-    None, to be redone one instance at a time."""
+    spectra (_solved).  A stack in which a stage raises is solved again one
+    instance at a time by the same code, as stacks of one; an instance that
+    fails alone gets its error in place of its spectra."""
     groups: dict[int, list[int]] = {}
     for j, plan in enumerate(plans):
         groups.setdefault(plan.a.n, []).append(j)
-    stacks: list[tuple[list[int], SpectraStack | None]] = []
+    stacks: list[tuple[list[int], SpectraStack | EigbError]] = []
     for n, group in groups.items():
         size = max(1, STACK_ENTRIES // n**2)
         for k in range(0, len(group), size):
             members = group[k : k + size]
             try:
-                a, _ = _validated(_generated([plans[j].a for j in members], False), TOL_HERM)
-                b, _ = _validated(_generated([plans[j].b for j in members], True), TOL_HERM)
-                stacks.append((members, _spectra_stack(a, b, *_psd_eig(b))))
+                stacks.append((members, _solved([plans[j] for j in members])))
             except (EigbError, LinAlgError):
-                stacks.append((members, None))
+                for j in members:
+                    try:
+                        stacks.append(([j], _solved([plans[j]])))
+                    except EigbError as exc:
+                        stacks.append(([j], exc))
     return stacks
 
 
@@ -1003,10 +978,11 @@ class _Tally:
                     )
                 )
 
-    def error(self, j: int, record: VerificationRecord) -> None:
+    def error(self, j: int, exc: EigbError) -> None:
         """An instance whose spectra could not be computed."""
+        plan = self.plans[j]
         self.total += 1
-        self.failures[j] = [record]
+        self.failures[j] = [_error_record(exc, plan.a.n, plan.index, plan.seed)]
         self.columns.setdefault("computation", []).append(
             (np.array([j]), np.zeros(1, dtype=bool), np.zeros(1))
         )
@@ -1053,9 +1029,10 @@ def run_campaign(
     Up to STACK_WINDOW consecutive instances are planned at a time, then
     generated and solved in same-n stacks (_stacked_spectra), then checked
     a stack at a time (_check_stack), and their results merged back into
-    instance order (_Tally).  An instance whose stack failed is generated,
-    solved and checked on its own, exactly as the stack would have done it,
-    so the report is the same as one instance at a time.  Instances up to
+    instance order (_Tally), so the report is the same as one instance at a
+    time.  The instances of a stack that failed are solved and checked one
+    at a time by the same code; one that still fails (a failed eigensolve of
+    A, B or AB, say) gets a "computation" record.  Instances up to
     EXHAUSTIVE_MAX_N check the selections of _exhaustive(n), whose index is
     built once per n per process, not once per campaign.
     """
@@ -1072,27 +1049,12 @@ def run_campaign(
         window = range(first, min(first + STACK_WINDOW, count))
         plans = _plans(window, master_seed, config)
         tally = _Tally(plans)
-        redo: list[int] = []
         for members, sp in _stacked_spectra(plans):
-            if sp is None:
-                redo += members
+            if isinstance(sp, EigbError):
+                tally.error(members[0], sp)
                 continue
             selections, index = _campaign_selections(sp, members, plans, tol)
             tally.add(members, _check_stack(sp, index, tol), selections)
-        # In instance order, so that a generation error propagates as it would one at a time.
-        for j in sorted(redo):
-            plan = plans[j]
-            n = plan.a.n
-            a = gen_hermitian(plan.a)
-            b = gen_psd(plan.b)
-            try:
-                sp = instance_spectra(a, b)
-            except EigbError as exc:
-                full = IndexSequence(indices=tuple(range(1, n + 1)), n=n)
-                tally.error(j, _error_record(exc, n, full, plan.index, plan.seed))
-                continue
-            selections, index = _campaign_selections(sp, [j], plans, tol)
-            tally.add([j], _check_stack(sp, index, tol), selections)
         tally.flush(stats, failures)
         total += tally.total
         passed += tally.passed

@@ -194,6 +194,17 @@ class TestIndexSequence:
         with pytest.raises(InvalidIndexSequence):
             IndexSequence(indices=(4,), n=3)
 
+    @pytest.mark.parametrize("indices", [(1.5, 2.9), (1.0, 2.0), (np.float64(1.0),), ("1",)])
+    def test_rejects_non_integers(self, indices):
+        # int() would truncate 1.5 and 2.9 to the selection (1, 2).
+        with pytest.raises(InvalidIndexSequence, match="indices must be integers"):
+            IndexSequence(indices=indices, n=3)
+
+    def test_accepts_numpy_integers(self):
+        idx = IndexSequence(indices=(np.int64(1), np.intp(3)), n=3)
+        assert idx.indices == (1, 3)
+        assert [type(i) for i in idx.indices] == [int, int]
+
 
 class TestMainBounds:
     @pytest.mark.parametrize(

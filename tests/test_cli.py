@@ -82,6 +82,29 @@ class TestBounds:
         assert bases == [0.25]
         assert data["dominance_ok"] is True
 
+    def test_one_evaluation_per_call(self, example_files, capsys, monkeypatch):
+        # The report and the splitting sums are read off one evaluation of the
+        # selection, and the spectra take the eigensolves of B, A and AB alone.
+        import eigb.linalg as linalg
+
+        batches, solves = [], []
+        real_batch, real_eigh = bounds.selection_bounds_batch, linalg.eigh
+
+        def batch(*args, **kwargs):
+            batches.append(args[2])
+            return real_batch(*args, **kwargs)
+
+        def eigh(m):
+            solves.append(len(m))
+            return real_eigh(m)
+
+        monkeypatch.setattr(bounds, "selection_bounds_batch", batch)
+        monkeypatch.setattr(linalg, "eigh", eigh)
+        a, b = example_files
+        assert main(["bounds", "--a", a, "--b", b, "--indices", "1,3"]) == 0
+        assert len(batches) == 1
+        assert solves == [1, 1, 1]
+
     def test_decreasing_indices_exit_2(self, example_files, capsys):
         a, b = example_files
         assert main(["bounds", "--a", a, "--b", b, "--indices", "3,1"]) == 2
@@ -394,6 +417,19 @@ class TestUsage:
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("fuzz", "--tol-herm"), ("spectrum", "--tol-verify"), ("example", "--tol-verify")],
+    )
+    def test_unread_tolerance_flag_exit_2(self, example_files, capsys, command, flag):
+        # Each command takes only the tolerance flags it reads; these three
+        # were accepted and ignored.
+        a, _ = example_files
+        operands = {"fuzz": ["--count", "5", "--json"], "spectrum": ["--a", a], "example": []}
+        assert main([command, *operands[command], flag, "0"]) == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 class TestInputErrors:

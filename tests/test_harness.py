@@ -446,6 +446,13 @@ class TestBoundaryEigenvalues:
                 assert check_selections(sp, [c]).record(0).passed
 
 
+def column_row(column, i=0):
+    """Instance i's row of a check column: where it applies, and its pass
+    flags and worst slacks, over the instance's selections."""
+    shape = column.applies.shape
+    return tuple(np.broadcast_to(x, shape)[i] for x in (column.applies, column.passed, column.worst))
+
+
 def assert_batch_matches(sp, selections, tol=Tolerances()):
     """check_selections gives, on every selection, the record of the scalar
     oracle run_checks, field for field and type for type (compared by repr),
@@ -456,8 +463,9 @@ def assert_batch_matches(sp, selections, tol=Tolerances()):
     records = [run_checks(sp, IndexSequence(indices=c, n=n), tol) for c in selections]
     for r, record in enumerate(records):
         assert repr(batch.record(r)) == repr(record)
-        columns = [c for c in batch.columns if c.applies[r]]
-        assert [float(c.worst[r]).hex() for c in columns] == [c.worst().hex() for c in record.checks]
+        rows = [column_row(c) for c in batch.stack.columns]
+        worst = [float(w[r]).hex() for applies, _, w in rows if applies[r]]
+        assert worst == [c.worst().hex() for c in record.checks]
         assert bool(batch.passed[r]) == record.passed
     assert [repr(f) for f in batch.failures] == [repr(r) for r in records if not r.passed]
 
@@ -518,12 +526,16 @@ class TestCheckSelections:
         with pytest.raises(ValueError, match="inertia counts must be nonnegative"):
             check_selections(sp, all_selections(3), Tolerances(tol_class=-1.0))
 
-    @pytest.mark.parametrize("selection", [(2, 1), (1, 1), (0,), (), (4,), (1, 4), (3, 2, 1)])
+    @pytest.mark.parametrize(
+        "selection",
+        [(2, 1), (1, 1), (0,), (), (4,), (1, 4), (3, 2, 1), (1.5, 2.9), (np.float64(2.0),)],
+    )
     def test_invalid_selection_rejected(self, selection):
         # Each is a selection IndexSequence rejects, with its message.  Not
         # checked, (1, 1) read as a false main-bounds violation (lower 9,
         # actual 30, upper 21), (2, 1) too, (0,) read index -1, and ()
-        # passed vacuously.
+        # passed vacuously.  A float index is not truncated: (1.5, 2.9) was
+        # checked as (1, 2) while its record reported (1.5, 2.9).
         a = validate_hermitian(np.diag([3.0, 1.0, -2.0]))
         sp = instance_spectra(a, validate_psd(np.diag([5.0, 2.0, 1.0])))
         with pytest.raises(InvalidIndexSequence) as expected:
@@ -663,9 +675,11 @@ class TestStackedChecks:
             stacked = SelectionChecks(checked, i, sels, i, 100 + i)
             alone = check_selections(sp, sels, tol, instance_id=i, seed=100 + i)
             assert stacked.passed.tolist() == alone.passed.tolist()
+            rows = [column_row(col, i) for col in checked.columns]
+            alone_rows = [column_row(col) for col in alone.stack.columns]
             for r, c in enumerate(sels):
-                worst = [bits(col.worst[r]) for col in stacked.columns if col.applies[r]]
-                assert worst == [bits(col.worst[r]) for col in alone.columns if col.applies[r]]
+                worst = [bits(w[r]) for applies, _, w in rows if applies[r]]
+                assert worst == [bits(w[r]) for applies, _, w in alone_rows if applies[r]]
                 record = repr(run_checks(sp, IndexSequence(indices=c, n=n), tol, i, 100 + i))
                 assert repr(stacked.record(r)) == repr(alone.record(r)) == record
             assert [repr(f) for f in stacked.failures] == [repr(f) for f in alone.failures]
@@ -787,14 +801,15 @@ def reference_campaign(count, config=CampaignConfig(), master_seed=0):
             else:
                 pos = 1 + int(u_pos * (n - 1))
                 inertia = (pos, n - pos, 0)
-        a = gen_hermitian(GeneratorSpec(n=n, seed=derive_seed(seed_i, 1), inertia_target=inertia))
         b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
-        b = gen_psd(GeneratorSpec(n=n, seed=derive_seed(seed_i, 2), inertia_target=b_inertia))
         try:
+            a = gen_hermitian(
+                GeneratorSpec(n=n, seed=derive_seed(seed_i, 1), inertia_target=inertia)
+            )
+            b = gen_psd(GeneratorSpec(n=n, seed=derive_seed(seed_i, 2), inertia_target=b_inertia))
             sp = instance_spectra(a, b)
         except EigbError as exc:
-            full = IndexSequence(indices=tuple(range(1, n + 1)), n=n)
-            failures.append(_error_record(exc, n, full, i, seed_i))
+            failures.append(_error_record(exc, n, i, seed_i))
             total += 1
             st = stats.setdefault("computation", CheckStats(name="computation"))
             st.count += 1
@@ -811,10 +826,11 @@ def reference_campaign(count, config=CampaignConfig(), master_seed=0):
         total += len(selections)
         passed += int(np.count_nonzero(checked.passed))
         failures.extend(checked.failures)
-        for column in checked.columns:
-            if column.applies.any():
+        for column in checked.stack.columns:
+            applies, column_passed, worst = column_row(column)
+            if applies.any():
                 st = stats.setdefault(column.name, CheckStats(name=column.name))
-                st.add(column.passed[column.applies], column.worst[column.applies])
+                st.add(column_passed[applies], worst[applies])
     report = CampaignReport(
         total=total,
         passed=passed,
@@ -866,14 +882,18 @@ class TestStackedCampaign:
         assert report.failed > 0
         assert json.dumps(report.to_json_dict()) == reference_campaign(count, config, 13)
 
-    def test_failing_instance_redone_alone(self, monkeypatch):
-        # LAPACK fails on instance 7's A, inside the stack of all 20
-        # instances (one n): only instance 7 becomes a computation record.
+    @pytest.mark.parametrize("factor", ["a", "b"])
+    @pytest.mark.parametrize("n", [4, 8], ids=["exhaustive", "sampled"])
+    def test_failing_instance_redone_alone(self, monkeypatch, factor, n):
+        # LAPACK fails on the eigensolve of instance 7's A or B, inside the
+        # stack of all 20 instances (one n): only instance 7 becomes a
+        # computation record.
         import eigb.linalg as linalg
 
-        config = CampaignConfig(n_min=4, n_max=4, tolerances=Tolerances(verify_base=0.0))
-        a_7 = gen_hermitian(_plans(range(7, 8), 11, config)[0].a)
-        poisoned = linalg._unit_scaled(a_7.matrix[None])[0][0]
+        config = CampaignConfig(n_min=n, n_max=n, tolerances=Tolerances(verify_base=0.0))
+        plan = _plans(range(7, 8), 11, config)[0]
+        matrix = gen_hermitian(plan.a) if factor == "a" else gen_psd(plan.b)
+        poisoned = linalg._unit_scaled(matrix.matrix[None])[0][0]
         calls = []
 
         def eigh(m):

@@ -17,7 +17,10 @@ reports exactly what one instance at a time would.  A stack that fails is
 solved again as stacks of one, by the same code, and an instance that
 still fails gets a "computation" record.  SpectraStack is the one record
 of an instance's spectra: instance_spectra gives the stack of one
-instance.
+instance.  In a campaign stack, A and B are generated, validated and
+measured (Frobenius norms) together, as one stack of 2m matrices, and the
+instances are planned and their selections sampled as arrays; every
+random stream is drawn through one carrier Generator per campaign.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .linalg import (
     _frobenius_norms,
     _product_values,
     _psd_eig,
+    _same_size,
     _validated,
     validate_hermitian,
     validate_psd,
@@ -83,6 +87,9 @@ SAMPLED_SEQUENCES = 12
 STACK_WINDOW = 256
 STACK_ENTRIES = 1 << 16
 
+# The eigenvalue magnitudes of a matrix unless its GeneratorSpec says otherwise.
+_RANGE = (0.1, 10.0)
+
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable splittable hash (splitmix64 finalizer) for per-instance seeds.
@@ -96,17 +103,17 @@ def derive_seed(master_seed: int, index: int) -> int:
     return x
 
 
-# derive_seed's increments (index + 1) * golden ratio for index 0..3.
-_WORD_STEPS = np.array([(j * 0x9E3779B97F4A7C15) & _MASK64 for j in range(1, 5)], dtype=np.uint64)
+# derive_seed's multiplier, the golden ratio, and its increments
+# (index + 1) * golden ratio for index 0..3.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_WORD_STEPS = np.arange(1, 5, dtype=np.uint64) * _GOLDEN
 
 
-def _words(seeds: Iterable[int]) -> np.ndarray:
-    """[derive_seed(s, j) for j in 0..3] for each seed, as a (len, 4) uint64
-    array computed in one pass: each seed's stream state.  Every operand is
-    uint64, so the arithmetic wraps mod 2^64 under any numpy's promotion
-    rules."""
+def _mixed(x: np.ndarray) -> np.ndarray:
+    """derive_seed's splitmix64 finalizer on a uint64 array, in place.  Every
+    operand is uint64, so the arithmetic wraps mod 2^64 under any numpy's
+    promotion rules."""
     u64 = np.uint64
-    x = np.array([int(s) & _MASK64 for s in seeds], dtype=u64)[:, None] + _WORD_STEPS
     x ^= x >> u64(30)
     x *= u64(0xBF58476D1CE4E5B9)
     x ^= x >> u64(27)
@@ -115,8 +122,33 @@ def _words(seeds: Iterable[int]) -> np.ndarray:
     return x
 
 
-def _streams(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """One Generator set to each stream of words (from _words) in turn.
+def _derived(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """derive_seed(master_seed, i) for each i of indices, as uint64, in one pass."""
+    steps = (indices.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+    return _mixed(np.uint64(int(master_seed) & _MASK64) + steps)
+
+
+def _words(seeds: Iterable[int] | np.ndarray) -> np.ndarray:
+    """[derive_seed(s, j) for j in 0..3] for each seed (Python integers, or a
+    uint64 array), as a (len, 4) uint64 array computed in one pass: each
+    seed's stream state."""
+    if not isinstance(seeds, np.ndarray):
+        seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    return _mixed(seeds[:, None] + _WORD_STEPS)
+
+
+def _carrier() -> np.random.Generator:
+    """A Generator for _streams to set to one stream after another.  Its own
+    seed is never drawn from: each stream replaces its state.  A campaign
+    makes one and passes it down; nothing shares it between calls."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _streams(
+    words: np.ndarray, rng: np.random.Generator | None = None
+) -> Iterator[np.random.Generator]:
+    """The carrier rng (a new one if None) set to each stream of words (from
+    _words) in turn.
 
     A seed's stream is the PCG64 generator whose 128-bit state is words 0
     and 1 and whose increment is words 2 and 3, made odd as PCG requires
@@ -125,8 +157,8 @@ def _streams(words: np.ndarray) -> Iterator[np.random.Generator]:
     on what was drawn before it.  The same Generator is yielded each time:
     draw from it before taking the next.
     """
-    # The carrier's own seed is never drawn from: each stream replaces its state.
-    rng = np.random.Generator(np.random.PCG64(0))
+    if rng is None:
+        rng = _carrier()
     bits = rng.bit_generator
     for s_hi, s_lo, i_hi, i_lo in words.tolist():
         bits.state = {
@@ -154,7 +186,7 @@ class GeneratorSpec:
 
     n: int
     seed: int
-    eigenvalue_range: tuple[float, float] = (0.1, 10.0)
+    eigenvalue_range: tuple[float, float] = _RANGE
     inertia_target: tuple[int, int, int] | None = None
 
     def __post_init__(self):
@@ -181,33 +213,52 @@ def _haar_unitary(z: np.ndarray) -> np.ndarray:
 
 
 def _generated(specs: Sequence[GeneratorSpec], nonnegative: bool) -> np.ndarray:
-    """The stack (m, n, n) of Q diag(values) Q* for same-n specs.
-
-    Each spec's stream gives one random(2n) draw, then one
-    standard_normal((2, n, n)) draw.  Eigenvalue t's magnitude is
-    lo + (hi - lo) u_t.  With an inertia target (pos, neg, zero) the first
-    pos values are positive, the next neg negative and the rest zero;
-    without one a PSD matrix is all positive, and a Hermitian one takes
-    eigenvalue t negative where u_(n+t) < 1/2.  Q is the unitary of the QR
-    of (re + i im) / sqrt(2), with the diagonal of R made positive."""
+    """The stack (m, n, n) of Q diag(values) Q* for same-n specs (_matrices).
+    A PSD matrix (nonnegative) without an inertia target is all positive; a
+    Hermitian one takes random signs."""
     targets = [s.inertia_target for s in specs]
     if nonnegative and any(t is not None and t[1] != 0 for t in targets):
         raise InvalidSpec("PSD target cannot contain negative eigenvalues")
     n = specs[0].n
-    u = np.empty((len(specs), 2 * n))
-    gauss = np.empty((len(specs), 2, n, n))
-    for rng, u_j, gauss_j in zip(_streams(_words(s.seed for s in specs)), u, gauss):
-        rng.random(out=u_j)
-        rng.standard_normal(out=gauss_j)
-    ranges = np.array([s.eigenvalue_range for s in specs], dtype=float)
+    return _matrices(
+        _words([s.seed for s in specs]),
+        n,
+        np.array([t or (n, 0, 0) for t in targets]),
+        np.array([t is None and not nonnegative for t in targets]),
+        np.array([s.eigenvalue_range for s in specs], dtype=float),
+    )
+
+
+def _matrices(
+    words: np.ndarray,
+    n: int,
+    layout: np.ndarray,
+    signed: np.ndarray,
+    ranges: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """The stack (m, n, n) of Q diag(values) Q*, one matrix per stream of
+    words (from _words), drawn through the carrier rng (_streams).
+
+    Each stream gives one random(2n) draw, then one
+    standard_normal((2, n, n)) draw.  Eigenvalue t's magnitude is
+    lo + (hi - lo) u_t, with (lo, hi) the matrix's row of ranges (m, 2) or
+    one row for all.  Its sign comes from the layout (m, 3) of inertia
+    counts (pos, neg, zero): the first pos values are positive, the next neg
+    negative and the rest zero; but where the flag signed (m,) is set,
+    eigenvalue t is negative where u_(n+t) < 1/2 and positive elsewhere.  Q
+    is the unitary of the QR of (re + i im) / sqrt(2), with the diagonal of
+    R made positive."""
+    u = np.empty((len(words), 2 * n))
+    gauss = np.empty((len(words), 2, n, n))
+    for stream, u_j, gauss_j in zip(_streams(words, rng), u, gauss):
+        stream.random(out=u_j)
+        stream.standard_normal(out=gauss_j)
     lo, hi = ranges[:, :1], ranges[:, 1:]
-    layout = np.array([t or (n, 0, 0) for t in targets])
     col = np.arange(n)
-    pos, signed = layout[:, :1], layout[:, :1] + layout[:, 1:2]
-    signs = np.where(col < pos, 1.0, np.where(col < signed, -1.0, 0.0))
-    if not nonnegative:
-        free = np.array([t is None for t in targets])[:, None]
-        signs = np.where(free, np.where(u[:, n:] < 0.5, -1.0, 1.0), signs)
+    pos, first_zero = layout[:, :1], layout[:, :1] + layout[:, 1:2]
+    signs = np.where(col < pos, 1.0, np.where(col < first_zero, -1.0, 0.0))
+    signs = np.where(signed[:, None], np.where(u[:, n:] < 0.5, -1.0, 1.0), signs)
     values = (lo + (hi - lo) * u[:, :n]) * signs
     q = _haar_unitary((gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0))
     return (q * values[:, None, :]) @ q.conj().swapaxes(-1, -2)
@@ -330,23 +381,25 @@ class SpectraStack(NamedTuple):
 
 
 def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> SpectraStack:
-    """The SpectraStack of one instance."""
-    return _spectra_stack(a.matrix[None], b.matrix[None], *_eig_stack(b))
+    """The SpectraStack of one instance.  A and B of different sizes raise
+    DimensionMismatch before any solve."""
+    _same_size(a.matrix, b.matrix)
+    return _spectra_stack(np.stack((a.matrix, b.matrix))[:, None], *_eig_stack(b))
 
 
-def _spectra_stack(
-    a: np.ndarray, b: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray
-) -> SpectraStack:
-    """instance_spectra for a stack of instances: validated A and B as
-    (m, n, n) stacks, with B's eigendecomposition from validate_psd.  Each
+def _spectra_stack(pair: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray) -> SpectraStack:
+    """instance_spectra for a stack of instances: validated A and B as one
+    (2, m, n, n) stack, with B's eigendecomposition from validate_psd.  Each
     spectrum passes Spectrum's checks, as if built one at a time."""
+    a, b = pair
     values_a = _eig_values(a)
     values_ab = _product_values(a, b_values, b_vectors)
     values_sum = _eig_values(_validated(a + b, TOL_HERM)[0])
     traces = np.trace(a @ b, axis1=-2, axis2=-1).real
     # The product of the norms overflows to inf at extreme scales.
     with np.errstate(over="ignore"):
-        norm_scales = 1.0 + _frobenius_norms(a) * _frobenius_norms(b)
+        norms_a, norms_b = _frobenius_norms(pair)
+        norm_scales = 1.0 + norms_a * norms_b
     # PSDMatrix.spectrum: eigenvalues of B below zero, within tolerance, read as zero.
     clamped = np.where(b_values < 0.0, 0.0, b_values)
     stack = SpectraStack(values_a, clamped, b_values, values_ab, values_sum, traces, norm_scales)
@@ -753,17 +806,23 @@ def _as_selections(masks: np.ndarray) -> list[list[tuple[int, ...]]]:
     return [[tuple(islice(where, k)) for k in row] for row in masks.sum(axis=-1).tolist()]
 
 
-def _block_selections(block: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """A block (m, R, n + 1) of uniforms as m lists of R random selections:
-    the last column gives the size k, uniform on 1..n, and the k smallest of
-    the other n columns give a uniform k-subset."""
+def _block_masks(block: np.ndarray) -> np.ndarray:
+    """A block (..., R, n + 1) of uniforms as R random selections, masks
+    (..., R, n): the last column gives the size k, uniform on 1..n, and the
+    k smallest of the other n columns give a uniform k-subset."""
     n = block.shape[-1] - 1
-    return _as_selections(_smallest(block[..., :n], 1 + _below(block[..., n], n)))
+    return _smallest(block[..., :n], 1 + _below(block[..., n], n))
 
 
-def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tuple[int, ...]]]:
+def _block_selections(block: np.ndarray) -> list[list[tuple[int, ...]]]:
+    """_block_masks of a block (m, R, n + 1) as m lists of R selections."""
+    return _as_selections(_block_masks(block))
+
+
+def _family_picks(head: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each instance's selections inside, beyond and straddling its
-    nonnegative block 1..nu, from the n + 4 uniforms of its head row:
+    nonnegative block 1..nu, from the n + 4 uniforms of its head row, as
+    masks (m, 3, n), and which of them it keeps (m, 3):
 
     - inside: k uniform on 1..nu, then a uniform k-subset of 1..nu (if nu >= 1);
     - beyond: k uniform on 1..n - nu, then a uniform k-subset of nu+1..n
@@ -771,10 +830,10 @@ def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tupl
     - straddling: (lo, hi), lo uniform on 1..nu and hi on nu+1..n (if both).
 
     The subsets are the smallest of the first n uniforms within each block.
-    None (no picks) reads as nu = 0 with nothing kept."""
+    A negative nu (no picks) reads as nu = 0 with nothing kept."""
     n = head.shape[-1] - 4
-    wanted = np.array([nu is not None for nu in nus])
-    nu = np.array([nu or 0 for nu in nus])
+    wanted = nu >= 0
+    nu = np.where(wanted, nu, 0)
     rest = n - nu
     col = np.arange(n)
     inner = col < nu[:, None]
@@ -789,32 +848,66 @@ def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tupl
         axis=1,
     )
     kept = wanted[:, None] & np.stack((nu >= 1, rest >= 1, (nu >= 1) & (rest >= 1)), axis=1)
-    return [
-        [pick for pick, keep in zip(picks, row) if keep]
-        for picks, row in zip(_as_selections(masks), kept.tolist())
-    ]
+    return masks, kept
+
+
+def _first_rows(masks: np.ndarray) -> np.ndarray:
+    """Mask (m, R) of the rows of masks (m, R, n) that differ from every
+    earlier row of their instance.  Each row is packed into bytes, and a
+    stable sort of each instance's rows puts equal rows together, the
+    earliest first."""
+    packed = np.packbits(masks, axis=-1)
+    order = np.lexsort(np.moveaxis(packed, -1, 0)[::-1], axis=-1)
+    ranked = np.take_along_axis(packed, order[..., None], axis=1)
+    new = np.ones(order.shape, dtype=bool)
+    new[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=-1)
+    first = np.empty_like(new)
+    np.put_along_axis(first, order, new, axis=1)
+    return first
 
 
 def _sampled_selections(
-    seeds: Sequence[int], n: int, count: int, nus: Sequence[int | None]
+    seeds: Sequence[int] | np.ndarray,
+    n: int,
+    count: int,
+    nus: Sequence[int | None] | np.ndarray,
+    rng: np.random.Generator | None = None,
 ) -> list[list[tuple[int, ...]]]:
-    """sample_selections for several seeds at once, each on its own stream,
-    with the draws shaped and turned into selections for all of them at
-    once.  nus[i] is None, or instance i's nonnegative count for its family
-    picks."""
+    """sample_selections for several seeds at once, each on its own stream
+    (drawn through the carrier rng, see _streams), with the draws shaped and
+    deduplicated for all of them at once.  nus[i] is instance i's
+    nonnegative count for its family picks, or None or negative for none.
+
+    Each instance's candidates are its kept family picks, then the rows of
+    its first block, in order.  A candidate is taken if no earlier one is
+    the same selection, and while fewer than `count` are taken (the picks
+    always); only taken rows become tuples.  An instance whose first block
+    runs out reads further blocks of its stream, one row at a time."""
     count = min(count, 2**n - 1)
     rows = 2 * count
     head, block = n + 4, rows * (n + 1)
     words = _words(seeds)
-    u = np.empty((len(seeds), head + block))
-    for rng, out in zip(_streams(words), u):
-        rng.random(out=out)
-    drawn = _block_selections(u[:, head:].reshape(len(seeds), rows, n + 1))
+    m = len(words)
+    u = np.empty((m, head + block))
+    for stream, out in zip(_streams(words, rng), u):
+        stream.random(out=out)
+    nu = np.fromiter((-1 if x is None else x for x in nus), dtype=np.intp, count=m)
+    picks, kept = _family_picks(u[:, :head], nu)
+    masks = np.concatenate((picks, _block_masks(u[:, head:].reshape(m, rows, n + 1))), axis=1)
+    valid = np.ones(masks.shape[:2], dtype=bool)
+    valid[:, :3] = kept
+    # A pick not kept becomes the empty selection, which no row is.
+    masks &= valid[..., None]
+    new = valid & _first_rows(masks)
+    taken = new & (np.cumsum(new, axis=1) <= count)
+    taken[:, :3] = new[:, :3]
+    sizes = taken.sum(axis=1).tolist()
+    picked = iter(_as_selections(masks[taken][None])[0])
     sampled = []
-    for i, (picks, first) in enumerate(zip(_family_picks(u[:, :head], nus), drawn)):
-        chosen = dict.fromkeys(picks)
+    for i, size in enumerate(sizes):
+        chosen = dict.fromkeys(islice(picked, size))
         if len(chosen) < count:
-            for selection in chain(first, _further_rows(words[i : i + 1], head + block, rows, n)):
+            for selection in _further_rows(words[i : i + 1], head + block, rows, n, rng):
                 chosen[selection] = None
                 if len(chosen) == count:
                     break
@@ -822,15 +915,17 @@ def _sampled_selections(
     return sampled
 
 
-def _further_rows(words: np.ndarray, drawn: int, rows: int, n: int) -> Iterator[tuple[int, ...]]:
+def _further_rows(
+    words: np.ndarray, drawn: int, rows: int, n: int, rng: np.random.Generator | None = None
+) -> Iterator[tuple[int, ...]]:
     """The selections of the blocks that follow the first `drawn` uniforms
     of one stream, block after block, for an instance whose first block
     held too few distinct rows.  Nothing is drawn until the first is asked
     for."""
-    rng = next(_streams(words))
-    rng.random(drawn)
+    stream = next(_streams(words, rng))
+    stream.random(drawn)
     while True:
-        yield from _block_selections(rng.random((1, rows, n + 1)))[0]
+        yield from _block_selections(stream.random((1, rows, n + 1)))[0]
 
 
 def sample_selections(
@@ -849,89 +944,88 @@ def sample_selections(
     return _sampled_selections([seed], n, count, [nu])[0]
 
 
-class _Plan(NamedTuple):
-    """One campaign instance before generation: its index and seed, the
-    recipes of A and B, and the seed its sampled selections draw from."""
+class _Plans(NamedTuple):
+    """A window's instances before generation, one entry per instance:
+    index (m,), seed (m,) uint64, the words of its stream (m, 4) uint64,
+    dimension (m,) and the inertia targets of A and B (m, 2, 3)."""
 
-    index: int
-    seed: int
-    a: GeneratorSpec
-    b: GeneratorSpec
-    selection_seed: int
+    index: np.ndarray
+    seed: np.ndarray
+    words: np.ndarray
+    n: np.ndarray
+    inertia: np.ndarray
 
 
-def _plans(window: range, master_seed: int, config: CampaignConfig) -> list[_Plan]:
-    """The window's instances before generation.
+def _plans(
+    window: range, master_seed: int, config: CampaignConfig, rng: np.random.Generator | None = None
+) -> _Plans:
+    """The window's instances before generation, drawn through the carrier
+    rng (_streams).
 
     Instance i's seed is derive_seed(master_seed, i).  Unless the config
     pins the inertia, two uniforms of its stream give its dimension, uniform
     on n_min..n_max, and, in families 2-4 (i mod 5), its count of positive
     eigenvalues, uniform on 1..n - 1; family 0 is PSD and family 1 negative
-    definite.  A, B and the sampled selections draw from the streams of
-    derive_seed(seed, 1), (seed, 2) and (seed, 3): words 1..3 of its stream.
+    definite.  Every third instance gets a singular B.  A, B and the sampled
+    selections draw from the streams of derive_seed(seed, 1), (seed, 2) and
+    (seed, 3): words 1..3 of its stream.
     """
-    seeds = [derive_seed(master_seed, i) for i in window]
-    words = _words(seeds)
+    index = np.arange(window.start, window.stop)
+    seed = _derived(master_seed, index)
+    words = _words(seed)
     if config.inertia is None:
-        u = np.empty((len(seeds), 2))
-        for rng, out in zip(_streams(words), u):
-            rng.random(out=out)
-        ns = config.n_min + _below(u[:, 0], config.n_max - config.n_min + 1)
-        drawn = zip(ns.tolist(), (1 + _below(u[:, 1], ns - 1)).tolist())
-    else:
-        drawn = [(sum(config.inertia), 0)] * len(seeds)
-    plans = []
-    for i, seed, (_, a_seed, b_seed, s_seed), (n, p) in zip(window, seeds, words.tolist(), drawn):
-        if config.inertia is not None:
-            inertia = config.inertia
-        elif i % 5 == 1:
-            inertia = (0, n, 0)
-        elif i % 5 == 0 or n == 1:
-            inertia = (n, 0, 0)
-        else:
-            inertia = (p, n - p, 0)
-        # Every third instance gets a singular B for boundary coverage.
-        b_inertia = (n - 1, 0, 1) if (i % 3 == 2 and n >= 2) else (n, 0, 0)
-        plans.append(
-            _Plan(
-                index=i,
-                seed=seed,
-                a=GeneratorSpec(n=n, seed=a_seed, inertia_target=inertia),
-                b=GeneratorSpec(n=n, seed=b_seed, inertia_target=b_inertia),
-                selection_seed=s_seed,
-            )
+        u = np.empty((len(index), 2))
+        for stream, out in zip(_streams(words, rng), u):
+            stream.random(out=out)
+        n = config.n_min + _below(u[:, 0], config.n_max - config.n_min + 1)
+        family = index % 5
+        pos = np.where(
+            family == 1, 0, np.where((family == 0) | (n == 1), n, 1 + _below(u[:, 1], n - 1))
         )
-    return plans
+        a_inertia = np.stack((pos, n - pos, np.zeros_like(n)), axis=1)
+    else:
+        n = np.full(len(index), sum(config.inertia))
+        a_inertia = np.broadcast_to(np.array(config.inertia), (len(index), 3))
+    # Every third instance gets a singular B for boundary coverage.
+    singular = ((index % 3 == 2) & (n >= 2)).astype(n.dtype)
+    b_inertia = np.stack((n - singular, np.zeros_like(n), singular), axis=1)
+    return _Plans(index, seed, words, n, np.stack((a_inertia, b_inertia), axis=1))
 
 
-def _solved(plans: Sequence[_Plan]) -> SpectraStack:
+def _solved(plans: _Plans, members: list[int], rng: np.random.Generator) -> SpectraStack:
     """The spectra of same-n planned instances, generated, validated and
-    solved as one stack: gen_hermitian, gen_psd and instance_spectra at once."""
-    a, _ = _validated(_generated([plan.a for plan in plans], False), TOL_HERM)
-    b, _ = _validated(_generated([plan.b for plan in plans], True), TOL_HERM)
-    return _spectra_stack(a, b, *_psd_eig(b))
+    solved as one stack: gen_hermitian, gen_psd and instance_spectra at once.
+    A and B are generated and validated together, as one (2m, n, n) stack,
+    A's first."""
+    m, n = len(members), int(plans.n[members[0]])
+    seeds = plans.words[members, 1:3].T.ravel()
+    layout = plans.inertia[members].swapaxes(0, 1).reshape(2 * m, 3)
+    pair = _matrices(_words(seeds), n, layout, np.zeros(2 * m, dtype=bool), np.array([_RANGE]), rng)
+    pair, _ = _validated(pair, TOL_HERM)
+    pair = pair.reshape(2, m, n, n)
+    return _spectra_stack(pair, *_psd_eig(pair[1]))
 
 
-def _stacked_spectra(plans: Sequence[_Plan]) -> list[tuple[list[int], SpectraStack | EigbError]]:
+def _stacked_spectra(
+    plans: _Plans, rng: np.random.Generator
+) -> list[tuple[list[int], SpectraStack | EigbError]]:
     """The planned instances in same-n stacks, as (members, spectra): the
     positions in plans of each stack's instances, in order, and their
     spectra (_solved).  A stack in which a stage raises is solved again one
     instance at a time by the same code, as stacks of one; an instance that
     fails alone gets its error in place of its spectra."""
-    groups: dict[int, list[int]] = {}
-    for j, plan in enumerate(plans):
-        groups.setdefault(plan.a.n, []).append(j)
     stacks: list[tuple[list[int], SpectraStack | EigbError]] = []
-    for n, group in groups.items():
+    for n in dict.fromkeys(plans.n.tolist()):
+        group = np.flatnonzero(plans.n == n).tolist()
         size = max(1, STACK_ENTRIES // n**2)
         for k in range(0, len(group), size):
             members = group[k : k + size]
             try:
-                stacks.append((members, _solved([plans[j] for j in members])))
+                stacks.append((members, _solved(plans, members, rng)))
             except (EigbError, LinAlgError):
                 for j in members:
                     try:
-                        stacks.append(([j], _solved([plans[j]])))
+                        stacks.append(([j], _solved(plans, [j], rng)))
                     except EigbError as exc:
                         stacks.append(([j], exc))
     return stacks
@@ -946,7 +1040,7 @@ class _Tally:
     CheckStats one add, in instance order, so its min and sum see the values
     in the order one instance at a time would."""
 
-    def __init__(self, plans: Sequence[_Plan]) -> None:
+    def __init__(self, plans: _Plans) -> None:
         self.plans = plans
         self.total = 0
         self.passed = 0
@@ -963,9 +1057,11 @@ class _Tally:
         self.total += checked.passed.size
         self.passed += int(np.count_nonzero(checked.passed))
         for k in np.flatnonzero(~checked.passed.all(axis=1)).tolist():
-            plan = self.plans[members[k]]
-            one = SelectionChecks(checked, k, selections[k], plan.index, plan.seed)
-            self.failures[members[k]] = one.failures
+            j = members[k]
+            one = SelectionChecks(
+                checked, k, selections[k], self.plans.index[j].item(), self.plans.seed[j].item()
+            )
+            self.failures[j] = one.failures
         keys = np.array(members)
         for column in checked.columns:
             applies = column.applies
@@ -980,9 +1076,11 @@ class _Tally:
 
     def error(self, j: int, exc: EigbError) -> None:
         """An instance whose spectra could not be computed."""
-        plan = self.plans[j]
+        plans = self.plans
         self.total += 1
-        self.failures[j] = [_error_record(exc, plan.a.n, plan.index, plan.seed)]
+        self.failures[j] = [
+            _error_record(exc, plans.n[j].item(), plans.index[j].item(), plans.seed[j].item())
+        ]
         self.columns.setdefault("computation", []).append(
             (np.array([j]), np.zeros(1, dtype=bool), np.zeros(1))
         )
@@ -997,23 +1095,20 @@ class _Tally:
 
 
 def _campaign_selections(
-    sp: SpectraStack, members: list[int], plans: Sequence[_Plan], tol: Tolerances
+    sp: SpectraStack, members: list[int], plans: _Plans, tol: Tolerances, rng: np.random.Generator
 ) -> tuple[list[Sequence[tuple[int, ...]]], SelectionIndex]:
     """What each instance of a stack checks, and its SelectionIndex: every
     selection up to EXHAUSTIVE_MAX_N (shared, from _exhaustive), else
-    SAMPLED_SEQUENCES from each instance's selection stream, with the family
-    picks around its count of nonnegative eigenvalues in families 2-4."""
+    SAMPLED_SEQUENCES from each instance's selection stream (drawn through
+    the carrier rng), with the family picks around its count of nonnegative
+    eigenvalues in families 2-4."""
     n = sp.spec_a.shape[1]
     if n <= EXHAUSTIVE_MAX_N:
         selections, index = _exhaustive(n)
         return [selections] * len(members), index
     inertia = inertia_counts(sp.spec_a, tol.tol_class)
-    nus = [
-        nu if plans[j].index % 5 >= 2 else None
-        for j, nu in zip(members, (inertia[:, 0] + inertia[:, 2]).tolist())
-    ]
-    seeds = [plans[j].selection_seed for j in members]
-    sampled = _sampled_selections(seeds, n, SAMPLED_SEQUENCES, nus)
+    nus = np.where(plans.index[members] % 5 >= 2, inertia[:, 0] + inertia[:, 2], -1)
+    sampled = _sampled_selections(plans.words[members, 3], n, SAMPLED_SEQUENCES, nus, rng)
     return sampled, selection_index(list(chain.from_iterable(sampled)), n, len(members))
 
 
@@ -1044,16 +1139,17 @@ def run_campaign(
     total = 0
     passed = 0
     tol = config.tolerances
+    rng = _carrier()
 
     for first in range(0, count, STACK_WINDOW):
         window = range(first, min(first + STACK_WINDOW, count))
-        plans = _plans(window, master_seed, config)
+        plans = _plans(window, master_seed, config, rng)
         tally = _Tally(plans)
-        for members, sp in _stacked_spectra(plans):
+        for members, sp in _stacked_spectra(plans, rng):
             if isinstance(sp, EigbError):
                 tally.error(members[0], sp)
                 continue
-            selections, index = _campaign_selections(sp, members, plans, tol)
+            selections, index = _campaign_selections(sp, members, plans, tol, rng)
             tally.add(members, _check_stack(sp, index, tol), selections)
         tally.flush(stats, failures)
         total += tally.total

@@ -298,6 +298,12 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
     return _decomposition(*_eig(a.matrix[None]))
 
 
+def hermitian_spectrum(a: HermitianMatrix) -> Spectrum:
+    """The spectrum of hermitian_eig(a), from the same LAPACK call, for
+    callers that read no eigenvectors: their columns are not reordered."""
+    return Spectrum(tuple(_eig_values(a.matrix[None])[0].tolist()))
+
+
 def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (m, n), each row descending, and the matching eigenvector
     columns (m, n, n) of a stack of Hermitian matrices.
@@ -427,14 +433,25 @@ def product_spectrum(a: HermitianMatrix, b: PSDMatrix) -> Spectrum:
     return Spectrum(tuple(_product_values(a.matrix[None], *_eig_stack(b))[0].tolist()))
 
 
+def _same_size(a: np.ndarray, b: np.ndarray) -> None:
+    """DimensionMismatch unless A and B (or B's eigenvalues) have the same n."""
+    if a.shape[-1] != b.shape[-1]:
+        n, k = a.shape[-1], b.shape[-1]
+        raise DimensionMismatch(f"A is {n}x{n} but B is {k}x{k}")
+
+
 def _product_values(a: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray) -> np.ndarray:
     """product_spectrum for stacks: the eigenvalues (m, n) of each
     B^(1/2) A B^(1/2), from A and B's eigendecomposition."""
-    if a.shape[-1] != b_values.shape[-1]:
-        n, k = a.shape[-1], b_values.shape[-1]
-        raise DimensionMismatch(f"A is {n}x{n} but B is {k}x{k}")
+    _same_size(a, b_values)
     root = _psd_root(b_values, b_vectors)[0]
-    return _eig_values(_symmetrized(_finite(root @ a @ root))[0])
+    # Finite A and B can give a product beyond the floating-point range: an
+    # error of the product, not of the input, and no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = root @ a @ root
+    if not np.isfinite(product.view(np.float64)).all():
+        raise NonFinite("B^(1/2) A B^(1/2) exceeds the floating-point range")
+    return _eig_values(_symmetrized(product)[0])
 
 
 def frobenius_norm(x) -> float:
@@ -442,13 +459,18 @@ def frobenius_norm(x) -> float:
 
 
 def _frobenius_norms(m: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a stack, computed on M / 2^e.
+    """The Frobenius norm of each matrix of a stack (..., n, n), computed on
+    M / 2^e; shape (...).
 
-    numpy's norm of one whole matrix at a time (BLAS ddot on the raveled
-    real and imaginary parts): a norm over axes (-2, -1) sums in another
-    order and can differ in the last bit.
+    numpy's norm of one matrix, for every matrix in one matmul: the dot
+    product of the raveled real parts with themselves plus that of the
+    imaginary parts, each a BLAS ddot over every second double.  A norm over
+    axes (-2, -1) sums in another order and can differ in the last bit.
     """
     scaled, exponents = _unit_scaled(m)
-    norms = np.array([np.linalg.norm(s) for s in scaled])
+    # Each matrix as its real and its imaginary parts, two strided rows.
+    parts = np.moveaxis(scaled.view(np.float64).reshape(*m.shape[:-2], -1, 2), -1, -2)
+    squares = np.matmul(parts[..., None, :], parts[..., :, None])[..., 0, 0]
+    norms = np.sqrt(squares[..., 0] + squares[..., 1])
     with np.errstate(over="ignore"):
-        return np.ldexp(norms, exponents.reshape(-1))
+        return np.ldexp(norms, exponents[..., 0, 0])

@@ -105,6 +105,29 @@ class TestBounds:
         assert len(batches) == 1
         assert solves == [1, 1, 1]
 
+    @pytest.mark.parametrize("command", ["bounds", "spectrum", "example"])
+    def test_eigenvectors_ordered_for_b_only(self, example_files, capsys, monkeypatch, command):
+        # A's spectrum is read through the values-only path: of the
+        # eigensolves, only B's (validate_psd) reorders its eigenvectors.
+        import eigb.linalg as linalg
+
+        ordered = []
+        real = linalg._ordered_columns
+
+        def ordered_columns(vectors, order):
+            ordered.append(len(vectors))
+            return real(vectors, order)
+
+        monkeypatch.setattr(linalg, "_ordered_columns", ordered_columns)
+        a, b = example_files
+        argv = {
+            "bounds": ["bounds", "--a", a, "--b", b, "--indices", "1,3"],
+            "spectrum": ["spectrum", "--a", a, "--b", b],
+            "example": ["example"],
+        }[command]
+        assert main(argv) == 0
+        assert ordered == [1]
+
     def test_decreasing_indices_exit_2(self, example_files, capsys):
         a, b = example_files
         assert main(["bounds", "--a", a, "--b", b, "--indices", "3,1"]) == 2
@@ -454,6 +477,23 @@ class TestInputErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: line 3, column 3: not valid UTF-8: byte 0xff\n"
+        )
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
+    def test_product_overflow_exit_2(self, tmp_path, capsys, command):
+        # Both matrices are finite, but B^(1/2) A B^(1/2) = diag(1e308^2, 1)
+        # is not: the error names the product, and no numpy warning leaks.
+        a_path = tmp_path / "a.mat"
+        save_matrix(a_path, np.diag([1e308, 1.0]))
+        argv = [command, "--a", str(a_path), "--b", str(a_path)]
+        if command == "bounds":
+            argv += ["--indices", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: B^(1/2) A B^(1/2) exceeds the floating-point range\n"
         )
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])

@@ -2,6 +2,8 @@
 
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ from eigb.harness import (
     _words,
 )
 from eigb.linalg import Spectrum, hermitian_eig, validate_hermitian, validate_psd
-from oracle import run_checks
+from oracle import run_checks, tuple_sampled_selections
 
 A3 = [[1, 2, 0], [2, 1, 0], [0, 0, -4]]
 B3 = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
@@ -284,6 +286,27 @@ class TestGeneratorStreams:
         for seed in range(30):
             assert sample_selections(seed, 3, 12) == recipe_selections(seed, 3, 12)
             assert sample_selections(seed, 3, 12) == sorted(all_selections(3))
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_rows_deduplicated_in_numpy(self, n):
+        # The rows deduplicated as packed masks give what tuples deduplicated
+        # one at a time give: at the campaign's count, and at 2^(n-1), where
+        # most first blocks run out and further blocks are read.
+        nus = [None, *range(n + 1)]
+        for count, bases in ((SAMPLED_SEQUENCES, range(6)), (2 ** (n - 1), range(2))):
+            for base in bases:
+                seeds = [base * 100 + j for j in range(len(nus))]
+                got = _sampled_selections(seeds, n, count, nus)
+                assert got == tuple_sampled_selections(seeds, n, count, nus)
+        if n == 7:
+            # At the campaign's count, the first block of seed 1824 holds 11
+            # distinct rows: the twelfth selection comes from the next block.
+            head, rows = n + 4, 2 * SAMPLED_SEQUENCES
+            block = next(_streams(_words([1824]))).random(head + rows * (n + 1))[head:]
+            distinct = set(_block_selections(block.reshape(1, rows, n + 1))[0])
+            assert len(distinct) == SAMPLED_SEQUENCES - 1
+            got = _sampled_selections([1824], n, SAMPLED_SEQUENCES, [None])
+            assert got == tuple_sampled_selections([1824], n, SAMPLED_SEQUENCES, [None])
 
 
 selection_counts = st.integers(min_value=1, max_value=200)
@@ -860,6 +883,36 @@ class TestStackedCampaign:
         got = json.dumps(run_campaign(count, config, seed).to_json_dict())
         assert got == reference_campaign(count, config, seed)
 
+    def test_threads_match_sequential(self):
+        # Each campaign draws through a stream carrier of its own: three run
+        # at once, switching threads every microsecond, report what they
+        # report one after the other.
+        runs = [
+            (120, CampaignConfig(n_min=5, n_max=9), 21),
+            (120, CampaignConfig(n_min=2, n_max=8), 22),
+            (80, CampaignConfig(n_min=7, n_max=7), 23),
+        ]
+        want = [json.dumps(run_campaign(*run).to_json_dict()) for run in runs]
+        got = [None] * len(runs)
+        start = threading.Barrier(len(runs), timeout=60)
+
+        def campaign(k):
+            start.wait()
+            got[k] = json.dumps(run_campaign(*runs[k]).to_json_dict())
+
+        threads = [threading.Thread(target=campaign, args=(k,)) for k in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
     def test_stacks_split_by_entries(self, monkeypatch):
         # 40 entries: stacks of 40 instances at n = 1, 10 at n = 2, ..., 1 from n = 5.
         import eigb.harness as harness
@@ -891,8 +944,12 @@ class TestStackedCampaign:
         import eigb.linalg as linalg
 
         config = CampaignConfig(n_min=n, n_max=n, tolerances=Tolerances(verify_base=0.0))
-        plan = _plans(range(7, 8), 11, config)[0]
-        matrix = gen_hermitian(plan.a) if factor == "a" else gen_psd(plan.b)
+        plans = _plans(range(7, 8), 11, config)
+        a_spec, b_spec = (
+            GeneratorSpec(n, seed, inertia_target=tuple(target))
+            for seed, target in zip(plans.words[0, 1:3].tolist(), plans.inertia[0].tolist())
+        )
+        matrix = gen_hermitian(a_spec) if factor == "a" else gen_psd(b_spec)
         poisoned = linalg._unit_scaled(matrix.matrix[None])[0][0]
         calls = []
 

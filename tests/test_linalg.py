@@ -542,7 +542,7 @@ class TestStackedMatchesPerMatrix:
         a, b = instance_stack(n)
         a_sym, _ = _validated(a, TOL_HERM)
         b_sym, _ = _validated(b, TOL_HERM)
-        stacked = _spectra_stack(a_sym, b_sym, *_psd_eig(b_sym))
+        stacked = _spectra_stack(np.stack((a_sym, b_sym)), *_psd_eig(b_sym))
         for i in range(len(a)):
             ha = validate_hermitian(a[i].copy())
             pb = validate_psd(b[i].copy())
@@ -560,6 +560,57 @@ class TestStackedMatchesPerMatrix:
             for name, value in want.items():
                 assert same_bits(getattr(stacked, name)[i], value), (name, i)
 
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_frobenius_norms(self, n):
+        # One matmul over every matrix's strided real and imaginary rows, for
+        # a stack with two leading axes: numpy's norm of each matrix (on
+        # M / 2^e), bit for bit, at extreme scales and for the zero matrix.
+        from eigb.linalg import _frobenius_norms
+
+        rng = np.random.default_rng(200 + n)
+        z = rng.standard_normal((2, 6, n, n)) + 1j * rng.standard_normal((2, 6, n, n))
+        z[1, 2] = 0.0
+        for scale in (1.0, 1e200, 1e-200):
+            stack = z * scale
+            got = _frobenius_norms(stack)
+            assert got.shape == (2, 6)
+            for at in np.ndindex(2, 6):
+                assert same_bits(got[at], frobenius_reference(stack[at])), (scale, at)
+                if scale == 1.0:
+                    assert same_bits(got[at], np.linalg.norm(stack[at])), at
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_fused_pair_solve(self, n):
+        # A campaign stack generates and validates A and B as one (2m, n, n)
+        # stack: its spectra have the bits of separate _generated and
+        # _validated calls for A and for B, and _psd_eig on B.
+        from eigb.harness import (
+            CampaignConfig,
+            GeneratorSpec,
+            _carrier,
+            _generated,
+            _plans,
+            _solved,
+            _spectra_stack,
+        )
+        from eigb.linalg import TOL_HERM, _psd_eig, _validated
+
+        plans = _plans(range(5, 35), 3, CampaignConfig(n_min=n, n_max=n))
+        members = list(range(30))
+        specs = [
+            [
+                GeneratorSpec(n, seed, inertia_target=tuple(target))
+                for seed, target in zip(plans.words[j, 1:3].tolist(), plans.inertia[j].tolist())
+            ]
+            for j in members
+        ]
+        a, _ = _validated(_generated([s[0] for s in specs], nonnegative=False), TOL_HERM)
+        b, _ = _validated(_generated([s[1] for s in specs], nonnegative=True), TOL_HERM)
+        want = _spectra_stack(np.stack((a, b)), *_psd_eig(b))
+        got = _solved(plans, members, _carrier())
+        for name, value in want._asdict().items():
+            assert same_bits(getattr(got, name), value), name
 
     def test_spectrum_checks_on_a_stack(self):
         # The stacked pipeline checks its spectra as Spectrum does, and

@@ -103,17 +103,18 @@ def derive_seed(master_seed: int, index: int) -> int:
     return x
 
 
-# derive_seed's multiplier, the golden ratio, and its increments
-# (index + 1) * golden ratio for index 0..3.
+# derive_seed's multiplier, the golden ratio, and the indices of a stream's
+# four words.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_WORD_STEPS = np.arange(1, 5, dtype=np.uint64) * _GOLDEN
+_WORD_INDICES = np.arange(4, dtype=np.uint64)
 
 
-def _mixed(x: np.ndarray) -> np.ndarray:
-    """derive_seed's splitmix64 finalizer on a uint64 array, in place.  Every
-    operand is uint64, so the arithmetic wraps mod 2^64 under any numpy's
-    promotion rules."""
+def _derived(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """derive_seed(seed, index) for uint64 seeds and indices broadcast
+    against each other, in one pass.  Every operand is uint64, so the
+    arithmetic wraps mod 2^64 under any numpy's promotion rules."""
     u64 = np.uint64
+    x = seeds + (indices.astype(u64) + u64(1)) * _GOLDEN
     x ^= x >> u64(30)
     x *= u64(0xBF58476D1CE4E5B9)
     x ^= x >> u64(27)
@@ -122,19 +123,12 @@ def _mixed(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _derived(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """derive_seed(master_seed, i) for each i of indices, as uint64, in one pass."""
-    steps = (indices.astype(np.uint64) + np.uint64(1)) * _GOLDEN
-    return _mixed(np.uint64(int(master_seed) & _MASK64) + steps)
-
-
 def _words(seeds: Iterable[int] | np.ndarray) -> np.ndarray:
     """[derive_seed(s, j) for j in 0..3] for each seed (Python integers, or a
-    uint64 array), as a (len, 4) uint64 array computed in one pass: each
-    seed's stream state."""
+    uint64 array), as a (len, 4) uint64 array: each seed's stream state."""
     if not isinstance(seeds, np.ndarray):
         seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
-    return _mixed(seeds[:, None] + _WORD_STEPS)
+    return _derived(seeds[:, None], _WORD_INDICES)
 
 
 def _carrier() -> np.random.Generator:
@@ -971,7 +965,7 @@ def _plans(
     (seed, 3): words 1..3 of its stream.
     """
     index = np.arange(window.start, window.stop)
-    seed = _derived(master_seed, index)
+    seed = _derived(np.uint64(int(master_seed) & _MASK64), index)
     words = _words(seed)
     if config.inertia is None:
         u = np.empty((len(index), 2))

@@ -22,13 +22,7 @@ import sys
 from . import bounds as bnd
 from . import harness
 from .errors import EigbError, NoSignChange, NotPositiveDefinite
-from .linalg import (
-    Spectrum,
-    hermitian_spectrum,
-    product_spectrum,
-    validate_hermitian,
-    validate_psd,
-)
+from .linalg import Spectrum, hermitian_eig, product_spectrum, validate_hermitian, validate_psd
 from .matfile import FORMAT_VERSION, load_matrix
 
 # Built-in regression example: integer spectra (3,-1,-4), (3,2,1), (3,-3,-8).
@@ -108,7 +102,7 @@ def _load_pair(args):
 
 def _spectra(a, b) -> tuple[Spectrum, Spectrum, Spectrum]:
     """The spectra of A, B (clamped) and AB."""
-    return hermitian_spectrum(a), b.spectrum, product_spectrum(a, b)
+    return hermitian_eig(a).spectrum, b.spectrum, product_spectrum(a, b)
 
 
 def cmd_bounds(args) -> int:
@@ -324,7 +318,7 @@ def cmd_example(args) -> int:
 
 def cmd_spectrum(args) -> int:
     a = validate_hermitian(load_matrix(args.a), args.tol_herm)
-    spec_a = hermitian_spectrum(a)
+    spec_a = hermitian_eig(a).spectrum
     payload = {"version": FORMAT_VERSION, "spectrum_a": list(spec_a)}
     lines = [f"spectrum A:  {_fmt_seq(spec_a)}"]
     if args.b is not None:

@@ -19,8 +19,8 @@ still fails gets a "computation" record.  SpectraStack is the one record
 of an instance's spectra: instance_spectra gives the stack of one
 instance.  In a campaign stack, A and B are generated, validated and
 measured (Frobenius norms) together, as one stack of 2m matrices, and the
-instances are planned and their selections sampled as arrays; every
-random stream is drawn through one carrier Generator per campaign.
+instances of a window are planned as arrays; every random stream is drawn
+through one carrier Generator per campaign.
 """
 
 from __future__ import annotations
@@ -123,25 +123,27 @@ def _derived(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return x
 
 
-def _words(seeds: Iterable[int] | np.ndarray) -> np.ndarray:
-    """[derive_seed(s, j) for j in 0..3] for each seed (Python integers, or a
-    uint64 array), as a (len, 4) uint64 array: each seed's stream state."""
-    if not isinstance(seeds, np.ndarray):
-        seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+def _seeds(seeds: Iterable[int]) -> np.ndarray:
+    """Python integer seeds, read mod 2^64, as a uint64 array."""
+    return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+
+
+def _words(seeds: np.ndarray) -> np.ndarray:
+    """[derive_seed(s, j) for j in 0..3] for each of the uint64 seeds, as a
+    (len, 4) uint64 array: each seed's stream state."""
     return _derived(seeds[:, None], _WORD_INDICES)
 
 
 def _carrier() -> np.random.Generator:
     """A Generator for _streams to set to one stream after another.  Its own
-    seed is never drawn from: each stream replaces its state.  A campaign
-    makes one and passes it down; nothing shares it between calls."""
+    seed is never drawn from: each stream replaces its state.  A campaign,
+    or a one-shot public call, makes one and passes it down; nothing shares
+    it between calls."""
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _streams(
-    words: np.ndarray, rng: np.random.Generator | None = None
-) -> Iterator[np.random.Generator]:
-    """The carrier rng (a new one if None) set to each stream of words (from
+def _streams(words: np.ndarray, rng: np.random.Generator) -> Iterator[np.random.Generator]:
+    """The carrier rng (from _carrier) set to each stream of words (from
     _words) in turn.
 
     A seed's stream is the PCG64 generator whose 128-bit state is words 0
@@ -151,8 +153,6 @@ def _streams(
     on what was drawn before it.  The same Generator is yielded each time:
     draw from it before taking the next.
     """
-    if rng is None:
-        rng = _carrier()
     bits = rng.bit_generator
     for s_hi, s_lo, i_hi, i_lo in words.tolist():
         bits.state = {
@@ -215,11 +215,12 @@ def _generated(specs: Sequence[GeneratorSpec], nonnegative: bool) -> np.ndarray:
         raise InvalidSpec("PSD target cannot contain negative eigenvalues")
     n = specs[0].n
     return _matrices(
-        _words([s.seed for s in specs]),
+        _words(_seeds(s.seed for s in specs)),
         n,
         np.array([t or (n, 0, 0) for t in targets]),
         np.array([t is None and not nonnegative for t in targets]),
         np.array([s.eigenvalue_range for s in specs], dtype=float),
+        _carrier(),
     )
 
 
@@ -229,7 +230,7 @@ def _matrices(
     layout: np.ndarray,
     signed: np.ndarray,
     ranges: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """The stack (m, n, n) of Q diag(values) Q*, one matrix per stream of
     words (from _words), drawn through the carrier rng (_streams).
@@ -800,23 +801,17 @@ def _as_selections(masks: np.ndarray) -> list[list[tuple[int, ...]]]:
     return [[tuple(islice(where, k)) for k in row] for row in masks.sum(axis=-1).tolist()]
 
 
-def _block_masks(block: np.ndarray) -> np.ndarray:
-    """A block (..., R, n + 1) of uniforms as R random selections, masks
-    (..., R, n): the last column gives the size k, uniform on 1..n, and the
-    k smallest of the other n columns give a uniform k-subset."""
-    n = block.shape[-1] - 1
-    return _smallest(block[..., :n], 1 + _below(block[..., n], n))
-
-
 def _block_selections(block: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """_block_masks of a block (m, R, n + 1) as m lists of R selections."""
-    return _as_selections(_block_masks(block))
+    """A block (m, R, n + 1) of uniforms as m lists of R random selections:
+    the last column gives the size k, uniform on 1..n, and the k smallest of
+    the other n columns give a uniform k-subset."""
+    n = block.shape[-1] - 1
+    return _as_selections(_smallest(block[..., :n], 1 + _below(block[..., n], n)))
 
 
-def _family_picks(head: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tuple[int, ...]]]:
     """Each instance's selections inside, beyond and straddling its
-    nonnegative block 1..nu, from the n + 4 uniforms of its head row, as
-    masks (m, 3, n), and which of them it keeps (m, 3):
+    nonnegative block 1..nu, from the n + 4 uniforms of its head row:
 
     - inside: k uniform on 1..nu, then a uniform k-subset of 1..nu (if nu >= 1);
     - beyond: k uniform on 1..n - nu, then a uniform k-subset of nu+1..n
@@ -824,10 +819,10 @@ def _family_picks(head: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndar
     - straddling: (lo, hi), lo uniform on 1..nu and hi on nu+1..n (if both).
 
     The subsets are the smallest of the first n uniforms within each block.
-    A negative nu (no picks) reads as nu = 0 with nothing kept."""
+    None (no picks) reads as nu = 0 with nothing kept."""
     n = head.shape[-1] - 4
-    wanted = nu >= 0
-    nu = np.where(wanted, nu, 0)
+    wanted = np.array([nu is not None for nu in nus])
+    nu = np.array([nu or 0 for nu in nus])
     rest = n - nu
     col = np.arange(n)
     inner = col < nu[:, None]
@@ -842,66 +837,33 @@ def _family_picks(head: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndar
         axis=1,
     )
     kept = wanted[:, None] & np.stack((nu >= 1, rest >= 1, (nu >= 1) & (rest >= 1)), axis=1)
-    return masks, kept
-
-
-def _first_rows(masks: np.ndarray) -> np.ndarray:
-    """Mask (m, R) of the rows of masks (m, R, n) that differ from every
-    earlier row of their instance.  Each row is packed into bytes, and a
-    stable sort of each instance's rows puts equal rows together, the
-    earliest first."""
-    packed = np.packbits(masks, axis=-1)
-    order = np.lexsort(np.moveaxis(packed, -1, 0)[::-1], axis=-1)
-    ranked = np.take_along_axis(packed, order[..., None], axis=1)
-    new = np.ones(order.shape, dtype=bool)
-    new[:, 1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=-1)
-    first = np.empty_like(new)
-    np.put_along_axis(first, order, new, axis=1)
-    return first
+    return [
+        [pick for pick, keep in zip(picks, row) if keep]
+        for picks, row in zip(_as_selections(masks), kept.tolist())
+    ]
 
 
 def _sampled_selections(
-    seeds: Sequence[int] | np.ndarray,
-    n: int,
-    count: int,
-    nus: Sequence[int | None] | np.ndarray,
-    rng: np.random.Generator | None = None,
+    seeds: np.ndarray, n: int, count: int, nus: Sequence[int | None], rng: np.random.Generator
 ) -> list[list[tuple[int, ...]]]:
-    """sample_selections for several seeds at once, each on its own stream
-    (drawn through the carrier rng, see _streams), with the draws shaped and
-    deduplicated for all of them at once.  nus[i] is instance i's
-    nonnegative count for its family picks, or None or negative for none.
-
-    Each instance's candidates are its kept family picks, then the rows of
-    its first block, in order.  A candidate is taken if no earlier one is
-    the same selection, and while fewer than `count` are taken (the picks
-    always); only taken rows become tuples.  An instance whose first block
-    runs out reads further blocks of its stream, one row at a time."""
+    """sample_selections for several uint64 seeds at once, each on its own
+    stream (drawn through the carrier rng, see _streams), with the draws
+    shaped and turned into selections for all of them at once.  nus[i] is
+    None, or instance i's nonnegative count for its family picks."""
     count = min(count, 2**n - 1)
     rows = 2 * count
     head, block = n + 4, rows * (n + 1)
     words = _words(seeds)
-    m = len(words)
-    u = np.empty((m, head + block))
+    u = np.empty((len(seeds), head + block))
     for stream, out in zip(_streams(words, rng), u):
         stream.random(out=out)
-    nu = np.fromiter((-1 if x is None else x for x in nus), dtype=np.intp, count=m)
-    picks, kept = _family_picks(u[:, :head], nu)
-    masks = np.concatenate((picks, _block_masks(u[:, head:].reshape(m, rows, n + 1))), axis=1)
-    valid = np.ones(masks.shape[:2], dtype=bool)
-    valid[:, :3] = kept
-    # A pick not kept becomes the empty selection, which no row is.
-    masks &= valid[..., None]
-    new = valid & _first_rows(masks)
-    taken = new & (np.cumsum(new, axis=1) <= count)
-    taken[:, :3] = new[:, :3]
-    sizes = taken.sum(axis=1).tolist()
-    picked = iter(_as_selections(masks[taken][None])[0])
+    drawn = _block_selections(u[:, head:].reshape(len(seeds), rows, n + 1))
     sampled = []
-    for i, size in enumerate(sizes):
-        chosen = dict.fromkeys(islice(picked, size))
+    for i, (picks, first) in enumerate(zip(_family_picks(u[:, :head], nus), drawn)):
+        chosen = dict.fromkeys(picks)
         if len(chosen) < count:
-            for selection in _further_rows(words[i : i + 1], head + block, rows, n, rng):
+            further = _further_rows(words[i : i + 1], head + block, rows, n, rng)
+            for selection in chain(first, further):
                 chosen[selection] = None
                 if len(chosen) == count:
                     break
@@ -910,12 +872,12 @@ def _sampled_selections(
 
 
 def _further_rows(
-    words: np.ndarray, drawn: int, rows: int, n: int, rng: np.random.Generator | None = None
+    words: np.ndarray, drawn: int, rows: int, n: int, rng: np.random.Generator
 ) -> Iterator[tuple[int, ...]]:
     """The selections of the blocks that follow the first `drawn` uniforms
     of one stream, block after block, for an instance whose first block
     held too few distinct rows.  Nothing is drawn until the first is asked
-    for."""
+    for; the carrier rng is set to the stream then."""
     stream = next(_streams(words, rng))
     stream.random(drawn)
     while True:
@@ -935,7 +897,7 @@ def sample_selections(
     n + 1 uniforms each give one random selection per row (_block_selections):
     its size uniform on 1..n, then a uniform subset of that size.  Rows are
     taken in order, each kept if new, until there are `count`."""
-    return _sampled_selections([seed], n, count, [nu])[0]
+    return _sampled_selections(_seeds([seed]), n, count, [nu], _carrier())[0]
 
 
 class _Plans(NamedTuple):
@@ -951,7 +913,7 @@ class _Plans(NamedTuple):
 
 
 def _plans(
-    window: range, master_seed: int, config: CampaignConfig, rng: np.random.Generator | None = None
+    window: range, master_seed: int, config: CampaignConfig, rng: np.random.Generator
 ) -> _Plans:
     """The window's instances before generation, drawn through the carrier
     rng (_streams).
@@ -1101,7 +1063,10 @@ def _campaign_selections(
         selections, index = _exhaustive(n)
         return [selections] * len(members), index
     inertia = inertia_counts(sp.spec_a, tol.tol_class)
-    nus = np.where(plans.index[members] % 5 >= 2, inertia[:, 0] + inertia[:, 2], -1)
+    nus = [
+        nu if i % 5 >= 2 else None
+        for i, nu in zip(plans.index[members].tolist(), (inertia[:, 0] + inertia[:, 2]).tolist())
+    ]
     sampled = _sampled_selections(plans.words[members, 3], n, SAMPLED_SEQUENCES, nus, rng)
     return sampled, selection_index(list(chain.from_iterable(sampled)), n, len(members))
 

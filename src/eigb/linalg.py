@@ -298,12 +298,6 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
     return _decomposition(*_eig(a.matrix[None]))
 
 
-def hermitian_spectrum(a: HermitianMatrix) -> Spectrum:
-    """The spectrum of hermitian_eig(a), from the same LAPACK call, for
-    callers that read no eigenvectors: their columns are not reordered."""
-    return Spectrum(tuple(_eig_values(a.matrix[None])[0].tolist()))
-
-
 def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (m, n), each row descending, and the matching eigenvector
     columns (m, n, n) of a stack of Hermitian matrices.
@@ -455,7 +449,9 @@ def _product_values(a: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray) 
 
 
 def frobenius_norm(x) -> float:
-    return float(_frobenius_norms(np.asarray(x, dtype=np.complex128)[None])[0])
+    """The 2-norm of all of x's entries (a matrix's Frobenius norm), for an
+    array of any shape: its entries as the one row of a 1 x k matrix."""
+    return float(_frobenius_norms(np.asarray(x, dtype=np.complex128).reshape(1, 1, -1))[0])
 
 
 def _frobenius_norms(m: np.ndarray) -> np.ndarray:

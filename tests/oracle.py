@@ -6,15 +6,11 @@ written in eigb.bounds.  eigb computes each of them once, as numpy batch
 code over stacks of spectra; the tests hold that code, and the functions on
 Spectrum objects built on it, to this reference bit for bit, with the same
 errors, raised in the same order.  run_checks is the reference for one
-record of eigb.harness.check_selections, and tuple_sampled_selections for
-eigb.harness._sampled_selections.
+record of eigb.harness.check_selections.
 """
 
 from functools import reduce
-from itertools import chain
 from operator import add
-
-import numpy as np
 
 from eigb.bounds import (
     BoundReport,
@@ -35,16 +31,7 @@ from eigb.errors import (
     NotPositiveDefinite,
     NotStable,
 )
-from eigb.harness import (
-    CheckResult,
-    Tolerances,
-    VerificationRecord,
-    _as_selections,
-    _below,
-    _smallest,
-    _streams,
-    _words,
-)
+from eigb.harness import CheckResult, Tolerances, VerificationRecord
 from eigb.linalg import Spectrum
 
 
@@ -338,67 +325,3 @@ def run_checks(sp, idx, tol=Tolerances(), instance_id=0, seed=0):
         inertia=inertia.as_tuple(),
         checks=tuple(checks),
     )
-
-
-def tuple_sampled_selections(seeds, n, count, nus):
-    """eigb.harness._sampled_selections with every row of each block made a
-    tuple and deduplicated one at a time, in a dict: each instance's kept
-    family picks, then its rows in order, each kept if new, until there are
-    `count`, reading further blocks of its stream if the first runs out."""
-    count = min(count, 2**n - 1)
-    rows = 2 * count
-    head, block = n + 4, rows * (n + 1)
-    words = _words(seeds)
-    u = np.empty((len(seeds), head + block))
-    for rng, out in zip(_streams(words), u):
-        rng.random(out=out)
-    drawn = _tuple_block(u[:, head:].reshape(len(seeds), rows, n + 1))
-    sampled = []
-    for i, (picks, first) in enumerate(zip(_tuple_family_picks(u[:, :head], nus), drawn)):
-        chosen = dict.fromkeys(picks)
-        if len(chosen) < count:
-            for selection in chain(first, _tuple_further_rows(words[i : i + 1], head + block, rows, n)):
-                chosen[selection] = None
-                if len(chosen) == count:
-                    break
-        sampled.append(sorted(chosen))
-    return sampled
-
-
-def _tuple_block(block):
-    """A block (m, R, n + 1) of uniforms as m lists of R selections."""
-    n = block.shape[-1] - 1
-    return _as_selections(_smallest(block[..., :n], 1 + _below(block[..., n], n)))
-
-
-def _tuple_family_picks(head, nus):
-    """Each instance's kept picks inside, beyond and straddling 1..nu, as tuples."""
-    n = head.shape[-1] - 4
-    wanted = np.array([nu is not None for nu in nus])
-    nu = np.array([nu or 0 for nu in nus])
-    rest = n - nu
-    col = np.arange(n)
-    inner = col < nu[:, None]
-    u = head[:, :n]
-    masks = np.stack(
-        (
-            _smallest(np.where(inner, u, 2.0), 1 + _below(head[:, n], nu)),
-            _smallest(np.where(inner, 2.0, u), 1 + _below(head[:, n + 1], rest)),
-            (col == _below(head[:, n + 2], nu)[:, None])
-            | (col == (nu + _below(head[:, n + 3], rest))[:, None]),
-        ),
-        axis=1,
-    )
-    kept = wanted[:, None] & np.stack((nu >= 1, rest >= 1, (nu >= 1) & (rest >= 1)), axis=1)
-    return [
-        [pick for pick, keep in zip(picks, row) if keep]
-        for picks, row in zip(_as_selections(masks), kept.tolist())
-    ]
-
-
-def _tuple_further_rows(words, drawn, rows, n):
-    """The selections of one stream's blocks after its first `drawn` uniforms."""
-    rng = next(_streams(words))
-    rng.random(drawn)
-    while True:
-        yield from _tuple_block(rng.random((1, rows, n + 1)))[0]

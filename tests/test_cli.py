@@ -105,29 +105,6 @@ class TestBounds:
         assert len(batches) == 1
         assert solves == [1, 1, 1]
 
-    @pytest.mark.parametrize("command", ["bounds", "spectrum", "example"])
-    def test_eigenvectors_ordered_for_b_only(self, example_files, capsys, monkeypatch, command):
-        # A's spectrum is read through the values-only path: of the
-        # eigensolves, only B's (validate_psd) reorders its eigenvectors.
-        import eigb.linalg as linalg
-
-        ordered = []
-        real = linalg._ordered_columns
-
-        def ordered_columns(vectors, order):
-            ordered.append(len(vectors))
-            return real(vectors, order)
-
-        monkeypatch.setattr(linalg, "_ordered_columns", ordered_columns)
-        a, b = example_files
-        argv = {
-            "bounds": ["bounds", "--a", a, "--b", b, "--indices", "1,3"],
-            "spectrum": ["spectrum", "--a", a, "--b", b],
-            "example": ["example"],
-        }[command]
-        assert main(argv) == 0
-        assert ordered == [1]
-
     def test_decreasing_indices_exit_2(self, example_files, capsys):
         a, b = example_files
         assert main(["bounds", "--a", a, "--b", b, "--indices", "3,1"]) == 2

@@ -44,6 +44,7 @@ from eigb.harness import (
     run_campaign,
     sample_selections,
     _block_selections,
+    _carrier,
     _check_stack,
     _error_record,
     _exhaustive,
@@ -51,11 +52,12 @@ from eigb.harness import (
     _haar_unitary,
     _plans,
     _sampled_selections,
+    _seeds,
     _streams,
     _words,
 )
 from eigb.linalg import Spectrum, hermitian_eig, validate_hermitian, validate_psd
-from oracle import run_checks, tuple_sampled_selections
+from oracle import run_checks
 
 A3 = [[1, 2, 0], [2, 1, 0], [0, 0, -4]]
 B3 = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
@@ -212,10 +214,10 @@ class TestGeneratorStreams:
 
     def test_words_are_derive_seed(self):
         seeds = self.SEEDS + [-1, 2**64, 2**70 + 3, *range(2, 40)]
-        assert _words(seeds).tolist() == [[derive_seed(s, j) for j in range(4)] for s in seeds]
+        assert _words(_seeds(seeds)).tolist() == [[derive_seed(s, j) for j in range(4)] for s in seeds]
 
     def test_golden_first_draws(self):
-        first = [rng.random(3).tolist() for rng in _streams(_words(self.SEEDS))]
+        first = [rng.random(3).tolist() for rng in _streams(_words(_seeds(self.SEEDS)), _carrier())]
         assert first == [
             [0.31180829186671066, 0.6183988066074692, 0.23095412452404473],
             [0.9656098517096204, 0.6061045069762236, 0.8957877462602849],
@@ -228,7 +230,7 @@ class TestGeneratorStreams:
         # next stream starts clean all the same.
         seeds = [5, 6, 5]
         got = []
-        for rng in _streams(_words(seeds)):
+        for rng in _streams(_words(_seeds(seeds)), _carrier()):
             got.append(rng.random(2).tolist())
             rng.integers(0, 7, size=3, dtype=np.uint32)
         assert got == [stream(s).random(2).tolist() for s in seeds]
@@ -276,7 +278,7 @@ class TestGeneratorStreams:
                 assert sample_selections(seed, n, 12, nu) == recipe_selections(seed, n, 12, nu)
             # Several streams at once give each its selections alone.
             seeds = [seed * 100 + j for j in range(len(nus))]
-            assert _sampled_selections(seeds, n, 12, nus) == [
+            assert _sampled_selections(_seeds(seeds), n, 12, nus, _carrier()) == [
                 recipe_selections(s, n, 12, nu) for s, nu in zip(seeds, nus)
             ]
 
@@ -287,26 +289,19 @@ class TestGeneratorStreams:
             assert sample_selections(seed, 3, 12) == recipe_selections(seed, 3, 12)
             assert sample_selections(seed, 3, 12) == sorted(all_selections(3))
 
-    @pytest.mark.parametrize("n", range(7, 13))
-    def test_rows_deduplicated_in_numpy(self, n):
-        # The rows deduplicated as packed masks give what tuples deduplicated
-        # one at a time give: at the campaign's count, and at 2^(n-1), where
-        # most first blocks run out and further blocks are read.
-        nus = [None, *range(n + 1)]
-        for count, bases in ((SAMPLED_SEQUENCES, range(6)), (2 ** (n - 1), range(2))):
-            for base in bases:
-                seeds = [base * 100 + j for j in range(len(nus))]
-                got = _sampled_selections(seeds, n, count, nus)
-                assert got == tuple_sampled_selections(seeds, n, count, nus)
-        if n == 7:
-            # At the campaign's count, the first block of seed 1824 holds 11
-            # distinct rows: the twelfth selection comes from the next block.
-            head, rows = n + 4, 2 * SAMPLED_SEQUENCES
-            block = next(_streams(_words([1824]))).random(head + rows * (n + 1))[head:]
-            distinct = set(_block_selections(block.reshape(1, rows, n + 1))[0])
-            assert len(distinct) == SAMPLED_SEQUENCES - 1
-            got = _sampled_selections([1824], n, SAMPLED_SEQUENCES, [None])
-            assert got == tuple_sampled_selections([1824], n, SAMPLED_SEQUENCES, [None])
+    def test_first_block_runs_out(self):
+        # At n = 7 and the campaign's count, the first block of seed 1824
+        # holds 11 distinct rows: the twelfth selection comes from the next
+        # block of its stream, read through the carrier the other streams of
+        # the call share.
+        n, head, rows = 7, 11, 2 * SAMPLED_SEQUENCES
+        block = next(_streams(_words(_seeds([1824])), _carrier())).random(head + rows * (n + 1))
+        distinct = set(_block_selections(block[head:].reshape(1, rows, n + 1))[0])
+        assert len(distinct) == SAMPLED_SEQUENCES - 1
+        seeds = [1823, 1824, 1825]
+        got = _sampled_selections(_seeds(seeds), n, SAMPLED_SEQUENCES, [None] * 3, _carrier())
+        assert got == [recipe_selections(s, n, SAMPLED_SEQUENCES) for s in seeds]
+        assert distinct < set(got[1])
 
 
 selection_counts = st.integers(min_value=1, max_value=200)
@@ -346,7 +341,7 @@ class TestSampler:
 
     def test_every_size_occurs(self):
         n = 8
-        rng = next(_streams(_words([4])))
+        rng = next(_streams(_words(_seeds([4])), _carrier()))
         rows = _block_selections(rng.random((1, 2000, n + 1)))[0]
         assert {len(c) for c in rows} == set(range(1, n + 1))
         sampled = [c for seed in range(170) for c in sample_selections(seed, n, 12)]
@@ -944,7 +939,7 @@ class TestStackedCampaign:
         import eigb.linalg as linalg
 
         config = CampaignConfig(n_min=n, n_max=n, tolerances=Tolerances(verify_base=0.0))
-        plans = _plans(range(7, 8), 11, config)
+        plans = _plans(range(7, 8), 11, config, _carrier())
         a_spec, b_spec = (
             GeneratorSpec(n, seed, inertia_target=tuple(target))
             for seed, target in zip(plans.words[0, 1:3].tolist(), plans.inertia[0].tolist())

@@ -408,6 +408,15 @@ class TestSmallOps:
     def test_frobenius_zero(self):
         assert frobenius_norm(np.zeros((2, 2))) == 0.0
 
+    def test_frobenius_any_shape(self):
+        # The 2-norm of every entry, for a vector, a matrix or a stack.
+        assert frobenius_norm(np.array([3.0, 4.0])) == 5.0
+        assert frobenius_norm([3j]) == 3.0
+        z = np.arange(12.0).reshape(2, 2, 3) * (1 - 2j)
+        assert frobenius_norm(z) == frobenius_norm(z.reshape(4, 3)) == frobenius_norm(z.ravel())
+        m = np.random.default_rng(7).standard_normal((5, 5)) * 1e3
+        assert same_bits(frobenius_norm(m), frobenius_reference(m.astype(complex)))
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_frobenius_extreme_scale(self, scale):
         # The sum of squares overflows (underflows) at these scales.
@@ -596,7 +605,7 @@ class TestStackedMatchesPerMatrix:
         )
         from eigb.linalg import TOL_HERM, _psd_eig, _validated
 
-        plans = _plans(range(5, 35), 3, CampaignConfig(n_min=n, n_max=n))
+        plans = _plans(range(5, 35), 3, CampaignConfig(n_min=n, n_max=n), _carrier())
         members = list(range(30))
         specs = [
             [

@@ -465,7 +465,7 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
     """
     scaled, exponents = _unit_scaled(m)
     # Each matrix as its real and its imaginary parts, two strided rows.
-    parts = np.moveaxis(scaled.view(np.float64).reshape(*m.shape[:-2], -1, 2), -1, -2)
+    parts = scaled.view(np.float64).reshape(m.shape[:-2] + (-1, 2)).swapaxes(-1, -2)
     squares = np.matmul(parts[..., None, :], parts[..., :, None])[..., 0, 0]
     norms = np.sqrt(squares[..., 0] + squares[..., 1])
     with np.errstate(over="ignore"):

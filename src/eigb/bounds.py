@@ -466,15 +466,24 @@ class SelectionIndex(NamedTuple):
     early: np.ndarray  # k - 1 - t, at least 0: the pairing b[k-1-t]
 
 
-def selection_index(
-    selections: Sequence[Sequence[int]], n: int, m: int | None = None
-) -> SelectionIndex:
-    """The SelectionIndex of selections of 1-based indices in 1..n.
-
-    With m, the selections are m instances' lists of equal length, one after
-    another, and the index has one set per instance.
-    """
+def selection_masks(selections: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Selections of distinct 1-based indices in 1..n as an (S, n) boolean
+    array: row r marks the indices of selection r (see selection_index)."""
     ks = np.fromiter(map(len, selections), dtype=np.intp, count=len(selections))
+    masks = np.zeros((len(selections), n), dtype=bool)
+    selected = np.fromiter(chain.from_iterable(selections), dtype=np.intp, count=int(ks.sum()))
+    masks[np.repeat(np.arange(len(selections)), ks), selected - 1] = True
+    return masks
+
+
+def selection_index(masks: np.ndarray) -> SelectionIndex:
+    """The SelectionIndex of selections given as boolean masks over 1..n
+    (selection_masks): (S, n), one row per selection, or (m, S, n), one set
+    of S per instance.  A selection is its marked indices in increasing
+    order.
+    """
+    n = masks.shape[-1]
+    ks = np.count_nonzero(masks, axis=-1)
     t = np.arange(n)[:, None]
     k = np.arange(n + 1)
     # Every array but pos depends on the size alone: one table column per size.
@@ -482,29 +491,25 @@ def selection_index(
     early = np.maximum(k - 1 - t, 0)
 
     def by_size(table):
-        return np.take(table, ks, axis=1)
+        x = np.take(table, ks, axis=1)
+        # (n, m, S) as (m, n, S).
+        return x if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 0, 2))
 
-    live_rows = by_size(live)
-    pos = np.full(live_rows.shape, n)
-    pos.T[live_rows.T] = np.fromiter(chain.from_iterable(selections), dtype=np.intp) - 1
-    index = SelectionIndex(
-        pos=pos,
+    return SelectionIndex(
+        pos=np.ascontiguousarray(_positions(masks).swapaxes(-1, -2)),
         prefix=by_size(np.where(live, t, n)),
         ks=ks,
-        live=live_rows,
+        live=by_size(live),
         late=by_size((n - 1) - early),
         early=by_size(early),
     )
-    if m is None:
-        return index
-    # (n, m * S) regrouped as (m, n, S), and the sizes as (m, S).
-    return SelectionIndex(
-        *(
-            np.ascontiguousarray(np.moveaxis(x.reshape(n, m, -1), 0, 1)) if x.ndim == 2
-            else x.reshape(m, -1)
-            for x in index
-        )
-    )
+
+
+def _positions(masks: np.ndarray) -> np.ndarray:
+    """The marked columns of each row of masks (..., n), in increasing
+    order, then n: an integer array of the masks' shape."""
+    n = masks.shape[-1]
+    return np.sort(np.where(masks, np.arange(n), n), axis=-1)
 
 
 class SelectionBoundsBatch(NamedTuple):
@@ -766,7 +771,7 @@ def _rows(*specs: Spectrum) -> list[np.ndarray]:
 def _index(idx: IndexSequence, values: np.ndarray) -> SelectionIndex:
     """The SelectionIndex of one selection, for a stack of spectra of its dimension."""
     _require_indexable(values, idx.n)
-    return selection_index([idx.indices], idx.n)
+    return selection_index(selection_masks([idx.indices], idx.n))
 
 
 def _radius(spec):

@@ -320,7 +320,6 @@ def cmd_spectrum(args) -> int:
     a = validate_hermitian(load_matrix(args.a), args.tol_herm)
     spec_a = hermitian_eig(a).spectrum
     payload = {"version": FORMAT_VERSION, "spectrum_a": list(spec_a)}
-    lines = [f"spectrum A:  {_fmt_seq(spec_a)}"]
     if args.b is not None:
         b = validate_psd(load_matrix(args.b), herm_tol=args.tol_herm)
         spec_ab = product_spectrum(a, b)
@@ -328,16 +327,18 @@ def cmd_spectrum(args) -> int:
         payload["spectrum_b"] = list(b.spectrum)
         payload["spectrum_ab"] = list(spec_ab)
         payload["inertia_a"] = list(inertia.as_tuple())
-        lines.append(f"spectrum B:  {_fmt_seq(b.spectrum)}")
+    if args.json:
+        print(json.dumps(payload))
+        return 0
+    lines = [f"spectrum A:  {_fmt_seq(spec_a)}"]
+    if args.b is not None:
+        lines.append(f"spectrum B:  {_fmt_seq(payload['spectrum_b'])}")
         lines.append(f"spectrum AB: {_fmt_seq(spec_ab)}")
         lines.append(
             f"inertia A:   positive={inertia.positive} negative={inertia.negative} "
             f"zero={inertia.zero}"
         )
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print("\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 

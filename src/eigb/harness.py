@@ -25,11 +25,10 @@ through one carrier Generator per campaign.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, combinations, islice
-from operator import add
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .bounds import (
     TOL_VERIFY_BASE,
     _radius,
     _row_sums,
+    _positions,
     _verify_tolerance,
     gap_bound_batch,
     inertia_counts,
@@ -49,6 +49,7 @@ from .bounds import (
     selected_values,
     selection_bounds_batch,
     selection_index,
+    selection_masks,
     trace_bounds_batch,
     wielandt_sum_bounds_batch,
 )
@@ -64,6 +65,7 @@ from .linalg import (
     _check_spectra,
     _eig_stack,
     _eig_values,
+    _finite,
     _frobenius_norms,
     _product_values,
     _psd_eig,
@@ -286,7 +288,7 @@ def _exhaustive(n: int) -> tuple[tuple[tuple[int, ...], ...], SelectionIndex]:
     cached = _EXHAUSTIVE.get(n)
     if cached is None:
         selections = tuple(all_selections(n))
-        index = selection_index(selections, n)
+        index = selection_index(selection_masks(selections, n))
         for array in index:
             array.flags.writeable = False
         cached = _EXHAUSTIVE[n] = (selections, index)
@@ -389,7 +391,9 @@ def _spectra_stack(pair: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray
     a, b = pair
     values_a = _eig_values(a)
     values_ab = _product_values(a, b_values, b_vectors)
-    values_sum = _eig_values(_validated(a + b, TOL_HERM)[0])
+    # A and B are exactly Hermitian (_symmetrized), so A + B is too: only
+    # its entries can fail, by overflow.
+    values_sum = _eig_values(_finite(a + b))
     traces = np.trace(a @ b, axis1=-2, axis2=-1).real
     # The product of the norms overflows to inf at extreme scales.
     with np.errstate(over="ignore"):
@@ -523,7 +527,7 @@ def check_selections(
     else:
         for selection in selections:
             IndexSequence(indices=selection, n=n)
-        index = selection_index(selections, n)
+        index = selection_index(selection_masks(selections, n))
     return SelectionChecks(_check_stack(sp, index, tol), 0, selections, instance_id, seed)
 
 
@@ -730,12 +734,30 @@ class CheckStats:
         return self.sum_slack / self.count if self.count else 0.0
 
     def add(self, passed: np.ndarray, worst: np.ndarray) -> None:
-        """Count evaluations in order, with the same min and += as one at a time."""
-        slacks = worst.tolist()
-        self.count += len(slacks)
-        self.failed += int(np.count_nonzero(~passed))
-        self.min_slack = min([self.min_slack, *slacks])
-        self.sum_slack = reduce(add, slacks, self.sum_slack)
+        """Count evaluations in order, with the same min and += as one at a
+        time over Python floats.
+
+        The sum adds in order (np.add.accumulate; np.sum adds pairwise).
+        Python's min keeps the first least value and never takes a NaN, as
+        no comparison with one is true: that is the value of the first
+        np.argmin among the non-NaN slacks, taken only if it is below
+        min_slack, so of -0.0 and 0.0 the first seen stays."""
+        size = worst.size
+        if not size:
+            return
+        self.count += size
+        self.failed += size - int(np.count_nonzero(passed))
+        total = np.empty(size + 1)
+        total[0] = self.sum_slack
+        total[1:] = worst
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(total, out=total)
+        self.sum_slack = total[-1].item()
+        least = worst[worst.argmin()].item()
+        if math.isnan(least):  # argmin stops at the first NaN
+            least = worst[np.where(np.isnan(worst), np.inf, worst).argmin()].item()
+        if least < self.min_slack:
+            self.min_slack = least
 
 
 @dataclass(frozen=True)
@@ -786,32 +808,42 @@ class CampaignReport:
 
 
 def _smallest(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Mask of the k smallest keys of each row (k broadcasting against the
-    rows): the first k positions of its stable argsort.  Over uniform keys,
-    a uniform k-subset of the positions."""
-    order = np.argsort(keys, axis=-1, kind="stable")
-    mask = np.empty(keys.shape, dtype=bool)
-    np.put_along_axis(mask, order, np.arange(keys.shape[-1]) < k[..., None], axis=-1)
+    """Mask of the k smallest keys of each row, k (...,) one per row of keys
+    (..., n), from 1 to n: the first k positions of the row's stable
+    argsort, so of equal keys the first.  Over uniform keys, a uniform
+    k-subset of the positions."""
+    n = keys.shape[-1]
+    kth = np.sort(keys, axis=-1).reshape(-1, n)[np.arange(k.size), k.ravel() - 1]
+    kth = kth.reshape(k.shape + (1,))
+    mask = keys <= kth
+    if np.count_nonzero(mask) > k.sum():
+        # Some row has more than one key equal to its k-th smallest: keep the first.
+        below, ties = keys < kth, keys == kth
+        room = (k - np.count_nonzero(below, axis=-1))[..., None]
+        mask = below | (ties & (np.cumsum(ties, axis=-1) <= room))
     return mask
 
 
-def _as_selections(masks: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """Masks (m, R, n) as m lists of R selections of 1-based indices."""
+def _as_selections(masks: np.ndarray) -> list[tuple[int, ...]]:
+    """Masks (R, n) as R selections of 1-based indices."""
     where = iter((np.nonzero(masks)[-1] + 1).tolist())
-    return [[tuple(islice(where, k)) for k in row] for row in masks.sum(axis=-1).tolist()]
+    return [tuple(islice(where, k)) for k in np.count_nonzero(masks, axis=-1).tolist()]
 
 
-def _block_selections(block: np.ndarray) -> list[list[tuple[int, ...]]]:
-    """A block (m, R, n + 1) of uniforms as m lists of R random selections:
-    the last column gives the size k, uniform on 1..n, and the k smallest of
-    the other n columns give a uniform k-subset."""
+def _block_masks(block: np.ndarray) -> np.ndarray:
+    """A block (m, R, n + 1) of uniforms as the masks (m, R, n) of m * R
+    random selections: the last column gives the size k, uniform on 1..n,
+    and the k smallest of the other n columns give a uniform k-subset."""
     n = block.shape[-1] - 1
-    return _as_selections(_smallest(block[..., :n], 1 + _below(block[..., n], n)))
+    return _smallest(block[..., :n], 1 + _below(block[..., n], n))
 
 
-def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tuple[int, ...]]]:
+def _family_picks(
+    head: np.ndarray, nu: np.ndarray, wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Each instance's selections inside, beyond and straddling its
-    nonnegative block 1..nu, from the n + 4 uniforms of its head row:
+    nonnegative block 1..nu, from the n + 4 uniforms of its head row, as
+    masks (m, 3, n), and which of them it keeps, (m, 3):
 
     - inside: k uniform on 1..nu, then a uniform k-subset of 1..nu (if nu >= 1);
     - beyond: k uniform on 1..n - nu, then a uniform k-subset of nu+1..n
@@ -819,10 +851,8 @@ def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tupl
     - straddling: (lo, hi), lo uniform on 1..nu and hi on nu+1..n (if both).
 
     The subsets are the smallest of the first n uniforms within each block.
-    None (no picks) reads as nu = 0 with nothing kept."""
+    An instance not wanted (m,) keeps none.  The three are distinct."""
     n = head.shape[-1] - 4
-    wanted = np.array([nu is not None for nu in nus])
-    nu = np.array([nu or 0 for nu in nus])
     rest = n - nu
     col = np.arange(n)
     inner = col < nu[:, None]
@@ -837,51 +867,103 @@ def _family_picks(head: np.ndarray, nus: Sequence[int | None]) -> list[list[tupl
         axis=1,
     )
     kept = wanted[:, None] & np.stack((nu >= 1, rest >= 1, (nu >= 1) & (rest >= 1)), axis=1)
-    return [
-        [pick for pick, keep in zip(picks, row) if keep]
-        for picks, row in zip(_as_selections(masks), kept.tolist())
-    ]
+    return masks, kept
+
+
+def _selection_keys(masks: np.ndarray) -> np.ndarray:
+    """Integer keys (..., w) of the nonempty selections of masks (..., n),
+    equal for equal selections and, compared column by column, in the
+    lexicographic order of their index tuples.
+
+    Up to n = 62, one column.  Let code be a selection's bit code (index i
+    weighs 2^(n - i)), k its size and low the lowest set bit of code.
+    Counted by the index at which they first differ from it, 2^n + k - 1 -
+    code - low selections come before it; the key drops the constant 2^n - 1.
+    Beyond n = 62, the padded-digit key: its indices in increasing order,
+    then -1, below every index, so that a prefix sorts first."""
+    n = masks.shape[-1]
+    if n <= 62:
+        # Each row's code and size, in one product.
+        weights = np.stack((1 << np.arange(n - 1, -1, -1, dtype=np.int64), np.ones(n, np.int64)), 1)
+        both = masks @ weights
+        code, k = both[..., 0], both[..., 1]
+        return (k - code - (code & -code))[..., None]
+    digits = _positions(masks)
+    digits[digits == n] = -1
+    return digits
+
+
+def _first_distinct(
+    masks: np.ndarray, valid: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` of each instance's valid rows (m, R) of masks
+    (m, R, n), nonempty selections, whose selection no earlier valid row
+    has.  Returns them as row numbers of masks.reshape(-1, n), each
+    instance's in the lexicographic order of their index tuples, and how
+    many each instance has, (m,).
+
+    One stable sort orders the rows by instance, then by selection
+    (_selection_keys), then valid before invalid, then by position: the
+    first row of each run of one selection is its first valid row, if any,
+    and the kept rows come in lexicographic order."""
+    m, r, n = masks.shape
+    keys = _selection_keys(masks).reshape(m * r, -1)
+    instance = np.repeat(np.arange(m), r)
+    flat_valid = valid.ravel()
+    order = np.lexsort((~flat_valid, *keys.T[::-1], instance))
+    keys, instance = keys[order], instance[order]
+    first = np.ones(m * r, dtype=bool)
+    first[1:] = (instance[1:] != instance[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
+    new = np.empty(m * r, dtype=bool)
+    new[order] = first & flat_valid[order]
+    new = new.reshape(m, r)
+    keep = new & (np.cumsum(new, axis=1) <= count)
+    return order[keep.ravel()[order]], np.count_nonzero(keep, axis=1)
 
 
 def _sampled_selections(
-    seeds: np.ndarray, n: int, count: int, nus: Sequence[int | None], rng: np.random.Generator
-) -> list[list[tuple[int, ...]]]:
+    seeds: np.ndarray,
+    n: int,
+    count: int,
+    nu: np.ndarray,
+    wanted: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """sample_selections for several uint64 seeds at once, each on its own
-    stream (drawn through the carrier rng, see _streams), with the draws
-    shaped and turned into selections for all of them at once.  nus[i] is
-    None, or instance i's nonnegative count for its family picks."""
+    stream (drawn through the carrier rng, see _streams), as masks
+    (m, count, n), each instance's in lexicographic order.  Instance i takes
+    the family picks around its nonnegative count nu[i] where wanted[i].
+
+    Every instance's draws are shaped and deduplicated at once.  An instance
+    whose rows so far hold fewer than `count` distinct selections draws the
+    next block of its stream, until each has them."""
     count = min(count, 2**n - 1)
-    rows = 2 * count
+    m, rows = len(seeds), 2 * count
     head, block = n + 4, rows * (n + 1)
     words = _words(seeds)
-    u = np.empty((len(seeds), head + block))
+    u = np.empty((m, head + block))
     for stream, out in zip(_streams(words, rng), u):
         stream.random(out=out)
-    drawn = _block_selections(u[:, head:].reshape(len(seeds), rows, n + 1))
-    sampled = []
-    for i, (picks, first) in enumerate(zip(_family_picks(u[:, :head], nus), drawn)):
-        chosen = dict.fromkeys(picks)
-        if len(chosen) < count:
-            further = _further_rows(words[i : i + 1], head + block, rows, n, rng)
-            for selection in chain(first, further):
-                chosen[selection] = None
-                if len(chosen) == count:
-                    break
-        sampled.append(sorted(chosen))
-    return sampled
-
-
-def _further_rows(
-    words: np.ndarray, drawn: int, rows: int, n: int, rng: np.random.Generator
-) -> Iterator[tuple[int, ...]]:
-    """The selections of the blocks that follow the first `drawn` uniforms
-    of one stream, block after block, for an instance whose first block
-    held too few distinct rows.  Nothing is drawn until the first is asked
-    for; the carrier rng is set to the stream then."""
-    stream = next(_streams(words, rng))
-    stream.random(drawn)
-    while True:
-        yield from _block_selections(stream.random((1, rows, n + 1)))[0]
+    picks, kept = _family_picks(u[:, :head], nu, wanted)
+    masks = np.concatenate((picks, _block_masks(u[:, head:].reshape(m, rows, n + 1))), axis=1)
+    valid = np.concatenate((kept, np.ones((m, rows), dtype=bool)), axis=1)
+    chosen, found = _first_distinct(masks, valid, count)
+    drawn = head + block
+    while (found < count).any():
+        short = np.flatnonzero(found < count)
+        further = np.empty((len(short), block))
+        for stream, out in zip(_streams(words[short], rng), further):
+            stream.random(drawn)
+            stream.random(out=out)
+        more = np.zeros((m, rows, n), dtype=bool)
+        more[short] = _block_masks(further.reshape(len(short), rows, n + 1))
+        fresh = np.zeros((m, rows), dtype=bool)
+        fresh[short] = True
+        masks = np.concatenate((masks, more), axis=1)
+        valid = np.concatenate((valid, fresh), axis=1)
+        chosen, found = _first_distinct(masks, valid, count)
+        drawn += block
+    return masks.reshape(-1, n)[chosen].reshape(m, count, n)
 
 
 def sample_selections(
@@ -894,10 +976,14 @@ def sample_selections(
     The stream's first n + 4 uniforms give, when nu is given, the picks
     inside, beyond and straddling the nonnegative block 1..nu
     (_family_picks), which come first.  Then blocks of 2 * count rows of
-    n + 1 uniforms each give one random selection per row (_block_selections):
-    its size uniform on 1..n, then a uniform subset of that size.  Rows are
-    taken in order, each kept if new, until there are `count`."""
-    return _sampled_selections(_seeds([seed]), n, count, [nu], _carrier())[0]
+    n + 1 uniforms each give one random selection per row (_block_masks):
+    its size uniform on 1..n, then a uniform subset of that size.  The picks,
+    then the rows, are taken in order, each kept if new, until there are
+    `count`."""
+    masks = _sampled_selections(
+        _seeds([seed]), n, count, np.array([nu or 0]), np.array([nu is not None]), _carrier()
+    )
+    return _as_selections(masks[0])
 
 
 class _Plans(NamedTuple):
@@ -988,46 +1074,41 @@ def _stacked_spectra(
 
 
 class _Tally:
-    """One window's check results, merged into instance order at the end.
+    """One window's check results, kept in instance order.
 
-    Stacks of different n interleave within a window, so each column's
-    (pass flag, worst slack) pairs are kept with the window position of
-    their instance, and the failures by instance.  flush then gives every
-    CheckStats one add, in instance order, so its min and sum see the values
-    in the order one instance at a time would."""
+    Stacks of different n interleave within a window, so each check's
+    (applies, pass flag, worst slack) arrays are kept with the window
+    positions of their instances (rows), and the failures by instance.
+    flush writes each check into (window, width) arrays, instance j's
+    selections in the first columns of row j, whose C order is then
+    instance order: every CheckStats gets one add, so its min and sum see
+    the values in the order one instance at a time would."""
 
     def __init__(self, plans: _Plans) -> None:
         self.plans = plans
         self.total = 0
         self.passed = 0
-        self.columns: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        self.columns: dict[str, list[tuple[np.ndarray, ...]]] = {}
         self.failures: dict[int, list[VerificationRecord]] = {}
 
-    def add(
-        self,
-        members: list[int],
-        checked: StackChecks,
-        selections: Sequence[Sequence[tuple[int, ...]]],
-    ) -> None:
-        """A checked stack, with each of its instances' selections."""
+    def add(self, members: list[int], checked: StackChecks, index: SelectionIndex) -> None:
+        """A checked stack, with the SelectionIndex it was checked against."""
+        plans = self.plans
         self.total += checked.passed.size
         self.passed += int(np.count_nonzero(checked.passed))
         for k in np.flatnonzero(~checked.passed.all(axis=1)).tolist():
             j = members[k]
             one = SelectionChecks(
-                checked, k, selections[k], self.plans.index[j].item(), self.plans.seed[j].item()
+                checked, k, _index_selections(index, k), plans.index[j].item(), plans.seed[j].item()
             )
             self.failures[j] = one.failures
-        keys = np.array(members)
+        # A stack's members ascend; consecutive ones are written as a slice.
+        first, last = members[0], members[-1]
+        rows = slice(first, last + 1) if last - first == len(members) - 1 else np.array(members)
         for column in checked.columns:
-            applies = column.applies
-            if applies.any():
+            if column.applies.any():
                 self.columns.setdefault(column.name, []).append(
-                    (
-                        np.repeat(keys, applies.sum(axis=1)),
-                        np.broadcast_to(column.passed, applies.shape)[applies],
-                        np.broadcast_to(column.worst, applies.shape)[applies],
-                    )
+                    (rows, column.applies, column.passed, column.worst)
                 )
 
     def error(self, j: int, exc: EigbError) -> None:
@@ -1038,37 +1119,55 @@ class _Tally:
             _error_record(exc, plans.n[j].item(), plans.index[j].item(), plans.seed[j].item())
         ]
         self.columns.setdefault("computation", []).append(
-            (np.array([j]), np.zeros(1, dtype=bool), np.zeros(1))
+            (slice(j, j + 1), np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool), np.zeros((1, 1)))
         )
 
     def flush(self, stats: dict[str, CheckStats], failures: list[VerificationRecord]) -> None:
+        window = len(self.plans.index)
         for name, parts in self.columns.items():
-            keys, passed, worst = (np.concatenate(x) for x in zip(*parts))
-            order = np.argsort(keys, kind="stable")
-            stats.setdefault(name, CheckStats(name=name)).add(passed[order], worst[order])
+            width = max(part[1].shape[1] for part in parts)
+            arrays = applies, passed, worst = (
+                np.zeros((window, width), dtype=bool),
+                np.zeros((window, width), dtype=bool),
+                np.zeros((window, width)),
+            )
+            for rows, *values in parts:
+                size = values[0].shape[1]
+                for array, value in zip(arrays, values):
+                    array[rows, :size] = value
+            stats.setdefault(name, CheckStats(name=name)).add(passed[applies], worst[applies])
         for j in sorted(self.failures):
             failures.extend(self.failures[j])
 
 
+def _index_selections(index: SelectionIndex, i: int) -> list[tuple[int, ...]]:
+    """Instance i's selections, as tuples of 1-based indices, read off a
+    SelectionIndex (its own set, or the one all instances share)."""
+    pos, ks = (index.pos, index.ks) if index.ks.ndim == 1 else (index.pos[i], index.ks[i])
+    return [tuple(row[:k]) for row, k in zip((pos.T + 1).tolist(), ks.tolist())]
+
+
 def _campaign_selections(
     sp: SpectraStack, members: list[int], plans: _Plans, tol: Tolerances, rng: np.random.Generator
-) -> tuple[list[Sequence[tuple[int, ...]]], SelectionIndex]:
-    """What each instance of a stack checks, and its SelectionIndex: every
+) -> SelectionIndex:
+    """The SelectionIndex of what each instance of a stack checks: every
     selection up to EXHAUSTIVE_MAX_N (shared, from _exhaustive), else
     SAMPLED_SEQUENCES from each instance's selection stream (drawn through
     the carrier rng), with the family picks around its count of nonnegative
     eigenvalues in families 2-4."""
     n = sp.spec_a.shape[1]
     if n <= EXHAUSTIVE_MAX_N:
-        selections, index = _exhaustive(n)
-        return [selections] * len(members), index
+        return _exhaustive(n)[1]
     inertia = inertia_counts(sp.spec_a, tol.tol_class)
-    nus = [
-        nu if i % 5 >= 2 else None
-        for i, nu in zip(plans.index[members].tolist(), (inertia[:, 0] + inertia[:, 2]).tolist())
-    ]
-    sampled = _sampled_selections(plans.words[members, 3], n, SAMPLED_SEQUENCES, nus, rng)
-    return sampled, selection_index(list(chain.from_iterable(sampled)), n, len(members))
+    masks = _sampled_selections(
+        plans.words[members, 3],
+        n,
+        SAMPLED_SEQUENCES,
+        inertia[:, 0] + inertia[:, 2],
+        plans.index[members] % 5 >= 2,
+        rng,
+    )
+    return selection_index(masks)
 
 
 def run_campaign(
@@ -1108,8 +1207,8 @@ def run_campaign(
             if isinstance(sp, EigbError):
                 tally.error(members[0], sp)
                 continue
-            selections, index = _campaign_selections(sp, members, plans, tol, rng)
-            tally.add(members, _check_stack(sp, index, tol), selections)
+            index = _campaign_selections(sp, members, plans, tol, rng)
+            tally.add(members, _check_stack(sp, index, tol), index)
         tally.flush(stats, failures)
         total += tally.total
         passed += tally.passed

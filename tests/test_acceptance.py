@@ -3,9 +3,10 @@
 The shared campaign fixture runs 1000 randomized instances (dimensions 2
 through 8, all five inertia/selection families, exhaustive index sequences
 up to n=6) once; the criteria that quantify over campaign instances read
-its per-check statistics.
+its per-check statistics, and its JSON bytes are pinned by digest.
 """
 
+import hashlib
 import json
 import time
 
@@ -46,6 +47,9 @@ B3 = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
 
 CAMPAIGN_COUNT = 1000
 CAMPAIGN_SEED = 2024
+# sha256 of json.dumps(report.to_json_dict()) of the shared campaign, taken
+# with numpy 2.4.6 and its OpenBLAS.
+CAMPAIGN_SHA256 = "b58ec182b4c8f5d7a58bc97a255214f9dcede8b0e5ab75c01a94a0ec1c9da1f4"
 
 
 def announce(num: int, ok: bool, text: str) -> None:
@@ -289,3 +293,15 @@ def test_criterion_11_determinism(capsys):
     out_b = capsys.readouterr().out
     ok = code_a == code_b == 0 and out_a == out_b and len(out_a) > 0
     announce(11, ok, f"fuzz JSON byte-identical across runs ({len(out_a)} bytes)")
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason="the digest was taken on numpy 2.4; other LAPACK builds differ in the last bits",
+)
+def test_campaign_bytes_pinned(campaign):
+    # The stacked-against-reference tests run the same linalg code on both
+    # sides; this digest also catches a change that moves every spectrum.
+    report, _ = campaign
+    digest = hashlib.sha256(json.dumps(report.to_json_dict()).encode()).hexdigest()
+    assert digest == CAMPAIGN_SHA256

@@ -31,6 +31,7 @@ from eigb.bounds import (
     selection_bounds,
     selection_bounds_batch,
     selection_index,
+    selection_masks,
     stable_bounds,
     trace_bounds,
     verify_tolerance,
@@ -604,7 +605,8 @@ class TestSelectionBoundsBatch:
         selections = [idx.indices for idx in seqs]
         a, b_rows = np.array([spec_a.values]), np.array([spec_b.values])
         # The selections shared by the stack, and as the one instance's own.
-        for index in (selection_index(selections, n), selection_index(selections, n, 1)):
+        masks = selection_masks(selections, n)
+        for index in (selection_index(masks), selection_index(masks[None])):
             batch = bounds.SelectionBoundsBatch(
                 *(x[0] for x in selection_bounds_batch(a, b_rows, index))
             )
@@ -631,7 +633,7 @@ class TestSelectionBoundsBatch:
             )
 
     def test_dimension_guard(self):
-        index = selection_index([(1, 2)], 3)
+        index = selection_index(selection_masks([(1, 2)], 3))
         with pytest.raises(IndexOutOfRange):
             selected_sums(np.array([[1.0, 0.0]]), index)
         with pytest.raises(DimensionMismatch):

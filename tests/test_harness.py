@@ -16,6 +16,7 @@ from eigb.bounds import (
     gap_bound,
     inertia_of,
     selection_index,
+    selection_masks,
 )
 from eigb.errors import (
     ConsistencyError,
@@ -43,16 +44,20 @@ from eigb.harness import (
     instance_spectra,
     run_campaign,
     sample_selections,
-    _block_selections,
+    _as_selections,
+    _block_masks,
     _carrier,
     _check_stack,
     _error_record,
     _exhaustive,
     _generated,
     _haar_unitary,
+    _first_distinct,
+    _index_selections,
     _plans,
     _sampled_selections,
     _seeds,
+    _smallest,
     _streams,
     _words,
 )
@@ -178,7 +183,8 @@ def first_of_sort(keys, k):
 
 
 def recipe_selections(seed, n, count, nu=None):
-    """sample_selections one row at a time, on Python floats."""
+    """sample_selections one row at a time, on Python floats: the first
+    `count` family picks, then rows until there are `count`."""
     count = min(count, 2**n - 1)
     rows = 2 * count
     rng = stream(seed)
@@ -192,6 +198,7 @@ def recipe_selections(seed, n, count, nu=None):
             chosen.append(tuple(nu + t for t in beyond))
         if 1 <= nu < n:
             chosen.append((1 + int(head[n + 2] * nu), nu + 1 + int(head[n + 3] * (n - nu))))
+        chosen = chosen[:count]
     while len(chosen) < count:
         for row in rng.random((rows, n + 1)).tolist():
             selection = first_of_sort(row[:n], 1 + int(row[n] * n))
@@ -200,6 +207,19 @@ def recipe_selections(seed, n, count, nu=None):
             if len(chosen) == count:
                 break
     return sorted(chosen)
+
+
+def sampled(seeds, n, count, nus):
+    """_sampled_selections of several seeds, as lists of index tuples."""
+    masks = _sampled_selections(
+        _seeds(seeds),
+        n,
+        count,
+        np.array([nu or 0 for nu in nus]),
+        np.array([nu is not None for nu in nus]),
+        _carrier(),
+    )
+    return [_as_selections(m) for m in masks]
 
 
 class TestGeneratorStreams:
@@ -278,7 +298,7 @@ class TestGeneratorStreams:
                 assert sample_selections(seed, n, 12, nu) == recipe_selections(seed, n, 12, nu)
             # Several streams at once give each its selections alone.
             seeds = [seed * 100 + j for j in range(len(nus))]
-            assert _sampled_selections(_seeds(seeds), n, 12, nus, _carrier()) == [
+            assert sampled(seeds, n, 12, nus) == [
                 recipe_selections(s, n, 12, nu) for s, nu in zip(seeds, nus)
             ]
 
@@ -296,10 +316,10 @@ class TestGeneratorStreams:
         # the call share.
         n, head, rows = 7, 11, 2 * SAMPLED_SEQUENCES
         block = next(_streams(_words(_seeds([1824])), _carrier())).random(head + rows * (n + 1))
-        distinct = set(_block_selections(block[head:].reshape(1, rows, n + 1))[0])
+        distinct = set(_as_selections(_block_masks(block[head:].reshape(1, rows, n + 1))[0]))
         assert len(distinct) == SAMPLED_SEQUENCES - 1
         seeds = [1823, 1824, 1825]
-        got = _sampled_selections(_seeds(seeds), n, SAMPLED_SEQUENCES, [None] * 3, _carrier())
+        got = sampled(seeds, n, SAMPLED_SEQUENCES, [None] * 3)
         assert got == [recipe_selections(s, n, SAMPLED_SEQUENCES) for s in seeds]
         assert distinct < set(got[1])
 
@@ -339,14 +359,132 @@ class TestSampler:
         if 1 <= nu < n:
             assert any(len(c) == 2 and c[0] <= nu < c[1] for c in got)
 
+    def test_count_below_family_picks(self):
+        # The first `count` picks (inside, beyond, straddling) are kept, not
+        # all three.
+        assert sample_selections(0, 5, 3, 2) == [(1,), (1, 5), (4, 5)]
+        assert sample_selections(0, 5, 2, 2) == [(1,), (4, 5)]
+        assert sample_selections(0, 5, 1, 2) == [(1,)]
+        for n in range(1, 9):
+            for nu in range(n + 1):
+                for seed in range(5):
+                    for count in (1, 2):
+                        got = sample_selections(seed, n, count, nu)
+                        assert len(got) == min(count, 2**n - 1)
+                        assert got == recipe_selections(seed, n, count, nu)
+
     def test_every_size_occurs(self):
         n = 8
         rng = next(_streams(_words(_seeds([4])), _carrier()))
-        rows = _block_selections(rng.random((1, 2000, n + 1)))[0]
+        rows = _as_selections(_block_masks(rng.random((1, 2000, n + 1)))[0])
         assert {len(c) for c in rows} == set(range(1, n + 1))
         sampled = [c for seed in range(170) for c in sample_selections(seed, n, 12)]
         assert len(sampled) == 2040
         assert {len(c) for c in sampled} == set(range(1, n + 1))
+
+
+class TestSelectionMasks:
+    """Selections as masks, and back as index tuples."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_index_reads_back(self, n):
+        shared = all_selections(n)
+        index = selection_index(selection_masks(shared, n))
+        assert _index_selections(index, 0) == _index_selections(index, 5) == shared
+        per_instance = sampled(range(4), n, 7, [None, 0, n, n // 2])
+        index = selection_index(np.stack([selection_masks(s, n) for s in per_instance]))
+        assert [_index_selections(index, i) for i in range(4)] == per_instance
+
+    def test_first_distinct(self):
+        # The first `count` new valid rows of each instance, in the order of
+        # their tuples: a prefix sorts before its extensions.
+        selections = [(2,), (1, 2, 4), (1,), (1, 2), (3, 4), (1, 3), (4,), (1, 2, 3, 4)]
+        masks = selection_masks(selections, 4)
+        assert _as_selections(masks) == selections
+        chosen, found = _first_distinct(masks[None], np.ones((1, 8), bool), 8)
+        assert _as_selections(masks[chosen]) == sorted(selections) and found.tolist() == [8]
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 9, 17, 62, 63, 80):
+            masks = rng.random((6, 30, n)) < rng.random((6, 30, 1))
+            masks[..., 0] |= ~masks.any(axis=-1)
+            valid = rng.random((6, 30)) < 0.8
+            for count in (1, 4, 30):
+                chosen, found = _first_distinct(masks, valid, count)
+                want = []
+                for rows, ok in zip(masks, valid):
+                    seen = []
+                    for row, keep in zip(_as_selections(rows), ok.tolist()):
+                        if keep and row not in seen and len(seen) < count:
+                            seen.append(row)
+                    want.append(sorted(seen))
+                assert found.tolist() == [len(w) for w in want]
+                assert _as_selections(masks.reshape(-1, n)[chosen]) == sum(want, [])
+
+    def test_smallest_keeps_the_first_of_equal_keys(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 3, 8, 40):
+            keys = np.round(rng.random((50, n)) * 4) / 4
+            keys[::7] = np.where(rng.random((len(keys[::7]), n)) < 0.5, keys[::7], 2.0)
+            k = 1 + (rng.random(50) * n).astype(int)
+            order = np.argsort(keys, axis=-1, kind="stable")
+            want = np.zeros(keys.shape, bool)
+            np.put_along_axis(want, order, np.arange(n) < k[:, None], axis=-1)
+            assert np.array_equal(_smallest(keys, k), want)
+            assert np.array_equal(_smallest(keys + rng.random(keys.shape) * 1e-3, k).sum(1), k)
+
+
+def python_fold(stats, passed, worst):
+    """CheckStats.add one value at a time, on Python floats."""
+    for ok, slack in zip(passed.tolist(), worst.tolist()):
+        stats.count += 1
+        stats.failed += not ok
+        stats.min_slack = min(stats.min_slack, slack)
+        stats.sum_slack += slack
+
+
+class TestCheckStats:
+    """CheckStats.add folds in numpy what one value at a time gives."""
+
+    SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 1.0, -1.0]
+
+    def assert_same(self, parts):
+        got, want = CheckStats(name="x"), CheckStats(name="x")
+        for passed, worst in parts:
+            got.add(passed, worst)
+            python_fold(want, passed, worst)
+            assert (got.count, got.failed) == (want.count, want.failed)
+            assert bits([got.min_slack, got.sum_slack]) == bits([want.min_slack, want.sum_slack])
+            assert type(got.min_slack) is type(got.sum_slack) is float
+
+    def test_zero_signs_and_ties(self):
+        t, f = np.array([True]), np.array([False])
+        self.assert_same([(t, np.array([0.0])), (f, np.array([-0.0])), (t, np.array([-0.0]))])
+        self.assert_same([(np.ones(3, bool), np.array([-0.0, 0.0, -0.0])), (t, np.array([0.0]))])
+        self.assert_same([(np.ones(3, bool), np.array([np.nan, -0.0, 0.0]))])
+        self.assert_same([(np.ones(2, bool), np.array([np.nan, np.nan])), (t, np.array([np.inf]))])
+        self.assert_same([(np.ones(0, bool), np.zeros(0)), (f, np.array([-np.inf]))])
+        # Long enough for numpy's vectorized loops, where a reduction can
+        # return either zero.
+        for first, rest in ((0.0, -0.0), (-0.0, 0.0)):
+            worst = np.array([1.0] * 40 + [first] + [rest] * 40)
+            self.assert_same([(np.ones(81, bool), worst)])
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(15)
+        for trial in range(300):
+            parts = []
+            for _ in range(rng.integers(1, 5)):
+                size = int(rng.integers(0, 200))
+                worst = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3)
+                # Round some values so that ties are common.
+                worst = np.where(rng.random(size) < 0.5, np.round(worst, 1), worst)
+                choices = self.SPECIAL
+                if trial % 4 == 0:  # zeros of both signs at the minimum
+                    worst, choices = np.abs(worst), self.SPECIAL[:3]
+                special = rng.random(size) < (0.2 if trial % 2 else 0.8)
+                worst[special] = rng.choice(choices, int(special.sum()))
+                parts.append((rng.random(size) < 0.9, worst))
+            self.assert_same(parts)
 
 
 class TestGenPsd:
@@ -573,7 +711,7 @@ class TestExhaustiveCache:
     def test_matches_a_fresh_index(self, n):
         selections, index = _exhaustive(n)
         assert selections == tuple(all_selections(n))
-        fresh = selection_index(all_selections(n), n)
+        fresh = selection_index(selection_masks(all_selections(n), n))
         for name, got, want in zip(index._fields, index, fresh):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert _exhaustive(n) is _exhaustive(n)
@@ -682,10 +820,10 @@ class TestStackedChecks:
             gap_bound(*spectra_of(spectra[6]))
         if sampled:
             selections = [sample_selections(5 + i, n, 9) for i in range(len(spectra))]
-            index = selection_index([c for s in selections for c in s], n, len(spectra))
+            index = selection_index(np.stack([selection_masks(s, n) for s in selections]))
         else:
             selections = [all_selections(n)] * len(spectra)
-            index = selection_index(selections[0], n)
+            index = selection_index(selection_masks(selections[0], n))
         checked = _check_stack(stack_of(spectra), index, tol)
         names = {c.name for c in checked.columns}
         assert {"reduction-psd", "reduction-stable", "gap", "ostrowski", "computation"} <= names

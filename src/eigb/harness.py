@@ -1088,7 +1088,7 @@ class _Tally:
         self.plans = plans
         self.total = 0
         self.passed = 0
-        self.columns: dict[str, list[tuple[np.ndarray, ...]]] = {}
+        self.columns: dict[str, list[tuple]] = {}
         self.failures: dict[int, list[VerificationRecord]] = {}
 
     def add(self, members: list[int], checked: StackChecks, index: SelectionIndex) -> None:
@@ -1118,8 +1118,9 @@ class _Tally:
         self.failures[j] = [
             _error_record(exc, plans.n[j].item(), plans.index[j].item(), plans.seed[j].item())
         ]
+        failed = np.zeros((1, 1), dtype=bool)
         self.columns.setdefault("computation", []).append(
-            (slice(j, j + 1), np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool), np.zeros((1, 1)))
+            (slice(j, j + 1), ~failed, failed, np.zeros((1, 1)))
         )
 
     def flush(self, stats: dict[str, CheckStats], failures: list[VerificationRecord]) -> None:

@@ -50,9 +50,9 @@ from eigb.harness import (
     _check_stack,
     _error_record,
     _exhaustive,
+    _first_distinct,
     _generated,
     _haar_unitary,
-    _first_distinct,
     _index_selections,
     _plans,
     _sampled_selections,

@@ -20,7 +20,10 @@ of an instance's spectra: instance_spectra gives the stack of one
 instance.  In a campaign stack, A and B are generated, validated and
 measured (Frobenius norms) together, as one stack of 2m matrices, and the
 instances of a window are planned as arrays; every random stream is drawn
-through one carrier Generator per campaign.
+through one carrier Generator per campaign.  Sampled selections stay
+boolean masks until they reach the stack's SelectionIndex, and a window's
+check results are folded into its statistics from arrays in instance
+order (_Tally).
 """
 
 from __future__ import annotations

@@ -811,19 +811,12 @@ class CampaignReport:
 
 
 def _smallest(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Mask of the k smallest keys of each row, k (...,) one per row of keys
-    (..., n), from 1 to n: the first k positions of the row's stable
-    argsort, so of equal keys the first.  Over uniform keys, a uniform
-    k-subset of the positions."""
-    n = keys.shape[-1]
-    kth = np.sort(keys, axis=-1).reshape(-1, n)[np.arange(k.size), k.ravel() - 1]
-    kth = kth.reshape(k.shape + (1,))
-    mask = keys <= kth
-    if np.count_nonzero(mask) > k.sum():
-        # Some row has more than one key equal to its k-th smallest: keep the first.
-        below, ties = keys < kth, keys == kth
-        room = (k - np.count_nonzero(below, axis=-1))[..., None]
-        mask = below | (ties & (np.cumsum(ties, axis=-1) <= room))
+    """Mask of the k smallest keys of each row (k broadcasting against the
+    rows): the first k positions of its stable argsort.  Over uniform keys,
+    a uniform k-subset of the positions."""
+    order = np.argsort(keys, axis=-1, kind="stable")
+    mask = np.empty(keys.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(keys.shape[-1]) < k[..., None], axis=-1)
     return mask
 
 
@@ -874,23 +867,12 @@ def _family_picks(
 
 
 def _selection_keys(masks: np.ndarray) -> np.ndarray:
-    """Integer keys (..., w) of the nonempty selections of masks (..., n),
-    equal for equal selections and, compared column by column, in the
-    lexicographic order of their index tuples.
-
-    Up to n = 62, one column.  Let code be a selection's bit code (index i
-    weighs 2^(n - i)), k its size and low the lowest set bit of code.
-    Counted by the index at which they first differ from it, 2^n + k - 1 -
-    code - low selections come before it; the key drops the constant 2^n - 1.
-    Beyond n = 62, the padded-digit key: its indices in increasing order,
-    then -1, below every index, so that a prefix sorts first."""
+    """Integer keys (..., n) of the selections of masks (..., n), equal for
+    equal selections and, compared column by column, in the lexicographic
+    order of their index tuples: the padded-digit key, a selection's indices
+    in increasing order, then -1, below every index, so that a prefix sorts
+    first."""
     n = masks.shape[-1]
-    if n <= 62:
-        # Each row's code and size, in one product.
-        weights = np.stack((1 << np.arange(n - 1, -1, -1, dtype=np.int64), np.ones(n, np.int64)), 1)
-        both = masks @ weights
-        code, k = both[..., 0], both[..., 1]
-        return (k - code - (code & -code))[..., None]
     digits = _positions(masks)
     digits[digits == n] = -1
     return digits
@@ -1105,9 +1087,7 @@ class _Tally:
                 checked, k, _index_selections(index, k), plans.index[j].item(), plans.seed[j].item()
             )
             self.failures[j] = one.failures
-        # A stack's members ascend; consecutive ones are written as a slice.
-        first, last = members[0], members[-1]
-        rows = slice(first, last + 1) if last - first == len(members) - 1 else np.array(members)
+        rows = np.array(members)
         for column in checked.columns:
             if column.applies.any():
                 self.columns.setdefault(column.name, []).append(
@@ -1123,7 +1103,7 @@ class _Tally:
         ]
         failed = np.zeros((1, 1), dtype=bool)
         self.columns.setdefault("computation", []).append(
-            (slice(j, j + 1), ~failed, failed, np.zeros((1, 1)))
+            (np.array([j]), ~failed, failed, np.zeros((1, 1)))
         )
 
     def flush(self, stats: dict[str, CheckStats], failures: list[VerificationRecord]) -> None:

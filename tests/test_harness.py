@@ -57,7 +57,6 @@ from eigb.harness import (
     _plans,
     _sampled_selections,
     _seeds,
-    _smallest,
     _streams,
     _words,
 )
@@ -419,18 +418,6 @@ class TestSelectionMasks:
                     want.append(sorted(seen))
                 assert found.tolist() == [len(w) for w in want]
                 assert _as_selections(masks.reshape(-1, n)[chosen]) == sum(want, [])
-
-    def test_smallest_keeps_the_first_of_equal_keys(self):
-        rng = np.random.default_rng(4)
-        for n in (1, 3, 8, 40):
-            keys = np.round(rng.random((50, n)) * 4) / 4
-            keys[::7] = np.where(rng.random((len(keys[::7]), n)) < 0.5, keys[::7], 2.0)
-            k = 1 + (rng.random(50) * n).astype(int)
-            order = np.argsort(keys, axis=-1, kind="stable")
-            want = np.zeros(keys.shape, bool)
-            np.put_along_axis(want, order, np.arange(n) < k[:, None], axis=-1)
-            assert np.array_equal(_smallest(keys, k), want)
-            assert np.array_equal(_smallest(keys + rng.random(keys.shape) * 1e-3, k).sum(1), k)
 
 
 def python_fold(stats, passed, worst):

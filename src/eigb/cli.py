@@ -22,7 +22,14 @@ import sys
 from . import bounds as bnd
 from . import harness
 from .errors import EigbError, NoSignChange, NotPositiveDefinite
-from .linalg import Spectrum, hermitian_eig, product_spectrum, validate_hermitian, validate_psd
+from .linalg import (
+    Spectrum,
+    _eig_values,
+    hermitian_eig,
+    product_spectrum,
+    validate_hermitian,
+    validate_psd,
+)
 from .matfile import FORMAT_VERSION, load_matrix
 
 # Built-in regression example: integer spectra (3,-1,-4), (3,2,1), (3,-3,-8).
@@ -318,7 +325,8 @@ def cmd_example(args) -> int:
 
 def cmd_spectrum(args) -> int:
     a = validate_hermitian(load_matrix(args.a), args.tol_herm)
-    spec_a = hermitian_eig(a).spectrum
+    # Only A's eigenvalues are printed, so its eigenvector columns go unordered.
+    spec_a = Spectrum(tuple(_eig_values(a.matrix[None])[0].tolist()))
     payload = {"version": FORMAT_VERSION, "spectrum_a": list(spec_a)}
     if args.b is not None:
         b = validate_psd(load_matrix(args.b), herm_tol=args.tol_herm)

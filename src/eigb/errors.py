@@ -86,8 +86,11 @@ class InvalidCount(EigbError):
 
 
 class ParseError(EigbError):
-    def __init__(self, line: int, column: int, reason: str):
-        super().__init__(f"line {line}, column {column}: {reason}")
+    """A matrix text that does not parse, at a 1-based line and column, or
+    at no position (both None) when the text holds no token."""
+
+    def __init__(self, line: int | None, column: int | None, reason: str):
+        super().__init__(reason if line is None else f"line {line}, column {column}: {reason}")
         self.line = line
         self.column = column
         self.reason = reason

@@ -16,14 +16,14 @@ Grammar, as parsed here:
   must be finite.
 
 Any violation raises :class:`ParseError` with its line and column (or
-:class:`WrongEntryCount`).
+:class:`WrongEntryCount`); text with no token at all raises
+:class:`ParseError` with no position.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def _parse_tokenwise(text: str) -> np.ndarray:
     try:
         line, col, token = next(stream)
     except StopIteration:
-        raise ParseError(0, 0, "empty input, expected dimension") from None
+        raise ParseError(None, None, "empty input, expected dimension") from None
     try:
         n = int(token)
     except ValueError:
@@ -92,43 +92,102 @@ def _parse_tokenwise(text: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128).reshape(n, n)
 
 
+# Classes of the bytes the structure check reads: ASCII whitespace (the
+# characters str.split() splits on), "(", "," and ")".  Every other byte,
+# each byte of a non-ASCII character included, is 0.
+_SPACE, _OPEN, _COMMA, _CLOSE = 1, 2, 3, 4
+_CLASSES = bytes(
+    _SPACE if c.isspace() else {"(": _OPEN, ",": _COMMA, ")": _CLOSE}.get(c, 0)
+    for c in map(chr, range(128))
+) + bytes(128)
+_NUMBERS = str.maketrans("(),", "   ")
+
+
+def _step(kind, next_kind, apart):
+    """Index in `_STEPS` of a step from one classed byte to the next;
+    `apart` is whether other bytes lie between them."""
+    return (kind * 5 + next_kind) * 2 + apart
+
+
+# The steps the grammar allows: whitespace follows whitespace, next to it
+# or after a dimension or real entry; "(" follows whitespace next to it;
+# "," follows "(", and ")" follows ",", each after a nonempty part; and
+# whitespace follows ")" next to it.
+_STEPS = np.zeros(50, dtype=bool)
+_STEPS[[_step(_SPACE, _SPACE, 0), _step(_SPACE, _SPACE, 1), _step(_SPACE, _OPEN, 0),
+        _step(_OPEN, _COMMA, 1), _step(_COMMA, _CLOSE, 1), _step(_CLOSE, _SPACE, 0)]] = True
+
+
 def _parse_bulk(text: str) -> np.ndarray | None:
-    """Parse well-formed text with a few passes over the whole body.
+    """Parse well-formed text with one structure check and one split.
 
     Returns None for any text that `_parse_tokenwise` would reject (and for
     nothing else), without saying why.
     """
-    tokens = "\n".join(
-        [line for line in text.splitlines() if not line.startswith("#")]
-    ).split()
+    # Leading comment lines are cut by position.  A comment line that holds
+    # a line end other than its last "\n", and any "#" after them, go
+    # through the walk's own line filter.
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start) + 1
+        if not end or len(text[start:end].splitlines()) > 1:
+            break
+        start = end
+    if text.find("#", start) == -1:
+        text = text[start:]
+    else:
+        text = "\n".join([line for line in text[start:].splitlines() if not line.startswith("#")])
+    if not text.isascii():
+        # The classes below know only ASCII whitespace.
+        text = " ".join(text.split())
+    if not text[-1:].isspace():
+        text += " "
+    parts = text.translate(_NUMBERS).split()
     try:
-        n = int(tokens[0])
+        n = int(parts[0])
     except (IndexError, ValueError):
         return None
-    entries = tokens[1:]
-    if n < 1 or len(entries) != n * n:
+    # The classed bytes, in order, must read as the grammar's tokens: the
+    # first and the last are whitespace, and every "(" opens a token
+    # "(re,im)" with two nonempty parts and no whitespace, "," or
+    # parenthesis inside.  Every other token holds no classed byte, so it is
+    # one part, and each complex entry is two.  (A lone surrogate, which
+    # only float() can reject, is encoded as any other non-ASCII character.)
+    classes = np.frombuffer(
+        text.encode("utf-8", "surrogatepass").translate(_CLASSES), dtype=np.uint8
+    )
+    pos = np.flatnonzero(classes != 0)
+    kind = classes[pos]
+    apart = pos[1:] - pos[:-1] > 1
+    # A Python int: n * n below may exceed any numpy integer.
+    complex_count = int(np.count_nonzero(kind == _OPEN))
+    if (
+        n < 1
+        or len(parts) != 1 + n * n + complex_count
+        or kind[0] != _SPACE
+        or text.lstrip().startswith("(")  # the dimension is a complex literal
+        or not _STEPS[_step(kind[:-1], kind[1:], apart)].all()
+    ):
         return None
-    entries = [t if t[0] == "(" else f"({t},0)" for t in entries]
-    if max(map(str.count, entries, repeat(","))) > 1:
-        return None
-    body = " ".join(entries)
-    if not body.endswith(")"):
-        return None
-    # Every entry now starts with "(" and holds at most one comma, and spaces
-    # occur only between entries.  The cut below therefore yields at most
-    # 1 + n*n + (n*n - 1) pieces, and 2*n*n only if every entry is
-    # "(" re "," im ")"; float() then rejects a stray parenthesis or an
-    # empty part.
-    numbers = body[1:-1].replace(") (", ",").split(",")
-    if len(numbers) != 2 * len(entries):
-        return None
+    del parts[0]
     try:
-        values = np.array(numbers, dtype=np.float64)
+        values = np.array(parts, dtype=np.float64)
     except ValueError:
         return None
     if not np.isfinite(values).all():
         return None
-    return values.view(np.complex128).reshape(n, n)
+    if complex_count == n * n:
+        return values.view(np.complex128).reshape(n, n)
+    # Real entries: each number follows a run of classed bytes that ends in
+    # whitespace (a real entry), "(" (a real part) or "," (an imaginary
+    # part).  When the text starts with whitespace, the first such run comes
+    # before the dimension.
+    after = kind[:-1][apart][int(pos[0] == 0) :]
+    imag = after == _COMMA
+    entries = np.zeros((n * n, 2))
+    entries[:, 0] = values[~imag]
+    entries[after[~imag] == _OPEN, 1] = values[imag]
+    return entries.view(np.complex128).reshape(n, n)
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -396,6 +396,22 @@ class TestSpectrum:
         assert code == 0
         np.testing.assert_allclose(data["spectrum_a"], [scale, -scale], rtol=1e-12)
 
+    def test_graded_pair_is_accurate_normwise_only(self, tmp_path, capsys):
+        # README, "Accuracy": the exact spectrum of AB is (1e200, 1e200), but
+        # b_2 = 1 lies below B's rounding floor 2 * eps * 1e200 and counts as
+        # zero, so the second value comes out 0: an error of 1e-200 relative
+        # to rho(A) * rho(B) = 1e400.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.diag([1e200, 1.0]))
+        save_matrix(b_path, np.diag([1.0, 1e200]))
+        assert main(["spectrum", "--a", str(a_path), "--b", str(b_path)]) == 0
+        assert capsys.readouterr().out == (
+            "spectrum A:  1e+200 1\n"
+            "spectrum B:  1e+200 1\n"
+            "spectrum AB: 1e+200 0\n"
+            "inertia A:   positive=1 negative=0 zero=1\n"
+        )
+
     def test_zero_a_at_zero_class_tolerance(self, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
         save_matrix(a_path, np.zeros((2, 2)))
@@ -455,6 +471,15 @@ class TestInputErrors:
         assert capsys.readouterr().err == (
             "error: line 3, column 3: not valid UTF-8: byte 0xff\n"
         )
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "# only a comment\n", "#\n# EIGB1"])
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_empty_matrix_file_exit_2(self, tmp_path, capsys, command, text):
+        # A text with no token has no line or column to report.
+        path = tmp_path / "a.mat"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, "--a", str(path), "--b", str(path)]) == 2
+        assert capsys.readouterr().err == "error: empty input, expected dimension\n"
 
     @pytest.mark.parametrize("command", ["spectrum", "verify", "bounds"])
     def test_product_overflow_exit_2(self, tmp_path, capsys, command):

@@ -216,20 +216,20 @@ def test_bulk_matches_token_walk(text):
     _assert_parity(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1\n(1,2)(3,4)",  # one malformed token, not two entries
-        "2\n(1,2,3) (4) 5 6",
-        "1\n(1,,2)",
-        "1\n(,1)",
-        "1\nx(1,2)",
-        "1\n1(2,3)",
-        "1\n  # not a comment\n5",
-        "1\n(1e400,0)",
-        "2\n1 2 3 (4,55",  # unterminated last entry
-    ],
-)
+_MALFORMED = [
+    "1\n(1,2)(3,4)",  # one malformed token, not two entries
+    "2\n(1,2,3) (4) 5 6",
+    "1\n(1,,2)",
+    "1\n(,1)",
+    "1\nx(1,2)",
+    "1\n1(2,3)",
+    "1\n  # not a comment\n5",
+    "1\n(1e400,0)",
+    "2\n1 2 3 (4,55",  # unterminated last entry
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
 def test_malformed_entry_parity(text):
     with pytest.raises(ParseError):
         parse_matrix(text)
@@ -260,3 +260,115 @@ def test_invalid_utf8_reports_position(tmp_path):
         load_matrix(path)
     assert (err.value.line, err.value.column) == (4, 4)
     assert "UTF-8" in err.value.reason
+
+
+def _filler(count):
+    """`count` valid entries, real and complex in turn."""
+    return [f"{k}.5" if k % 2 else f"(-{k}.25,{k}e-3)" for k in range(count)]
+
+
+def _valid_text(n, header="# EIGB1\n"):
+    rows = np.reshape(_filler(n * n), (n, n))
+    return header + f"{n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _in_large_file(text, n=32):
+    """`text`'s entries (the lines after its dimension) in the middle of the
+    valid entries of an n x n file, which then holds n*n entries where
+    `text` held its own dimension squared."""
+    dim, body = text.split("\n", 1)
+    lead = _filler(n * n - int(dim) ** 2)
+    half = len(lead) // 2
+    return f"# EIGB1\n{n}\n{' '.join(lead[:half])}\n{body}\n{' '.join(lead[half:])}\n"
+
+
+# Defects that keep the count of numbers a valid text of that dimension
+# holds, so that only the order of the parentheses, commas and whitespace
+# tells them apart.
+_COUNT_KEEPING = [
+    "2\n(1,2,3) (4) 5 6",
+    "1\n(1,2)(3,4)",
+    "1\n(,5) 7",  # an empty real part, and one entry too many
+    "1\n(5,) 7",  # an empty imaginary part, and one entry too many
+    "2\n1 5(2,3) 4",  # a number glued before "(", and one entry too few
+    "2\n1 (2,3)5 4",  # a number glued after ")", and one entry too few
+    "2\n1 (2 3) 4 5",  # whitespace inside a complex literal
+    "1\n( (1,2) 3",  # a lone "(", and one entry too many
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED + _COUNT_KEEPING)
+def test_malformed_entry_parity_in_large_file(text):
+    large = _in_large_file(text)
+    with pytest.raises(ParseError):
+        parse_matrix(large)
+    _assert_parity(large)
+
+
+@pytest.mark.parametrize(
+    "text",
+    _COUNT_KEEPING
+    + [
+        "1(5,6)",  # an entry glued to the dimension
+        " (1,1) 5",  # a complex literal as the dimension, after whitespace
+        "(1,1) 5",
+        "1\n\ud800",  # a lone surrogate: only float() rejects it
+        "1\n(\ud800,1)",
+    ],
+)
+def test_count_keeping_defect_parity(text):
+    with pytest.raises(ParseError):
+        parse_matrix(text)
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize("text", ["3037000500 1", "99999999999 (1,2) 3"])
+def test_huge_dimension_parity(text):
+    # n * n is beyond any numpy integer.
+    with pytest.raises(WrongEntryCount):
+        parse_matrix(text)
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize(
+    "text", [" 2\n1 (2,3) 4 5", "\n\n2\n(1,2) 3\n4 (5,-6)\n", "#\n \t2 (1,2) 3 4 (5,6)"]
+)
+def test_leading_whitespace_with_real_entries(text):
+    assert _parse_bulk(text) is not None
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\x0b", "\u2028"])
+def test_header_line_ends_in_large_file(line_end):
+    text = _valid_text(32, "# EIGB1" + line_end)
+    assert _parse_bulk(text) is not None
+    _assert_parity(text)
+
+
+def test_comment_line_mid_body_in_large_file():
+    text = _valid_text(32)
+    cut = text.index("\n", len(text) // 2) + 1
+    text = text[:cut] + "# note\n" + text[cut:]
+    assert _parse_bulk(text) is not None
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize("change", [("1.5", "\u0661.5"), (" ", "\u00a0")])
+def test_non_ascii_in_large_file(change):
+    # An Arabic-Indic digit one reads as 1; a no-break space separates tokens.
+    header, body = _valid_text(64).split("\n", 1)
+    text = header + "\n" + body.replace(*change, 1)
+    assert change[1] in text
+    assert _parse_bulk(text) is not None
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_bulk_reads_written_matrices(n):
+    # The writer emits a real entry wherever the imaginary part is +0.0.
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    m = m + 1j * np.where(rng.random((n, n)) < 0.5, 0.0, rng.standard_normal((n, n)))
+    bulk = _parse_bulk(write_matrix(m))
+    assert bulk is not None
+    assert bulk.tobytes() == m.tobytes()

@@ -284,10 +284,8 @@ def _in_large_file(text, n=32):
 
 # Defects that keep the count of numbers a valid text of that dimension
 # holds, so that only the order of the parentheses, commas and whitespace
-# tells them apart.
+# tells them apart (as in the first two cases of _MALFORMED).
 _COUNT_KEEPING = [
-    "2\n(1,2,3) (4) 5 6",
-    "1\n(1,2)(3,4)",
     "1\n(,5) 7",  # an empty real part, and one entry too many
     "1\n(5,) 7",  # an empty imaginary part, and one entry too many
     "2\n1 5(2,3) 4",  # a number glued before "(", and one entry too few

@@ -195,7 +195,7 @@ def parse_matrix(text: str) -> np.ndarray:
     matrix = _parse_bulk(text)
     if matrix is None:
         # `_parse_bulk` accepts every valid text, so this raises the error
-        # with its line and column.
+        # with its line and column (no position for a text with no token).
         matrix = _parse_tokenwise(text)
     return matrix
 

@@ -176,12 +176,10 @@ def _parse_bulk(text: str) -> np.ndarray | None:
         return None
     if not np.isfinite(values).all():
         return None
-    if complex_count == n * n:
-        return values.view(np.complex128).reshape(n, n)
-    # Real entries: each number follows a run of classed bytes that ends in
-    # whitespace (a real entry), "(" (a real part) or "," (an imaginary
-    # part).  When the text starts with whitespace, the first such run comes
-    # before the dimension.
+    # Each number follows a run of classed bytes that ends in whitespace (a
+    # real entry), "(" (a real part) or "," (an imaginary part).  When the
+    # text starts with whitespace, the first such run comes before the
+    # dimension.
     after = kind[:-1][apart][int(pos[0] == 0) :]
     imag = after == _COMMA
     entries = np.zeros((n * n, 2))

@@ -179,13 +179,10 @@ def _parse_bulk(text: str) -> np.ndarray | None:
     # Each number follows a run of classed bytes that ends in whitespace (a
     # real entry), "(" (a real part) or "," (an imaginary part).  When the
     # text starts with whitespace, the first such run comes before the
-    # dimension.
+    # dimension.  A real entry gets the imaginary part +0.0 after it.
     after = kind[:-1][apart][int(pos[0] == 0) :]
-    imag = after == _COMMA
-    entries = np.zeros((n * n, 2))
-    entries[:, 0] = values[~imag]
-    entries[after[~imag] == _OPEN, 1] = values[imag]
-    return entries.view(np.complex128).reshape(n, n)
+    values = np.insert(values, np.flatnonzero(after == _SPACE) + 1, 0.0)
+    return values.view(np.complex128).reshape(n, n)
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -25,7 +25,6 @@ from .errors import EigbError, NoSignChange, NotPositiveDefinite
 from .linalg import (
     Spectrum,
     _eig_values,
-    hermitian_eig,
     product_spectrum,
     validate_hermitian,
     validate_psd,
@@ -107,9 +106,14 @@ def _load_pair(args):
     return a, b
 
 
+def _spectrum(a) -> Spectrum:
+    """A's spectrum, from the values-only solve: nothing reads A's eigenvectors."""
+    return Spectrum(tuple(_eig_values(a.matrix[None])[0].tolist()))
+
+
 def _spectra(a, b) -> tuple[Spectrum, Spectrum, Spectrum]:
     """The spectra of A, B (clamped) and AB."""
-    return hermitian_eig(a).spectrum, b.spectrum, product_spectrum(a, b)
+    return _spectrum(a), b.spectrum, product_spectrum(a, b)
 
 
 def cmd_bounds(args) -> int:
@@ -325,8 +329,7 @@ def cmd_example(args) -> int:
 
 def cmd_spectrum(args) -> int:
     a = validate_hermitian(load_matrix(args.a), args.tol_herm)
-    # Only A's eigenvalues are printed, so its eigenvector columns go unordered.
-    spec_a = Spectrum(tuple(_eig_values(a.matrix[None])[0].tolist()))
+    spec_a = _spectrum(a)
     payload = {"version": FORMAT_VERSION, "spectrum_a": list(spec_a)}
     if args.b is not None:
         b = validate_psd(load_matrix(args.b), herm_tol=args.tol_herm)

@@ -1,19 +1,26 @@
 """Dense complex-matrix foundation.
 
 Validated Hermitian and positive-semidefinite matrix types, the Hermitian
-eigensolver (LAPACK zheevd through numpy.linalg.eigh), the PSD square
-root, and the real spectrum of a Hermitian times PSD product computed
-through the symmetric conjugation B^(1/2) A B^(1/2).  The product spectrum
-is never obtained from a general eigensolver on A@B: conjugating keeps the
-problem Hermitian, so realness of the result is structural rather than
-numerical.
+eigensolver (LAPACK zheevd), the PSD square root, and the real spectrum of
+a Hermitian times PSD product computed through the symmetric conjugation
+B^(1/2) A B^(1/2).  The product spectrum is never obtained from a general
+eigensolver on A@B: conjugating keeps the problem Hermitian, so realness of
+the result is structural rather than numerical.
+
+zheevd runs in one of two modes.  Where eigenvectors are read (B, whose
+vectors build B^(1/2), and the public hermitian_eig) it runs with them,
+through numpy.linalg.eigh.  Every other solve reads eigenvalues only (A,
+A + B and B^(1/2) A B^(1/2), and so product_spectrum) and runs without
+them, through numpy.linalg.eigvalsh, which is faster.  The two modes share
+the tridiagonal reduction but not its eigensolver, so a values-only
+spectrum can differ from hermitian_eig(...).spectrum in the last bits.
 
 Validation, the eigensolver, the PSD square root and the product spectrum
 are written once, for stacks: arrays (m, n, n) of same-size matrices with
 a leading axis.  The single-matrix public functions run that code with
-m = 1.  numpy's eigh, qr and matmul apply LAPACK and BLAS to each matrix of
-a stack in turn, so a matrix gets the same bits in a stack as alone (the
-tests check this on the installed BLAS).
+m = 1.  numpy's eigh, eigvalsh, qr and matmul apply LAPACK and BLAS to each
+matrix of a stack in turn, so a matrix gets the same bits in a stack as
+alone from each of them (the tests check this on the installed BLAS).
 
 A cyclic complex Jacobi solver, `jacobi_eig`, is kept as an independent
 oracle for the tests: it shares no algorithm with LAPACK and is the more
@@ -27,7 +34,7 @@ from math import isfinite, sqrt
 from typing import Iterator
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigh
+from numpy.linalg import LinAlgError, eigh, eigvalsh
 
 from .errors import (
     DimensionMismatch,
@@ -294,7 +301,8 @@ def _off_norm(a: np.ndarray) -> float:
 
 
 def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition by LAPACK (numpy.linalg.eigh, zheevd); see _eig."""
+    """Full eigendecomposition by LAPACK (numpy.linalg.eigh, zheevd with
+    eigenvectors); see _eig."""
     return _decomposition(*_eig(a.matrix[None]))
 
 
@@ -306,27 +314,31 @@ def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled back by 2^e, so the result does not depend on how M is scaled
     until the eigenvalues themselves leave the floating-point range
     (NonFinite).  A LAPACK failure on any matrix of the stack surfaces as
-    NoConvergence.  _eig_values is the same call for callers that read only
-    the eigenvalues: it leaves the eigenvector columns unordered.
+    NoConvergence.
     """
-    values, order, vectors = _eigh(m)
+    (values, vectors), exponents = _lapack(eigh, m)
+    values, order = _finish_eig(values, exponents)
     return values, _ordered_columns(vectors, order)
 
 
 def _eig_values(m: np.ndarray) -> np.ndarray:
-    """The eigenvalues (m, n) of _eig, each row descending."""
-    return _eigh(m)[0]
+    """The eigenvalues (m, n) of _eig, each row descending, from LAPACK's
+    values-only driver (eigvalsh), which computes no eigenvectors: the
+    solve of A, A + B and B^(1/2) A B^(1/2), whose eigenvectors nothing
+    reads.  They agree with _eig's, and so with hermitian_eig(...).spectrum,
+    to rounding (within 4 n eps rho), but can differ in the last bits."""
+    values, exponents = _lapack(eigvalsh, m)
+    return _finish_eig(values, exponents)[0]
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_eig's eigenvalues, the order (m, n) that sorted them, and the
-    eigenvector columns in LAPACK's order."""
+def _lapack(solve, m: np.ndarray):
+    """solve (eigh or eigvalsh) on each M / 2^e of a stack, and the exponents
+    e (see _unit_scaled); a LAPACK failure raises NoConvergence."""
     work, exponents = _unit_scaled(m)
     try:
-        values, vectors = eigh(work)
+        return solve(work), exponents
     except LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
-    return (*_finish_eig(values, exponents), vectors)
 
 
 def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:

@@ -32,6 +32,23 @@ def example_files(tmp_path):
     return str(a_path), str(b_path)
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The stack size of every LAPACK eigensolver call, per driver: eigh
+    (eigenvalues and eigenvectors) and eigvalsh (eigenvalues only)."""
+    import eigb.linalg as linalg
+
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+
+        def counted(m, real=getattr(linalg, name), name=name):
+            calls[name].append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
@@ -82,28 +99,22 @@ class TestBounds:
         assert bases == [0.25]
         assert data["dominance_ok"] is True
 
-    def test_one_evaluation_per_call(self, example_files, capsys, monkeypatch):
+    def test_one_evaluation_per_call(self, example_files, capsys, monkeypatch, lapack_calls):
         # The report and the splitting sums are read off one evaluation of the
-        # selection, and the spectra take the eigensolves of B, A and AB alone.
-        import eigb.linalg as linalg
-
-        batches, solves = [], []
-        real_batch, real_eigh = bounds.selection_bounds_batch, linalg.eigh
+        # selection, and the spectra take the eigensolves of B, A and AB alone:
+        # B's with eigenvectors, A's and AB's values only.
+        batches = []
+        real_batch = bounds.selection_bounds_batch
 
         def batch(*args, **kwargs):
             batches.append(args[2])
             return real_batch(*args, **kwargs)
 
-        def eigh(m):
-            solves.append(len(m))
-            return real_eigh(m)
-
         monkeypatch.setattr(bounds, "selection_bounds_batch", batch)
-        monkeypatch.setattr(linalg, "eigh", eigh)
         a, b = example_files
         assert main(["bounds", "--a", a, "--b", b, "--indices", "1,3"]) == 0
         assert len(batches) == 1
-        assert solves == [1, 1, 1]
+        assert lapack_calls == {"eigh": [1], "eigvalsh": [1, 1]}
 
     def test_decreasing_indices_exit_2(self, example_files, capsys):
         a, b = example_files
@@ -425,6 +436,32 @@ class TestSpectrum:
         path = tmp_path / "bad.mat"
         path.write_text("2\n0 1\n-1 0\n")
         assert main(["spectrum", "--a", str(path)]) == 2
+
+
+class TestLapackCalls:
+    """Only B's eigenvectors are read (they build B^(1/2)), so each command
+    calls eigh once per B; A, AB and A + B are solved values-only."""
+
+    @pytest.mark.parametrize(
+        "argv, values_only",
+        [
+            (["spectrum", "--a", "A", "--b", "B"], [1, 1]),  # A, AB
+            (["bounds", "--a", "A", "--b", "B", "--indices", "1,3"], [1, 1]),  # A, AB
+            (["verify", "--a", "A", "--b", "B"], [1, 1, 1]),  # A, AB, A + B
+            (["example"], [1, 1]),  # A, AB
+        ],
+        ids=["spectrum", "bounds", "verify", "example"],
+    )
+    def test_single_instance(self, example_files, capsys, lapack_calls, argv, values_only):
+        paths = dict(zip("AB", example_files))
+        assert main([paths.get(arg, arg) for arg in argv]) == 0
+        assert lapack_calls == {"eigh": [1], "eigvalsh": values_only}
+
+    def test_campaign_stack(self, capsys, lapack_calls):
+        # 20 instances of one n are one stack: one eigh for the 20 B, and
+        # one values-only solve each for the 20 A, AB and A + B.
+        assert main(["fuzz", "--count", "20", "--seed", "3", "--n-min", "4", "--n-max", "4"]) == 0
+        assert lapack_calls == {"eigh": [20], "eigvalsh": [20, 20, 20]}
 
 
 class TestUsage:

@@ -1055,12 +1055,13 @@ class TestStackedCampaign:
         assert report.failed > 0
         assert json.dumps(report.to_json_dict()) == reference_campaign(count, config, 13)
 
-    @pytest.mark.parametrize("factor", ["a", "b"])
+    @pytest.mark.parametrize("solve", ["a", "b", "sum", "product"])
     @pytest.mark.parametrize("n", [4, 8], ids=["exhaustive", "sampled"])
-    def test_failing_instance_redone_alone(self, monkeypatch, factor, n):
-        # LAPACK fails on the eigensolve of instance 7's A or B, inside the
-        # stack of all 20 instances (one n): only instance 7 becomes a
-        # computation record.
+    def test_failing_instance_redone_alone(self, monkeypatch, solve, n):
+        # LAPACK fails on one eigensolve of instance 7, inside the stack of
+        # all 20 instances (one n): that of B (eigh), or the values-only
+        # solve (eigvalsh) of A, A + B or B^(1/2) A B^(1/2).  Only instance 7
+        # becomes a computation record.
         import eigb.linalg as linalg
 
         config = CampaignConfig(n_min=n, n_max=n, tolerances=Tolerances(verify_base=0.0))
@@ -1069,20 +1070,33 @@ class TestStackedCampaign:
             GeneratorSpec(n, seed, inertia_target=tuple(target))
             for seed, target in zip(plans.words[0, 1:3].tolist(), plans.inertia[0].tolist())
         )
-        matrix = gen_hermitian(a_spec) if factor == "a" else gen_psd(b_spec)
-        poisoned = linalg._unit_scaled(matrix.matrix[None])[0][0]
-        calls = []
+        a, b = gen_hermitian(a_spec).matrix, gen_psd(b_spec)
+        root = linalg.psd_sqrt(b).matrix
+        matrix = {
+            "a": a,
+            "b": b.matrix,
+            "sum": a + b.matrix,
+            "product": linalg._symmetrized(root @ a @ root)[0],
+        }[solve]
+        poisoned = linalg._unit_scaled(matrix[None])[0][0]
+        calls = {"eigh": [], "eigvalsh": []}
 
-        def eigh(m):
-            calls.append(len(m))
-            if any(np.array_equal(x, poisoned) for x in m):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return np.linalg.eigh(m)
+        def failing(name):
+            real = getattr(np.linalg, name)
+
+            def driver(m):
+                calls[name].append(len(m))
+                if any(np.array_equal(x, poisoned) for x in m):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return real(m)
+
+            return driver
 
         clean = run_campaign(20, config, 11)
-        monkeypatch.setattr(linalg, "eigh", eigh)
+        for name in calls:
+            monkeypatch.setattr(linalg, name, failing(name))
         report = run_campaign(20, config, 11)
-        assert 20 in calls  # the stack was tried first
+        assert 20 in calls["eigh" if solve == "b" else "eigvalsh"]  # the stack was tried first
         assert json.dumps(report.to_json_dict()) == reference_campaign(20, config, 11)
         errors = [r for r in report.failures if r.checks[-1].name == "computation"]
         assert [(r.instance_id, r.checks[-1].detail) for r in errors] == [

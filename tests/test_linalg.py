@@ -323,6 +323,20 @@ class TestEigensolverEdges:
         with pytest.raises(NoConvergence):
             linalg.hermitian_eig(validate_hermitian([[1, 1], [1, 1]]))
 
+    def test_values_only_failure_surface(self, monkeypatch):
+        # The values-only driver fails as eigh does: product_spectrum solves
+        # B with eigh and the product with eigvalsh.
+        import eigb.linalg as linalg
+        from eigb.errors import NoConvergence
+
+        def failing_eigvalsh(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg, "eigvalsh", failing_eigvalsh)
+        b = validate_psd(np.eye(2))
+        with pytest.raises(NoConvergence, match="LAPACK eigensolver failed"):
+            linalg.product_spectrum(validate_hermitian([[1, 1], [1, 1]]), b)
+
 
 class TestProductSpectrum:
     def test_example_values(self):
@@ -466,7 +480,8 @@ def instance_stack(n, m=5, seed=0):
 
 class TestEigOrder:
     """_eig sorts each row of eigenvalues descending, stably, and its
-    eigenvector columns with it; _eig_values gives the same eigenvalues."""
+    eigenvector columns with it; _eig_values sorts the values-only solve's
+    eigenvalues the same way."""
 
     def test_matches_take_along_axis(self):
         from eigb.linalg import _finish_eig, _ordered_columns
@@ -489,14 +504,89 @@ class TestEigOrder:
 
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_values_alone(self, n):
+        # _eig gives each matrix of a stack hermitian_eig's values and
+        # vectors.  _eig_values gives each the bits it gets alone, in
+        # descending rows within rounding of _eig's (the values-only driver
+        # need not match it bit for bit).
         from eigb.linalg import TOL_HERM, _eig, _eig_values, _validated
 
         a, _ = _validated(instance_stack(n)[0], TOL_HERM)
         values, vectors = _eig(a)
-        assert same_bits(_eig_values(a), values)
+        alone = _eig_values(a)
         for i in range(len(a)):
             d = hermitian_eig(validate_hermitian(a[i].copy()))
+            assert same_bits(values[i], d.spectrum.values)
             assert same_bits(vectors[i], d.vectors)
+            assert same_bits(alone[i], _eig_values(a[i : i + 1].copy())[0])
+        assert (alone[:, :-1] >= alone[:, 1:]).all()
+        radius = np.abs(values).max(axis=1, keepdims=True)
+        assert (np.abs(alone - values) <= 4 * n * np.finfo(float).eps * radius).all()
+
+
+class TestValuesOnly:
+    """The values-only solve (eigvalsh: zheevd without eigenvectors, dsterf
+    on the tridiagonal) and hermitian_eig (zheevd with them) give spectra
+    that agree within 4 n eps rho, rho the spectral radius, though not
+    always bit for bit: on A, A + B and B^(1/2) A B^(1/2) as instance_spectra
+    solves them."""
+
+    @staticmethod
+    def assert_within_rounding(a, b):
+        from eigb.harness import instance_spectra
+        from eigb.linalg import _symmetrized
+
+        ha, pb = validate_hermitian(a), validate_psd(b)
+        root = psd_sqrt(pb).matrix
+        sp = instance_spectra(ha, pb)
+        n = ha.n
+        for got, matrix in (
+            (sp.spec_a, ha.matrix),
+            (sp.spec_sum, ha.matrix + pb.matrix),
+            (sp.spec_ab, _symmetrized(root @ ha.matrix @ root)[0]),
+        ):
+            want = np.array(hermitian_eig(validate_hermitian(matrix)).spectrum.values)
+            radius = np.abs(want).max()
+            assert np.abs(got[0] - want).max() <= 4 * n * np.finfo(float).eps * radius
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 40])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random(self, n, seed):
+        rng = np.random.default_rng(700 + 10 * n + seed)
+        self.assert_within_rounding(random_hermitian(rng, n).matrix, random_psd(rng, n).matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    def test_graded(self, n):
+        # diag(1e200, 1)-type spectra, on the diagonal and in a random basis,
+        # in A, in B and (up to 1e150, so that the product stays finite) in
+        # both: the small eigenvalues are rounding next to rho.
+        rng = np.random.default_rng(800 + n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+        a, b = random_hermitian(rng, n).matrix, random_psd(rng, n).matrix
+        big, mid = 10.0 ** np.linspace(200, 0, n), 10.0 ** np.linspace(150, 0, n)
+
+        def rotated(d):
+            return (q * d) @ q.conj().T
+
+        for x, y in (
+            (np.diag(signs * big), b),
+            (rotated(signs * big), b),
+            (a, np.diag(big)),
+            (a, rotated(big)),
+            (rotated(signs * mid), np.diag(mid[::-1])),
+            (np.diag(signs * mid), rotated(mid)),
+        ):
+            self.assert_within_rounding(x, y)
+
+    @pytest.mark.parametrize("n", [2, 5, 13, 40])
+    def test_singular_b(self, n):
+        rng = np.random.default_rng(900 + n)
+        z = rng.standard_normal((n, n // 2)) + 1j * rng.standard_normal((n, n // 2))
+        self.assert_within_rounding(random_hermitian(rng, n).matrix, z @ z.conj().T)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 2.0), (-1e-300, 1e300), (0.0, 0.0), (5e-324, 1.0)])
+    def test_one_by_one(self, a, b):
+        self.assert_within_rounding([[a]], [[b]])
 
 
 class TestStackedMatchesPerMatrix:
@@ -517,6 +607,7 @@ class TestStackedMatchesPerMatrix:
         stacked = {
             "eigh.values": values,
             "eigh.vectors": vectors,
+            "eigvalsh": np.linalg.eigvalsh(a),
             "qr.q": q,
             "qr.r": r,
             "matmul.adjoint": v @ vectors.conj().swapaxes(-1, -2),
@@ -531,6 +622,7 @@ class TestStackedMatchesPerMatrix:
             single = {
                 "eigh.values": wi,
                 "eigh.vectors": ui,
+                "eigvalsh": np.linalg.eigvalsh(ai),
                 "qr.q": qi,
                 "qr.r": ri,
                 "matmul.adjoint": (ui * wi) @ ui.conj().T,
@@ -544,9 +636,11 @@ class TestStackedMatchesPerMatrix:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_instance_pipeline(self, n):
         # The stack against instance_spectra as composed from the
-        # single-matrix functions, with the trace and norms taken per matrix.
+        # single-matrix functions, with the trace and norms taken per matrix:
+        # B from validate_psd's eigh, A and A + B from the values-only solve
+        # of each matrix alone.
         from eigb.harness import _spectra_stack
-        from eigb.linalg import TOL_HERM, _psd_eig, _validated
+        from eigb.linalg import TOL_HERM, _eig_values, _psd_eig, _validated
 
         a, b = instance_stack(n)
         a_sym, _ = _validated(a, TOL_HERM)
@@ -558,11 +652,11 @@ class TestStackedMatchesPerMatrix:
             assert same_bits(a_sym[i], ha.matrix)
             assert same_bits(b_sym[i], pb.matrix)
             want = {
-                "spec_a": hermitian_eig(ha).spectrum.values,
+                "spec_a": _eig_values(ha.matrix[None])[0],
                 "spec_b": pb.spectrum.values,
                 "spec_b_raw": pb.eig.spectrum.values,
                 "spec_ab": product_spectrum(ha, pb).values,
-                "spec_sum": hermitian_eig(validate_hermitian(ha.matrix + pb.matrix)).spectrum.values,
+                "spec_sum": _eig_values((ha.matrix + pb.matrix)[None])[0],
                 "trace_product": np.trace(ha.matrix @ pb.matrix).real,
                 "norm_scale": 1.0 + frobenius_reference(ha.matrix) * frobenius_reference(pb.matrix),
             }

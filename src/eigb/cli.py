@@ -252,12 +252,13 @@ def cmd_fuzz(args) -> int:
         if len(parts) != 3:
             raise EigbError(f"inertia must have three components, got {args.inertia!r}")
         inertia = parts
-    campaign = harness.CampaignConfig(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        inertia=inertia,
-        tolerances=_tolerances(args),
-    )
+    # Unset, the dimension range is CampaignConfig's default.
+    sizes = {k: v for k, v in (("n_min", args.n_min), ("n_max", args.n_max)) if v is not None}
+    if inertia is not None and sizes:
+        raise EigbError(
+            "--inertia fixes the dimension at p+m+z: it cannot go with --n-min or --n-max"
+        )
+    campaign = harness.CampaignConfig(**sizes, inertia=inertia, tolerances=_tolerances(args))
     report = harness.run_campaign(args.count, campaign, args.seed)
 
     if args.json:
@@ -380,8 +381,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser("fuzz", help="randomized verification campaign")
     p_fuzz.add_argument("--count", type=int, default=100, help="number of instances")
-    p_fuzz.add_argument("--n-min", type=int, default=2)
-    p_fuzz.add_argument("--n-max", type=int, default=8)
+    p_fuzz.add_argument("--n-min", type=int, help="least dimension (default 2; not with --inertia)")
+    p_fuzz.add_argument("--n-max", type=int, help="largest dimension (default 8; not with --inertia)")
     p_fuzz.add_argument("--seed", type=int, default=0, help="campaign master seed (read mod 2^64)")
     p_fuzz.add_argument("--inertia", help="force inertia p,m,z for every instance")
     _add_common(p_fuzz, "tol_class", "tol_verify")

@@ -10,20 +10,16 @@ machine-readable results.  Identical seeds give identical reports.
 
 Generation, the instance spectra and the checks are written for stacks:
 arrays with a leading axis of m same-n instances, each drawn from its own
-seed.  A campaign runs them on whole groups of instances (SpectraStack,
-_check_stack); gen_hermitian, gen_psd, instance_spectra and
-check_selections are the same code with m = 1, so a stacked campaign
-reports exactly what one instance at a time would.  A stack that fails is
-solved again as stacks of one, by the same code, and an instance that
-still fails gets a "computation" record.  SpectraStack is the one record
-of an instance's spectra: instance_spectra gives the stack of one
-instance.  In a campaign stack, A and B are generated, validated and
-measured (Frobenius norms) together, as one stack of 2m matrices, and the
-instances of a window are planned as arrays; every random stream is drawn
-through one carrier Generator per campaign.  Sampled selections stay
-boolean masks until they reach the stack's SelectionIndex, and a window's
-check results are folded into its statistics from arrays in instance
-order (_Tally).
+seed; gen_hermitian, gen_psd, instance_spectra and check_selections are
+the same code with m = 1.  A campaign plans a window of instances as
+arrays, draws every random stream through one carrier Generator, and
+generates, validates and measures A and B of a same-n stack together, as
+one stack of 2m matrices, for its SpectraStack.  A stack that fails is
+solved again as stacks of one, and an instance that still fails gets a
+"computation" record.  Sampled selections stay boolean masks until they
+reach the stack's SelectionIndex.  Each checked stack is folded at once
+into statistics that do not depend on the order of the stacks (_fold), so
+a stacked campaign reports exactly what one instance at a time would.
 """
 
 from __future__ import annotations
@@ -726,41 +722,100 @@ def _error_record(exc: EigbError, n: int, instance_id: int, seed: int) -> Verifi
 
 @dataclass
 class CheckStats:
+    """One check's evaluations in a campaign, in statistics that do not
+    depend on the order they are added in (_fold): the least slack (never
+    NaN; -0.0 below 0.0), the exact sum of the finite slacks in units of
+    2^-1074, and the float sum of the others (0.0, inf, -inf or NaN)."""
+
     name: str
     count: int = 0
     failed: int = 0
-    min_slack: float = float("inf")
-    sum_slack: float = 0.0
+    min_slack: float = math.inf
+    finite_sum: int = 0
+    nonfinite_sum: float = 0.0
 
     @property
     def mean_slack(self) -> float:
-        return self.sum_slack / self.count if self.count else 0.0
+        """The correctly rounded sum, inf or -inf past the largest float,
+        over the count."""
+        if not self.count:
+            return 0.0
+        try:
+            # int / int is correctly rounded, subnormal results included.
+            total = self.finite_sum / (1 << 1074)
+        except OverflowError:
+            total = math.inf if self.finite_sum > 0 else -math.inf
+        return (total + self.nonfinite_sum) / self.count
 
     def add(self, passed: np.ndarray, worst: np.ndarray) -> None:
-        """Count evaluations in order, with the same min and += as one at a
-        time over Python floats.
+        """Count evaluations: their pass flags and worst slacks."""
+        if worst.size:
+            column = CheckColumn(self.name, np.ones_like(passed), passed, worst, 0.0)
+            _fold({self.name: self}, [column])
 
-        The sum adds in order (np.add.accumulate; np.sum adds pairwise).
-        Python's min keeps the first least value and never takes a NaN, as
-        no comparison with one is true: that is the value of the first
-        np.argmin among the non-NaN slacks, taken only if it is below
-        min_slack, so of -0.0 and 0.0 the first seen stays."""
-        size = worst.size
-        if not size:
-            return
-        self.count += size
-        self.failed += size - int(np.count_nonzero(passed))
-        total = np.empty(size + 1)
-        total[0] = self.sum_slack
-        total[1:] = worst
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.accumulate(total, out=total)
-        self.sum_slack = total[-1].item()
-        least = worst[worst.argmin()].item()
-        if math.isnan(least):  # argmin stops at the first NaN
-            least = worst[np.where(np.isnan(worst), np.inf, worst).argmin()].item()
-        if least < self.min_slack:
-            self.min_slack = least
+
+def _exact_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[int]:
+    """The exact sum, in units of 2^-1074, of each segment of the finite
+    values: the lengths[k] > 0 values from starts[k].
+
+    ExtractVector (Rump, Ogita & Oishi, "Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31(1), 2008) per segment: with 2^guard >=
+    len(values) + 2 and sigma a power of two at least 2^guard times the
+    segment's largest magnitude, the parts (sigma + x) - sigma add exactly
+    in any order, and what is left of each x, at most 2^(guard - 53) sigma,
+    is split again until nothing is left.
+    """
+    huge = np.abs(values) >= 2.0**960
+    if huge.any():
+        # sigma would pass 2^1023: sum these apart, scaled exactly by 2^-128.
+        low = _exact_sums(np.where(huge, 0.0, values), starts, lengths)
+        high = _exact_sums(np.where(huge, values * 2.0**-128, 0.0), starts, lengths)
+        return [lo + (hi << 128) for lo, hi in zip(low, high)]
+    guard = (len(values) + 1).bit_length()
+    sums = [0] * len(starts)
+    while values.any():
+        _, exponent = np.frexp(np.maximum.reduceat(np.abs(values), starts))
+        sigma = np.repeat(np.ldexp(1.0, exponent + guard), lengths)
+        high = (sigma + values) - sigma
+        values = values - high
+        for k, part in enumerate(np.add.reduceat(high, starts).tolist()):
+            # part = num / 2^d, and 2^d has d + 1 bits: num << (1074 - d) units.
+            num, den = part.as_integer_ratio()
+            sums[k] += num << (1075 - den.bit_length())
+    return sums
+
+
+@np.errstate(invalid="ignore")
+def _fold(stats: dict[str, CheckStats], columns: Sequence[CheckColumn]) -> None:
+    """Add each check column's evaluations, where it applies, to the
+    CheckStats of its name in stats, all in one pass, as segments."""
+    columns = [c for c in columns if c.applies.any()]
+    applies = np.stack([c.applies for c in columns])
+    passed = np.empty(applies.shape, dtype=bool)
+    worst = np.empty(applies.shape)
+    for k, c in enumerate(columns):
+        passed[k], worst[k] = c.passed, c.worst
+    passed, worst = passed[applies], worst[applies]
+    lengths = np.count_nonzero(applies.reshape(len(columns), -1), axis=1)
+    starts = np.cumsum(lengths) - lengths
+    failed = np.add.reduceat(~passed, starts, dtype=np.intp)
+    finite = np.isfinite(worst)
+    sums = _exact_sums(np.where(finite, worst, 0.0), starts, lengths)
+    # inf + -inf and NaN + anything are NaN in any order.
+    nonfinite = np.add.reduceat(np.where(finite, 0.0, worst), starts)
+    least = np.minimum.reduceat(np.where(np.isnan(worst), np.inf, worst), starts)
+    negative_zero = np.logical_or.reduceat((worst == 0.0) & np.signbit(worst), starts)
+    least[negative_zero & (least == 0.0)] = -0.0
+    for c, count, bad, low, exact, rest in zip(
+        columns, lengths.tolist(), failed.tolist(), least.tolist(), sums, nonfinite.tolist()
+    ):
+        st = stats.setdefault(c.name, CheckStats(name=c.name))
+        st.count += count
+        st.failed += bad
+        if low < st.min_slack or low == st.min_slack and math.copysign(1.0, low) < 0.0:
+            st.min_slack = low
+        st.finite_sum += exact
+        st.nonfinite_sum += rest
 
 
 @dataclass(frozen=True)
@@ -801,6 +856,7 @@ class CampaignReport:
             "checks": [
                 {
                     "name": s.name,
+                    "failed": s.failed,
                     "min_slack": s.min_slack,
                     "mean_slack": s.mean_slack,
                 }
@@ -1035,93 +1091,25 @@ def _solved(plans: _Plans, members: list[int], rng: np.random.Generator) -> Spec
 
 def _stacked_spectra(
     plans: _Plans, rng: np.random.Generator
-) -> list[tuple[list[int], SpectraStack | EigbError]]:
-    """The planned instances in same-n stacks, as (members, spectra): the
-    positions in plans of each stack's instances, in order, and their
-    spectra (_solved).  A stack in which a stage raises is solved again one
-    instance at a time by the same code, as stacks of one; an instance that
-    fails alone gets its error in place of its spectra."""
-    stacks: list[tuple[list[int], SpectraStack | EigbError]] = []
+) -> Iterator[tuple[list[int], SpectraStack | EigbError]]:
+    """The planned instances in same-n stacks, one at a time, as (members,
+    spectra): the positions in plans of the stack's instances, in order, and
+    their spectra (_solved).  A stack in which a stage raises is solved
+    again one instance at a time by the same code, as stacks of one; an
+    instance that fails alone gets its error in place of its spectra."""
     for n in dict.fromkeys(plans.n.tolist()):
         group = np.flatnonzero(plans.n == n).tolist()
         size = max(1, STACK_ENTRIES // n**2)
         for k in range(0, len(group), size):
             members = group[k : k + size]
             try:
-                stacks.append((members, _solved(plans, members, rng)))
+                yield members, _solved(plans, members, rng)
             except (EigbError, LinAlgError):
                 for j in members:
                     try:
-                        stacks.append(([j], _solved(plans, [j], rng)))
+                        yield [j], _solved(plans, [j], rng)
                     except EigbError as exc:
-                        stacks.append(([j], exc))
-    return stacks
-
-
-class _Tally:
-    """One window's check results, kept in instance order.
-
-    Stacks of different n interleave within a window, so each check's
-    (applies, pass flag, worst slack) arrays are kept with the window
-    positions of their instances (rows), and the failures by instance.
-    flush writes each check into (window, width) arrays, instance j's
-    selections in the first columns of row j, whose C order is then
-    instance order: every CheckStats gets one add, so its min and sum see
-    the values in the order one instance at a time would."""
-
-    def __init__(self, plans: _Plans) -> None:
-        self.plans = plans
-        self.total = 0
-        self.passed = 0
-        self.columns: dict[str, list[tuple]] = {}
-        self.failures: dict[int, list[VerificationRecord]] = {}
-
-    def add(self, members: list[int], checked: StackChecks, index: SelectionIndex) -> None:
-        """A checked stack, with the SelectionIndex it was checked against."""
-        plans = self.plans
-        self.total += checked.passed.size
-        self.passed += int(np.count_nonzero(checked.passed))
-        for k in np.flatnonzero(~checked.passed.all(axis=1)).tolist():
-            j = members[k]
-            one = SelectionChecks(
-                checked, k, _index_selections(index, k), plans.index[j].item(), plans.seed[j].item()
-            )
-            self.failures[j] = one.failures
-        rows = np.array(members)
-        for column in checked.columns:
-            if column.applies.any():
-                self.columns.setdefault(column.name, []).append(
-                    (rows, column.applies, column.passed, column.worst)
-                )
-
-    def error(self, j: int, exc: EigbError) -> None:
-        """An instance whose spectra could not be computed."""
-        plans = self.plans
-        self.total += 1
-        self.failures[j] = [
-            _error_record(exc, plans.n[j].item(), plans.index[j].item(), plans.seed[j].item())
-        ]
-        failed = np.zeros((1, 1), dtype=bool)
-        self.columns.setdefault("computation", []).append(
-            (np.array([j]), ~failed, failed, np.zeros((1, 1)))
-        )
-
-    def flush(self, stats: dict[str, CheckStats], failures: list[VerificationRecord]) -> None:
-        window = len(self.plans.index)
-        for name, parts in self.columns.items():
-            width = max(part[1].shape[1] for part in parts)
-            arrays = applies, passed, worst = (
-                np.zeros((window, width), dtype=bool),
-                np.zeros((window, width), dtype=bool),
-                np.zeros((window, width)),
-            )
-            for rows, *values in parts:
-                size = values[0].shape[1]
-                for array, value in zip(arrays, values):
-                    array[rows, :size] = value
-            stats.setdefault(name, CheckStats(name=name)).add(passed[applies], worst[applies])
-        for j in sorted(self.failures):
-            failures.extend(self.failures[j])
+                        yield [j], exc
 
 
 def _index_selections(index: SelectionIndex, i: int) -> list[tuple[int, ...]]:
@@ -1165,38 +1153,49 @@ def run_campaign(
 
     Up to STACK_WINDOW consecutive instances are planned at a time, then
     generated and solved in same-n stacks (_stacked_spectra), then checked
-    a stack at a time (_check_stack), and their results merged back into
-    instance order (_Tally), so the report is the same as one instance at a
-    time.  The instances of a stack that failed are solved and checked one
-    at a time by the same code; one that still fails (a failed eigensolve of
-    A, B or AB, say) gets a "computation" record.  Instances up to
-    EXHAUSTIVE_MAX_N check the selections of _exhaustive(n), whose index is
-    built once per n per process, not once per campaign.
+    a stack at a time (_check_stack), and each checked stack is folded into
+    statistics that do not depend on the order of the stacks (_fold).  With
+    the failure records sorted by instance, the report is the same as one
+    instance at a time.  The instances of a stack that failed are solved
+    and checked one at a time by the same code; one that still fails (a
+    failed eigensolve of A, B or AB, say) gets a "computation" record.
+    Instances up to EXHAUSTIVE_MAX_N check the selections of _exhaustive(n),
+    whose index is built once per n per process, not once per campaign.
     """
     if count < 1:
         raise InvalidCount(f"instance count must be >= 1, got {count}")
     start = time.monotonic()
     stats: dict[str, CheckStats] = {}
     failures: list[VerificationRecord] = []
-    total = 0
-    passed = 0
+    total = passed = 0
     tol = config.tolerances
     rng = _carrier()
 
     for first in range(0, count, STACK_WINDOW):
-        window = range(first, min(first + STACK_WINDOW, count))
-        plans = _plans(window, master_seed, config, rng)
-        tally = _Tally(plans)
+        plans = _plans(range(first, min(first + STACK_WINDOW, count)), master_seed, config, rng)
         for members, sp in _stacked_spectra(plans, rng):
             if isinstance(sp, EigbError):
-                tally.error(members[0], sp)
+                j = members[0]
+                total += 1
+                failures.append(
+                    _error_record(sp, plans.n[j].item(), plans.index[j].item(), plans.seed[j].item())
+                )
+                failed = np.zeros(1, dtype=bool)
+                _fold(stats, [CheckColumn("computation", ~failed, failed, np.zeros(1), 0.0)])
                 continue
             index = _campaign_selections(sp, members, plans, tol, rng)
-            tally.add(members, _check_stack(sp, index, tol), index)
-        tally.flush(stats, failures)
-        total += tally.total
-        passed += tally.passed
+            checked = _check_stack(sp, index, tol)
+            total += checked.passed.size
+            passed += int(np.count_nonzero(checked.passed))
+            for k in np.flatnonzero(~checked.passed.all(axis=1)).tolist():
+                j = members[k]
+                failures += SelectionChecks(
+                    checked, k, _index_selections(index, k), plans.index[j].item(), plans.seed[j].item()
+                ).failures
+            _fold(stats, checked.columns)
 
+    # Stable: each instance's records stay in selection order.
+    failures.sort(key=lambda record: record.instance_id)
     return CampaignReport(
         total=total,
         passed=passed,

@@ -295,6 +295,14 @@ class TestFuzz:
     def test_bad_inertia_exit_2(self, capsys):
         assert main(["fuzz", "--count", "1", "--inertia", "1,2"]) == 2
 
+    def test_inertia_with_dimension_range_exit_2(self, capsys):
+        # --inertia fixes n = p + m + z, so a dimension range beside it
+        # would be ignored.
+        for sizes in (["--n-min", "5", "--n-max", "6"], ["--n-min", "2"], ["--n-max", "8"]):
+            assert main(["fuzz", "--count", "3", "--inertia", "2,1,0", *sizes]) == 2
+            err = capsys.readouterr().err
+            assert "--inertia" in err and "--n-min or --n-max" in err
+
     def test_byte_identical_json(self, capsys):
         argv = ["fuzz", "--count", "15", "--seed", "2024", "--n-max", "5", "--json"]
         assert main(argv) == 0
@@ -309,7 +317,7 @@ class TestFuzz:
         assert data["version"] == "EIGB1"
         assert set(data) == {"version", "total", "passed", "failed", "checks", "failures"}
         for entry in data["checks"]:
-            assert set(entry) == {"name", "min_slack", "mean_slack"}
+            assert set(entry) == {"name", "failed", "min_slack", "mean_slack"}
 
     def test_zero_tolerance_gate(self, capsys):
         argv = ["fuzz", "--count", "10", "--seed", "0", "--n-min", "2", "--n-max", "5"]

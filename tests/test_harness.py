@@ -1,9 +1,11 @@
 """Generators, per-instance checks, and campaign aggregation."""
 
 import json
+import math
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -420,28 +422,54 @@ class TestSelectionMasks:
                 assert _as_selections(masks.reshape(-1, n)[chosen]) == sum(want, [])
 
 
-def python_fold(stats, passed, worst):
-    """CheckStats.add one value at a time, on Python floats."""
-    for ok, slack in zip(passed.tolist(), worst.tolist()):
-        stats.count += 1
-        stats.failed += not ok
-        stats.min_slack = min(stats.min_slack, slack)
-        stats.sum_slack += slack
+def exact_stats(passed, worst):
+    """(count, failed, min_slack, mean_slack) of evaluations, by definition:
+    the least non-NaN slack, -0.0 below 0.0, and the exact sum of the finite
+    slacks (Fraction) rounded once, to +-inf past the largest float, plus
+    the others, over the count."""
+    values = worst.tolist()
+    finite = [v for v in values if math.isfinite(v)]
+    exact = sum(map(Fraction, finite), Fraction(0))
+    try:
+        total = float(exact)
+    except OverflowError:
+        total = math.inf if exact > 0 else -math.inf
+    # NaN, and inf with -inf, make NaN; Python's float + never raises.
+    total += sum(v for v in values if not math.isfinite(v))
+    least = min(
+        (v for v in values if not math.isnan(v)),
+        key=lambda v: (v, math.copysign(1.0, v)),
+        default=math.inf,
+    )
+    mean = total / len(values) if values else 0.0
+    return len(values), len(values) - sum(passed.tolist()), least, mean
 
 
 class TestCheckStats:
-    """CheckStats.add folds in numpy what one value at a time gives."""
+    """CheckStats.add counts, takes the least slack and sums exactly, so its
+    statistics depend only on the set of values added, not on their order
+    or on how they were split between calls."""
 
     SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 1.0, -1.0]
 
-    def assert_same(self, parts):
-        got, want = CheckStats(name="x"), CheckStats(name="x")
+    def folded(self, parts):
+        stats = CheckStats(name="x")
         for passed, worst in parts:
-            got.add(passed, worst)
-            python_fold(want, passed, worst)
-            assert (got.count, got.failed) == (want.count, want.failed)
-            assert bits([got.min_slack, got.sum_slack]) == bits([want.min_slack, want.sum_slack])
-            assert type(got.min_slack) is type(got.sum_slack) is float
+            stats.add(passed, worst)
+        return stats
+
+    def assert_same(self, parts):
+        """Folding the parts, in order, in reverse, and as one, gives the
+        exact statistics of all their values, bit for bit (any NaN for NaN:
+        float.hex drops its sign)."""
+        passed = np.concatenate([p for p, _ in parts])
+        worst = np.concatenate([w for _, w in parts])
+        want = exact_stats(passed, worst)
+        for order in (parts, parts[::-1], [(passed, worst)]):
+            got = self.folded(order)
+            assert (got.count, got.failed) == want[:2]
+            assert [got.min_slack.hex(), got.mean_slack.hex()] == [x.hex() for x in want[2:]]
+            assert type(got.min_slack) is type(got.mean_slack) is float
 
     def test_zero_signs_and_ties(self):
         t, f = np.array([True]), np.array([False])
@@ -455,6 +483,42 @@ class TestCheckStats:
         for first, rest in ((0.0, -0.0), (-0.0, 0.0)):
             worst = np.array([1.0] * 40 + [first] + [rest] * 40)
             self.assert_same([(np.ones(81, bool), worst)])
+
+    def test_special_values(self):
+        # NaN and +-inf neither hang the exact sum nor vanish from it; +-1e308
+        # overflow it only when their exact sum does.
+        t = np.ones(4, bool)
+        cases = [
+            ([np.nan, 1.0, 2.0, 3.0], math.nan, 1.0),
+            ([np.inf, -np.inf, 1.0, 2.0], math.nan, -math.inf),
+            ([np.inf, 1e308, -1e308, 2.0], math.inf, -1e308),
+            ([1e308, 1e308, 1e308, -1.0], math.inf, -1.0),
+            ([-1e308, -1e308, 5e-324, 0.0], -math.inf, -1e308),
+            ([1e308, 1e308, -1e308, 5e-324], 1e308 / 4, -1e308),
+            ([np.nan, np.nan, np.nan, np.nan], math.nan, math.inf),
+        ]
+        for values, mean, least in cases:
+            got = self.folded([(t, np.array(values))])
+            assert [got.mean_slack.hex(), got.min_slack.hex()] == [mean.hex(), least.hex()]
+            self.assert_same([(t[:2], np.array(values[:2])), (t[2:], np.array(values[2:]))])
+
+    def test_mean_is_fsum(self):
+        # The values span the finite doubles, subnormals included; their
+        # exact sum rounds as math.fsum rounds it.  A zero sum is 0.0, as
+        # Python's sum, which starts at 0.0, makes it.
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            size = int(rng.integers(1, 300))
+            worst = rng.standard_normal(size) * 2.0 ** rng.integers(-1074, 1000, size)
+            worst[rng.random(size) < 0.1] = 0.0
+            cuts = np.sort(rng.integers(0, size, int(rng.integers(0, 5))))
+            order = rng.permutation(size)
+            stats = self.folded(
+                (np.ones(len(part), bool), part) for part in np.split(worst[order], cuts)
+            )
+            want = (math.fsum(worst.tolist()) + 0.0) / size
+            assert stats.count == size
+            assert stats.mean_slack.hex() == want.hex()
 
     def test_random_arrays(self):
         rng = np.random.default_rng(15)
@@ -1033,14 +1097,20 @@ class TestStackedCampaign:
         assert not any(thread.is_alive() for thread in threads)
         assert got == want
 
+    # Windows of one and of seven instances fold the same values in other
+    # stacks and another order: the report must not change.
+    WINDOWS = (STACK_WINDOW, 1, 7)
+
     def test_stacks_split_by_entries(self, monkeypatch):
         # 40 entries: stacks of 40 instances at n = 1, 10 at n = 2, ..., 1 from n = 5.
         import eigb.harness as harness
 
         monkeypatch.setattr(harness, "STACK_ENTRIES", 40)
         config = CampaignConfig(n_min=1, n_max=8)
-        got = json.dumps(run_campaign(100, config, 9).to_json_dict())
-        assert got == reference_campaign(100, config, 9)
+        want = reference_campaign(100, config, 9)
+        for window in self.WINDOWS:
+            monkeypatch.setattr(harness, "STACK_WINDOW", window)
+            assert json.dumps(run_campaign(100, config, 9).to_json_dict()) == want
 
     def test_stacks_merged_in_instance_order(self, monkeypatch):
         # 100 entries: stacks of 4 instances at n = 5, 2 at n = 6 and 7, 1 at
@@ -1051,9 +1121,12 @@ class TestStackedCampaign:
         monkeypatch.setattr(harness, "STACK_ENTRIES", 100)
         config = CampaignConfig(n_min=5, n_max=8, tolerances=Tolerances(verify_base=0.0))
         count = STACK_WINDOW + 40
-        report = run_campaign(count, config, 13)
-        assert report.failed > 0
-        assert json.dumps(report.to_json_dict()) == reference_campaign(count, config, 13)
+        want = reference_campaign(count, config, 13)
+        for window in self.WINDOWS:
+            monkeypatch.setattr(harness, "STACK_WINDOW", window)
+            report = run_campaign(count, config, 13)
+            assert report.failed > 0
+            assert json.dumps(report.to_json_dict()) == want
 
     @pytest.mark.parametrize("solve", ["a", "b", "sum", "product"])
     @pytest.mark.parametrize("n", [4, 8], ids=["exhaustive", "sampled"])

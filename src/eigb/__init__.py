@@ -18,16 +18,6 @@ from .bounds import (
     trace_bounds,
     wielandt_sum_bounds,
 )
-from .harness import (
-    CampaignConfig,
-    CampaignReport,
-    GeneratorSpec,
-    Tolerances,
-    VerificationRecord,
-    gen_hermitian,
-    gen_psd,
-    run_campaign,
-)
 from .linalg import (
     EigenDecomposition,
     HermitianMatrix,
@@ -41,6 +31,19 @@ from .linalg import (
     validate_psd,
 )
 from .matfile import parse_matrix, write_matrix
+
+# The campaign layer (harness) is loaded, and its names bound here, on first
+# access: the CLI commands that do not run it start without it.
+_HARNESS_NAMES = (
+    "CampaignConfig",
+    "CampaignReport",
+    "GeneratorSpec",
+    "Tolerances",
+    "VerificationRecord",
+    "gen_hermitian",
+    "gen_psd",
+    "run_campaign",
+)
 
 __all__ = [
     "BoundReport",
@@ -80,3 +83,16 @@ __all__ = [
     "wielandt_sum_bounds",
     "write_matrix",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness
+
+    globals().update((n, getattr(harness, n)) for n in _HARNESS_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

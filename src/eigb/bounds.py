@@ -24,7 +24,7 @@ in Python floats.  zero_cut and verify_tolerance accept a Spectrum, or an
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -49,17 +49,20 @@ TOL_CLASS = 1e-9
 TOL_VERIFY_BASE = 1e-8
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(namedtuple("Inertia", ["positive", "negative", "zero"])):
     """Counts of positive, negative, and zero eigenvalues."""
 
-    positive: int
-    negative: int
-    zero: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.positive, self.negative, self.zero) < 0:
+    def __new__(cls, positive: int, negative: int, zero: int):
+        if min(positive, negative, zero) < 0:
             raise ValueError("inertia counts must be nonnegative")
+        return super().__new__(cls, positive, negative, zero)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too.
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -73,36 +76,38 @@ class Inertia:
         return (self.positive, self.negative, self.zero)
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(namedtuple("IndexSequence", ["indices", "n"])):
     """Strictly increasing 1-based eigenvalue indices within dimension n."""
 
-    indices: tuple[int, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, indices: Sequence[int], n: int):
         try:
             # Python and numpy integers; a float is not truncated to one.
-            idx = tuple(operator.index(i) for i in self.indices)
+            idx = tuple(operator.index(i) for i in indices)
         except TypeError:
-            raise InvalidIndexSequence(f"indices must be integers, got {self.indices!r}") from None
-        object.__setattr__(self, "indices", idx)
+            raise InvalidIndexSequence(f"indices must be integers, got {indices!r}") from None
         if len(idx) == 0:
             raise InvalidIndexSequence("index sequence must select at least one eigenvalue")
-        if idx[0] < 1 or idx[-1] > self.n:
+        if idx[0] < 1 or idx[-1] > n:
             raise InvalidIndexSequence(
-                f"indices must lie in [1, {self.n}], got {idx}"
+                f"indices must lie in [1, {n}], got {idx}"
             )
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise InvalidIndexSequence(f"indices must be strictly increasing, got {idx}")
+        return super().__new__(cls, idx, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too.
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One bound evaluation: bracket, achieved sum, slacks, branch metadata."""
 
     lower: float
@@ -125,8 +130,7 @@ class SelectionBounds(NamedTuple):
     t2: float
 
 
-@dataclass(frozen=True)
-class OstrowskiReport:
+class OstrowskiReport(NamedTuple):
     """Product-to-factor eigenvalue ratios and the admissible range."""
 
     ratios: tuple[tuple[int, float], ...]
@@ -383,10 +387,8 @@ def pair_bounds(
         raise SignConditionViolated(
             f"product eigenvalue {t} is {spec_ab[t - 1]:.6g}, not negative"
         )
-    a = spec_a.values
-    b = spec_b.values
-    lower = a[s - 1] * b[n - 1] + a[t - 1] * b[0]
-    upper = a[s - 1] * b[0] + a[t - 1] * b[n - 1]
+    lower = spec_a[s - 1] * spec_b[n - 1] + spec_a[t - 1] * spec_b[0]
+    upper = spec_a[s - 1] * spec_b[0] + spec_a[t - 1] * spec_b[n - 1]
     return lower, upper
 
 
@@ -765,7 +767,7 @@ def _rows(*specs: Spectrum) -> list[np.ndarray]:
     unless every one has the length of the first (checked in turn)."""
     for spec in specs[1:]:
         _require_same_dim(specs[0], spec)
-    return [np.array([spec.values]) for spec in specs]
+    return [np.array([spec]) for spec in specs]
 
 
 def _index(idx: IndexSequence, values: np.ndarray) -> SelectionIndex:

@@ -18,9 +18,9 @@ import functools
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import bounds as bnd
-from . import harness
 from .errors import EigbError, NoSignChange, NotPositiveDefinite
 from .linalg import (
     Spectrum,
@@ -30,6 +30,11 @@ from .linalg import (
     validate_psd,
 )
 from .matfile import FORMAT_VERSION, load_matrix
+
+# The campaign layer loads on the first command that runs it (verify, fuzz):
+# spectrum, bounds and example start without it.
+if TYPE_CHECKING:
+    from . import harness
 
 # Built-in regression example: integer spectra (3,-1,-4), (3,2,1), (3,-3,-8).
 EXAMPLE_A = [[1, 2, 0], [2, 1, 0], [0, 0, -4]]
@@ -97,6 +102,8 @@ def _check_tolerances(args) -> None:
 
 
 def _tolerances(args) -> harness.Tolerances:
+    from . import harness
+
     return harness.Tolerances(tol_class=args.tol_class, verify_base=args.tol_verify)
 
 
@@ -210,6 +217,8 @@ _VERIFY_SAMPLE_COUNT = 200
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     a, b = _load_pair(args)
     sp = harness.instance_spectra(a, b)
     n = a.n
@@ -243,6 +252,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import harness
+
     inertia = None
     if args.inertia is not None:
         try:
@@ -252,13 +263,12 @@ def cmd_fuzz(args) -> int:
         if len(parts) != 3:
             raise EigbError(f"inertia must have three components, got {args.inertia!r}")
         inertia = parts
-    # Unset, the dimension range is CampaignConfig's default.
-    sizes = {k: v for k, v in (("n_min", args.n_min), ("n_max", args.n_max)) if v is not None}
-    if inertia is not None and sizes:
+    if inertia is not None and (args.n_min, args.n_max) != (None, None):
         raise EigbError(
             "--inertia fixes the dimension at p+m+z: it cannot go with --n-min or --n-max"
         )
-    campaign = harness.CampaignConfig(**sizes, inertia=inertia, tolerances=_tolerances(args))
+    # Unset (None), the dimension range is CampaignConfig's default.
+    campaign = harness.CampaignConfig(args.n_min, args.n_max, inertia, _tolerances(args))
     report = harness.run_campaign(args.count, campaign, args.seed)
 
     if args.json:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -171,31 +171,39 @@ def _below(u: np.ndarray, count) -> np.ndarray:
     return (u * count).astype(np.intp)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(
+    namedtuple("GeneratorSpec", ["n", "seed", "eigenvalue_range", "inertia_target"])
+):
     """Recipe for one random matrix: dimension, spectrum shape, and seed.
 
     The matrix draws from the stream of `seed` (read mod 2^64): its uniforms
     set the magnitudes and, without an inertia target, the signs of the
     eigenvalues; its Gaussians make the eigenvectors."""
 
-    n: int
-    seed: int
-    eigenvalue_range: tuple[float, float] = _RANGE
-    inertia_target: tuple[int, int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSpec(f"dimension must be >= 1, got {self.n}")
-        lo, hi = self.eigenvalue_range
+    def __new__(
+        cls,
+        n: int,
+        seed: int,
+        eigenvalue_range: tuple[float, float] = _RANGE,
+        inertia_target: tuple[int, int, int] | None = None,
+    ):
+        if n < 1:
+            raise InvalidSpec(f"dimension must be >= 1, got {n}")
+        lo, hi = eigenvalue_range
         if not (0.0 <= lo <= hi):
             raise InvalidSpec(f"need 0 <= lo <= hi magnitudes, got [{lo}, {hi}]")
-        if self.inertia_target is not None:
-            p, m, z = self.inertia_target
-            if min(p, m, z) < 0 or p + m + z != self.n:
-                raise InvalidSpec(
-                    f"inertia target {self.inertia_target} does not sum to n={self.n}"
-                )
+        if inertia_target is not None:
+            p, m, z = inertia_target
+            if min(p, m, z) < 0 or p + m + z != n:
+                raise InvalidSpec(f"inertia target {inertia_target} does not sum to n={n}")
+        return super().__new__(cls, n, seed, eigenvalue_range, inertia_target)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too.
+        return cls(*iterable)
 
 
 def _haar_unitary(z: np.ndarray) -> np.ndarray:
@@ -294,16 +302,14 @@ def _exhaustive(n: int) -> tuple[tuple[tuple[int, ...], ...], SelectionIndex]:
     return cached
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Knobs shared by every check: zero classification and slack scaling."""
 
     tol_class: float = TOL_CLASS
     verify_base: float = TOL_VERIFY_BASE
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     actual: float
     lower: float | None = None
@@ -318,8 +324,7 @@ class CheckResult:
         return min(slacks) if slacks else 0.0
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     instance_id: int
     seed: int
     n: int
@@ -720,19 +725,50 @@ def _error_record(exc: EigbError, n: int, instance_id: int, seed: int) -> Verifi
     )
 
 
-@dataclass
-class CheckStats:
+class _Mutable:
+    """Base of the mutable records: compared and shown field by field, in
+    the order of __slots__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class CheckStats(_Mutable):
     """One check's evaluations in a campaign, in statistics that do not
     depend on the order they are added in (_fold): the least slack (never
     NaN; -0.0 below 0.0), the exact sum of the finite slacks in units of
     2^-1074, and the float sum of the others (0.0, inf, -inf or NaN)."""
 
-    name: str
-    count: int = 0
-    failed: int = 0
-    min_slack: float = math.inf
-    finite_sum: int = 0
-    nonfinite_sum: float = 0.0
+    __slots__ = ("name", "count", "failed", "min_slack", "finite_sum", "nonfinite_sum")
+
+    def __init__(
+        self,
+        name: str,
+        count: int = 0,
+        failed: int = 0,
+        min_slack: float = math.inf,
+        finite_sum: int = 0,
+        nonfinite_sum: float = 0.0,
+    ):
+        self.name = name
+        self.count = count
+        self.failed = failed
+        self.min_slack = min_slack
+        self.finite_sum = finite_sum
+        self.nonfinite_sum = nonfinite_sum
 
     @property
     def mean_slack(self) -> float:
@@ -818,32 +854,62 @@ def _fold(stats: dict[str, CheckStats], columns: Sequence[CheckColumn]) -> None:
         st.nonfinite_sum += rest
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Distribution of campaign instances plus verification tolerances."""
+class CampaignConfig(namedtuple("CampaignConfig", ["n_min", "n_max", "inertia", "tolerances"])):
+    """Distribution of campaign instances plus verification tolerances.
 
-    n_min: int = 2
-    n_max: int = 8
-    inertia: tuple[int, int, int] | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    Each instance's dimension is uniform on n_min..n_max (by default 2..8),
+    unless `inertia` (p, m, z) pins the inertia of every A, and with it the
+    dimension at p + m + z: then n_min and n_max stay None, and giving
+    either one is an InvalidSpec."""
 
-    def __post_init__(self):
-        if not (1 <= self.n_min <= self.n_max):
-            raise InvalidSpec(f"bad dimension range [{self.n_min}, {self.n_max}]")
-        if self.inertia is not None:
-            p, m, z = self.inertia
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n_min: int | None = None,
+        n_max: int | None = None,
+        inertia: tuple[int, int, int] | None = None,
+        tolerances: Tolerances = Tolerances(),
+    ):
+        if inertia is None:
+            n_min = 2 if n_min is None else n_min
+            n_max = 8 if n_max is None else n_max
+            if not (1 <= n_min <= n_max):
+                raise InvalidSpec(f"bad dimension range [{n_min}, {n_max}]")
+        else:
+            if n_min is not None or n_max is not None:
+                raise InvalidSpec(
+                    f"inertia {inertia} fixes the dimension: it cannot go with n_min or n_max"
+                )
+            p, m, z = inertia
             if min(p, m, z) < 0 or p + m + z < 1:
-                raise InvalidSpec(f"bad inertia {self.inertia}")
+                raise InvalidSpec(f"bad inertia {inertia}")
+        return super().__new__(cls, n_min, n_max, inertia, tolerances)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too.
+        return cls(*iterable)
 
 
-@dataclass
-class CampaignReport:
-    total: int
-    passed: int
-    failed: int
-    checks: list[CheckStats]
-    failures: list[VerificationRecord]
-    wall_time: float
+class CampaignReport(_Mutable):
+    __slots__ = ("total", "passed", "failed", "checks", "failures", "wall_time")
+
+    def __init__(
+        self,
+        total: int,
+        passed: int,
+        failed: int,
+        checks: list[CheckStats],
+        failures: list[VerificationRecord],
+        wall_time: float,
+    ):
+        self.total = total
+        self.passed = passed
+        self.failed = failed
+        self.checks = checks
+        self.failures = failures
+        self.wall_time = wall_time
 
     def to_json_dict(self) -> dict:
         # Fixed schema; wall_time deliberately excluded so identical seeds

@@ -29,9 +29,8 @@ accurate of the two on graded matrices (Demmel & Veselic, 1992).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, sqrt
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, eigh, eigvalsh
@@ -61,15 +60,13 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues in non-increasing order."""
+class Spectrum(tuple):
+    """Real eigenvalues in non-increasing order: a tuple of floats."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __new__(cls, values):
+        vals = tuple(float(v) for v in values)
         if len(vals) == 0:
             raise ValueError("spectrum must contain at least one value")
         if not all(map(isfinite, vals)):
@@ -77,22 +74,21 @@ class Spectrum:
         for a, b in zip(vals, vals[1:]):
             if a < b:
                 raise ValueError("spectrum values must be non-increasing")
+        return super().__new__(cls, vals)
+
+    def __repr__(self) -> str:
+        return f"Spectrum(values={tuple(self)!r})"
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
+        return len(self)
 
     def sum(self) -> float:
-        return float(sum(self.values))
+        return float(sum(self))
 
 
 def _check_spectra(values: np.ndarray) -> None:
@@ -107,16 +103,14 @@ def _check_spectra(values: np.ndarray) -> None:
         raise ValueError("spectrum values must be non-increasing")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Spectrum plus matching orthonormal eigenvector columns."""
 
     spectrum: Spectrum
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
+class HermitianMatrix(NamedTuple):
     """Symmetrized square complex matrix with its recorded hermiticity defect."""
 
     matrix: np.ndarray
@@ -127,8 +121,7 @@ class HermitianMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class PSDMatrix:
+class PSDMatrix(NamedTuple):
     """Hermitian matrix validated as positive semidefinite.
 
     The eigendecomposition computed during validation is kept so the
@@ -405,7 +398,7 @@ def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecompositio
 
 def _eig_stack(b: PSDMatrix) -> tuple[np.ndarray, np.ndarray]:
     """B's eigendecomposition from validation, as a stack of one."""
-    return np.array([b.eig.spectrum.values]), b.eig.vectors[None]
+    return np.array([b.eig.spectrum]), b.eig.vectors[None]
 
 
 def psd_sqrt(b: PSDMatrix) -> HermitianMatrix:

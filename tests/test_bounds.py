@@ -3,7 +3,6 @@ property-based checks over random sorted spectra, and the batch code and the
 public functions built on it against the scalar oracle, bit for bit."""
 
 import contextlib
-import dataclasses
 import inspect
 from itertools import combinations
 
@@ -707,10 +706,25 @@ def exact(value):
     if type(value) is float:
         return "float", value.hex()
     if isinstance(value, tuple):
+        # A NamedTuple record or a Spectrum too, tagged with its class.
         return type(value).__name__, [exact(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, [exact(getattr(value, f.name)) for f in dataclasses.fields(value)]
     return type(value).__name__, value
+
+
+def plain(value):
+    """value with every tuple, a record's too, as a list."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    return value
+
+
+def plain_parts(value) -> bool:
+    """Whether value is built of tuples and lists of Python scalars only."""
+    if isinstance(value, (tuple, list)):
+        return all(plain_parts(v) for v in value)
+    return type(value) in (float, int, str, bool)
 
 
 def outcome(func, args):
@@ -761,10 +775,12 @@ class TestScalarFunctions:
                 call = SCALAR_CALLS[name](spec_a, SB, SAB, idx_of((1, 3), 3), TOL_CLASS)
                 with contextlib.suppress(EigbError):
                     value = getattr(bounds, name)(*call)
-                    value = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else value
                     values.setdefault(name, []).append(value)
         assert set(values) == set(SCALAR_CALLS)
-        json.dumps(values)
+        # Records serialize as the arrays of their fields, and every part is
+        # a plain Python value.
+        assert json.dumps(values) == json.dumps(plain(values))
+        assert all(plain_parts(v) for v in values.values())
 
     def test_overflow_is_silent(self):
         # Python floats overflow to inf silently; so must the stack of one

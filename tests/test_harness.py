@@ -924,6 +924,16 @@ class TestRunCampaign:
         assert report.failed == 0
         assert report.total == 6 * 7
 
+    @pytest.mark.parametrize("sizes", [{"n_min": 5, "n_max": 6}, {"n_min": 2}, {"n_max": 8}])
+    def test_inertia_with_dimension_range_rejected(self, sizes):
+        # The inertia fixes n = p + m + z: a range beside it, even the
+        # default one given explicitly, would be ignored.
+        with pytest.raises(InvalidSpec) as raised:
+            run_campaign(3, CampaignConfig(**sizes, inertia=(2, 1, 0)))
+        assert str(raised.value) == (
+            "inertia (2, 1, 0) fixes the dimension: it cannot go with n_min or n_max"
+        )
+
     def test_case_families_all_appear(self):
         report = run_campaign(50, CampaignConfig(n_min=3, n_max=6), master_seed=8)
         names = {s.name: s for s in report.checks}

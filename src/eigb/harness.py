@@ -25,6 +25,7 @@ a stacked campaign reports exactly what one instance at a time would.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import namedtuple
 from itertools import combinations, islice
@@ -171,6 +172,26 @@ def _below(u: np.ndarray, count) -> np.ndarray:
     return (u * count).astype(np.intp)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, from a Python or numpy integer; InvalidSpec for
+    anything else (a float is not truncated to one)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{what} must be an integer, got {value!r}") from None
+
+
+def _counts(values, what: str) -> tuple[int, int, int]:
+    """An inertia (p, m, z) as a tuple of three ints; see _integer."""
+    try:
+        counts = tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise InvalidSpec(f"{what} counts must be integers, got {values!r}") from None
+    if len(counts) != 3:
+        raise InvalidSpec(f"{what} must have three counts (p, m, z), got {values!r}")
+    return counts
+
+
 class GeneratorSpec(
     namedtuple("GeneratorSpec", ["n", "seed", "eigenvalue_range", "inertia_target"])
 ):
@@ -189,12 +210,16 @@ class GeneratorSpec(
         eigenvalue_range: tuple[float, float] = _RANGE,
         inertia_target: tuple[int, int, int] | None = None,
     ):
+        n, seed = _integer(n, "dimension"), _integer(seed, "seed")
         if n < 1:
             raise InvalidSpec(f"dimension must be >= 1, got {n}")
         lo, hi = eigenvalue_range
         if not (0.0 <= lo <= hi):
             raise InvalidSpec(f"need 0 <= lo <= hi magnitudes, got [{lo}, {hi}]")
+        if not math.isfinite(hi):
+            raise InvalidSpec(f"magnitudes must be finite, got [{lo}, {hi}]")
         if inertia_target is not None:
+            inertia_target = _counts(inertia_target, "inertia target")
             p, m, z = inertia_target
             if min(p, m, z) < 0 or p + m + z != n:
                 raise InvalidSpec(f"inertia target {inertia_target} does not sum to n={n}")
@@ -872,8 +897,8 @@ class CampaignConfig(namedtuple("CampaignConfig", ["n_min", "n_max", "inertia", 
         tolerances: Tolerances = Tolerances(),
     ):
         if inertia is None:
-            n_min = 2 if n_min is None else n_min
-            n_max = 8 if n_max is None else n_max
+            n_min = 2 if n_min is None else _integer(n_min, "n_min")
+            n_max = 8 if n_max is None else _integer(n_max, "n_max")
             if not (1 <= n_min <= n_max):
                 raise InvalidSpec(f"bad dimension range [{n_min}, {n_max}]")
         else:
@@ -881,6 +906,7 @@ class CampaignConfig(namedtuple("CampaignConfig", ["n_min", "n_max", "inertia", 
                 raise InvalidSpec(
                     f"inertia {inertia} fixes the dimension: it cannot go with n_min or n_max"
                 )
+            inertia = _counts(inertia, "inertia")
             p, m, z = inertia
             if min(p, m, z) < 0 or p + m + z < 1:
                 raise InvalidSpec(f"bad inertia {inertia}")
@@ -1086,7 +1112,14 @@ def sample_selections(
     n + 1 uniforms each give one random selection per row (_block_masks):
     its size uniform on 1..n, then a uniform subset of that size.  The picks,
     then the rows, are taken in order, each kept if new, until there are
-    `count`."""
+    `count`.  InvalidSpec unless n >= 1, count >= 0 and nu is in 0..n."""
+    seed, n, count = _integer(seed, "seed"), _integer(n, "dimension"), _integer(count, "count")
+    if n < 1:
+        raise InvalidSpec(f"dimension must be >= 1, got {n}")
+    if count < 0:
+        raise InvalidSpec(f"count must be >= 0, got {count}")
+    if nu is not None and not 0 <= _integer(nu, "nu") <= n:
+        raise InvalidSpec(f"nu must lie in [0, {n}], got {nu}")
     masks = _sampled_selections(
         _seeds([seed]), n, count, np.array([nu or 0]), np.array([nu is not None]), _carrier()
     )

@@ -21,15 +21,11 @@ a leading axis.  The single-matrix public functions run that code with
 m = 1.  numpy's eigh, eigvalsh, qr and matmul apply LAPACK and BLAS to each
 matrix of a stack in turn, so a matrix gets the same bits in a stack as
 alone from each of them (the tests check this on the installed BLAS).
-
-A cyclic complex Jacobi solver, `jacobi_eig`, is kept as an independent
-oracle for the tests: it shares no algorithm with LAPACK and is the more
-accurate of the two on graded matrices (Demmel & Veselic, 1992).
 """
 
 from __future__ import annotations
 
-from math import isfinite, sqrt
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +43,6 @@ from .errors import (
 # Default construction tolerances (relative).
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
-
-# Cyclic Jacobi: off-diagonal Frobenius target relative to ||A||_F, sweep cap.
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 60
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -228,46 +220,6 @@ def _psd_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Apply one unitary rotation zeroing a[p, q] (and a[q, p]) in place.
-
-    The rotation diagonalizes the 2x2 Hermitian block: phase-align the
-    off-diagonal entry, then a real Givens rotation with the smaller-root
-    tangent for stability.
-    """
-    apq = a[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    if theta >= 0.0:
-        t = 1.0 / (theta + sqrt(theta * theta + 1.0))
-    else:
-        t = -1.0 / (-theta + sqrt(theta * theta + 1.0))
-    c = 1.0 / sqrt(t * t + 1.0)
-    s = t * c
-
-    # Columns: M <- M J with J[p,p]=J[q,q]=c, J[p,q]=s*phase, J[q,p]=-s*conj(phase).
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(phase) * col_q
-    a[:, q] = s * phase * col_p + c * col_q
-    # Rows: M <- J* M.
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * np.conj(phase) * row_p + c * row_q
-
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-    v[:, q] = s * phase * vec_p + c * vec_q
-
-
 def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M / 2^e, e) for each matrix M of a stack (..., n, n), with 2^e the
     power of two just above M's largest |re| or |im|; e has shape (..., 1, 1).
@@ -282,15 +234,6 @@ def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = np.abs(parts).max(axis=(-2, -1), keepdims=True, initial=0.0)
     exponents = np.frexp(peak)[1]
     return np.ldexp(parts, -exponents).view(np.complex128), exponents
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries: subtracting the diagonal
-    # mass from the total norm would cancel catastrophically once the
-    # off-diagonal part is small.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
 
 
 def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
@@ -332,45 +275,6 @@ def _lapack(solve, m: np.ndarray):
         return solve(work), exponents
     except LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
-
-
-def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition by cyclic complex Jacobi rotations.
-
-    The test oracle for hermitian_eig; nothing in the package calls it.
-
-    Sweeps annihilate every off-diagonal pair in turn until the
-    off-diagonal Frobenius norm drops below JACOBI_TOL * ||A||_F.  Raises
-    NoConvergence if JACOBI_MAX_SWEEPS sweeps do not reach the target
-    (which for Hermitian input they always should: convergence is
-    quadratic once the off-diagonal mass is small).
-
-    The sweeps run on A / 2^e (see _unit_scaled), so ||A||_F neither
-    overflows nor underflows however A is scaled; the eigenvalues are
-    scaled back by 2^e.
-    """
-    work, exponents = _unit_scaled(a.matrix[None])
-    work = work[0]
-    n = work.shape[0]
-    vectors = np.eye(n, dtype=np.complex128)
-    target = JACOBI_TOL * float(np.linalg.norm(work))
-    # Skipping rotations below this per-element threshold still guarantees
-    # off-norm < target after a quiet sweep: off <= n * threshold.
-    threshold = target / n
-    sweeps = 0
-    while (residual := _off_norm(work)) > target:
-        if sweeps == JACOBI_MAX_SWEEPS:
-            raise NoConvergence(
-                f"Jacobi eigensolver did not converge after {sweeps} sweeps "
-                f"(off-diagonal residual {float(np.ldexp(residual, exponents.item())):.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > threshold:
-                    _jacobi_rotate(work, vectors, p, q)
-        sweeps += 1
-    values, order = _finish_eig(work.diagonal().real[None], exponents)
-    return _decomposition(values, _ordered_columns(vectors[None], order))
 
 
 def _finish_eig(values: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

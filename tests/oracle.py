@@ -1,16 +1,27 @@
-"""Scalar reference for eigb's bound formulas and checks, for the tests.
+"""Scalar reference for eigb's bound formulas and checks, and a reference
+eigensolver, for the tests.
 
-Every function here works on Python floats, one term at a time: each pairing
-sum is accumulated left to right from 0.0 (pair_sum), as the formulas are
-written in eigb.bounds.  eigb computes each of them once, as numpy batch
-code over stacks of spectra; the tests hold that code, and the functions on
-Spectrum objects built on it, to this reference bit for bit, with the same
-errors, raised in the same order.  run_checks is the reference for one
-record of eigb.harness.check_selections.
+Every bound function here works on Python floats, one term at a time: each
+pairing sum is accumulated left to right from 0.0 (pair_sum), as the
+formulas are written in eigb.bounds.  eigb computes each of them once, as
+numpy batch code over stacks of spectra; the tests hold that code, and the
+functions on Spectrum objects built on it, to this reference bit for bit,
+with the same errors, raised in the same order.  run_checks is the
+reference for one record of eigb.harness.check_selections.
+
+jacobi_eig is the reference eigensolver for eigb.linalg.hermitian_eig: a
+cyclic complex Jacobi solver, which shares no algorithm with LAPACK.  Its
+stopping test is normwise (the off-diagonal mass relative to ||A||_F), so
+the comparison it supports is normwise too: it resolves each eigenvalue to
+about JACOBI_TOL * ||A||_F, and a small eigenvalue of a graded matrix to no
+better relative accuracy than LAPACK's.
 """
 
 from functools import reduce
+from math import sqrt
 from operator import add
+
+import numpy as np
 
 from eigb.bounds import (
     BoundReport,
@@ -26,13 +37,26 @@ from eigb.errors import (
     DimensionMismatch,
     EigbError,
     IndexOutOfRange,
+    NoConvergence,
     NoSignChange,
     NotNonnegative,
     NotPositiveDefinite,
     NotStable,
 )
 from eigb.harness import CheckResult, Tolerances, VerificationRecord
-from eigb.linalg import Spectrum
+from eigb.linalg import (
+    EigenDecomposition,
+    HermitianMatrix,
+    Spectrum,
+    _decomposition,
+    _finish_eig,
+    _ordered_columns,
+    _unit_scaled,
+)
+
+# Cyclic Jacobi: off-diagonal Frobenius target relative to ||A||_F, sweep cap.
+JACOBI_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 60
 
 
 def pair_sum(xs, ys) -> float:
@@ -325,3 +349,89 @@ def run_checks(sp, idx, tol=Tolerances(), instance_id=0, seed=0):
         inertia=inertia.as_tuple(),
         checks=tuple(checks),
     )
+
+
+def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
+    """Full eigendecomposition by cyclic complex Jacobi rotations.
+
+    Sweeps annihilate every off-diagonal pair in turn until the
+    off-diagonal Frobenius norm drops below JACOBI_TOL * ||A||_F.  Raises
+    NoConvergence if JACOBI_MAX_SWEEPS sweeps do not reach the target
+    (which for Hermitian input they always should: convergence is
+    quadratic once the off-diagonal mass is small).
+
+    The sweeps run on A / 2^e (see eigb.linalg._unit_scaled), so ||A||_F
+    neither overflows nor underflows however A is scaled; the eigenvalues
+    are scaled back by 2^e.
+    """
+    work, exponents = _unit_scaled(a.matrix[None])
+    work = work[0]
+    n = work.shape[0]
+    vectors = np.eye(n, dtype=np.complex128)
+    target = JACOBI_TOL * float(np.linalg.norm(work))
+    # Skipping rotations below this per-element threshold still guarantees
+    # off-norm < target after a quiet sweep: off <= n * threshold.
+    threshold = target / n
+    sweeps = 0
+    while (residual := _off_norm(work)) > target:
+        if sweeps == JACOBI_MAX_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi eigensolver did not converge after {sweeps} sweeps "
+                f"(off-diagonal residual {float(np.ldexp(residual, exponents.item())):.3e})"
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(work[p, q]) > threshold:
+                    _jacobi_rotate(work, vectors, p, q)
+        sweeps += 1
+    values, order = _finish_eig(work.diagonal().real[None], exponents)
+    return _decomposition(values, _ordered_columns(vectors[None], order))
+
+
+def _off_norm(a: np.ndarray) -> float:
+    # Summed directly over off-diagonal entries: subtracting the diagonal
+    # mass from the total norm would cancel catastrophically once the
+    # off-diagonal part is small.
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.linalg.norm(off))
+
+
+def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """Apply one unitary rotation zeroing a[p, q] (and a[q, p]) in place.
+
+    The rotation diagonalizes the 2x2 Hermitian block: phase-align the
+    off-diagonal entry, then a real Givens rotation with the smaller-root
+    tangent for stability.
+    """
+    apq = a[p, q]
+    mag = abs(apq)
+    phase = apq / mag
+    theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+    if theta >= 0.0:
+        t = 1.0 / (theta + sqrt(theta * theta + 1.0))
+    else:
+        t = -1.0 / (-theta + sqrt(theta * theta + 1.0))
+    c = 1.0 / sqrt(t * t + 1.0)
+    s = t * c
+
+    # Columns: M <- M J with J[p,p]=J[q,q]=c, J[p,q]=s*phase, J[q,p]=-s*conj(phase).
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - s * np.conj(phase) * col_q
+    a[:, q] = s * phase * col_p + c * col_q
+    # Rows: M <- J* M.
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - s * phase * row_q
+    a[q, :] = s * np.conj(phase) * row_p + c * row_q
+
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+    vec_p = v[:, p].copy()
+    vec_q = v[:, q].copy()
+    v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
+    v[:, q] = s * phase * vec_p + c * vec_q

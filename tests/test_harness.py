@@ -374,6 +374,25 @@ class TestSampler:
                         assert len(got) == min(count, 2**n - 1)
                         assert got == recipe_selections(seed, n, count, nu)
 
+    @pytest.mark.parametrize(
+        "seed, n, count, nu, message",
+        [
+            (0, 5, -1, None, "count must be >= 0, got -1"),
+            (0, 0, 3, None, "dimension must be >= 1, got 0"),
+            (0, 5, 4, 9, "nu must lie in [0, 5], got 9"),
+            (0, 5, 4, -1, "nu must lie in [0, 5], got -1"),
+            (1.7, 5, 4, None, "seed must be an integer, got 1.7"),
+            (0, 5.0, 4, None, "dimension must be an integer, got 5.0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, seed, n, count, nu, message):
+        with pytest.raises(InvalidSpec) as raised:
+            sample_selections(seed, n, count, nu)
+        assert str(raised.value) == message
+
+    def test_count_zero_is_empty(self):
+        assert sample_selections(0, 5, 0) == sample_selections(0, 5, 0, 5) == []
+
     def test_every_size_occurs(self):
         n = 8
         rng = next(_streams(_words(_seeds([4])), _carrier()))

@@ -141,6 +141,35 @@ INVALID = [
     (CampaignConfig, {"n_min": 5, "n_max": 4}, InvalidSpec, "bad dimension range [5, 4]"),
     (CampaignConfig, {"inertia": (0, 0, 0)}, InvalidSpec, "bad inertia (0, 0, 0)"),
     (CampaignConfig, {"inertia": (-1, 2, 0)}, InvalidSpec, "bad inertia (-1, 2, 0)"),
+    # Integer fields are not truncated, and a range must be finite.
+    (GeneratorSpec, {"n": 2.5, "seed": 1}, InvalidSpec, "dimension must be an integer, got 2.5"),
+    (GeneratorSpec, {"n": 3, "seed": 1.7}, InvalidSpec, "seed must be an integer, got 1.7"),
+    (
+        GeneratorSpec,
+        {"n": 3, "seed": 1, "inertia_target": (1.0, 1, 1)},
+        InvalidSpec,
+        "inertia target counts must be integers, got (1.0, 1, 1)",
+    ),
+    (
+        GeneratorSpec,
+        {"n": 2, "seed": 1, "eigenvalue_range": (0.0, math.inf)},
+        InvalidSpec,
+        "magnitudes must be finite, got [0.0, inf]",
+    ),
+    (CampaignConfig, {"n_min": 2.5, "n_max": 3}, InvalidSpec, "n_min must be an integer, got 2.5"),
+    (CampaignConfig, {"n_max": 3.0}, InvalidSpec, "n_max must be an integer, got 3.0"),
+    (
+        CampaignConfig,
+        {"inertia": (1.0, 1, 0)},
+        InvalidSpec,
+        "inertia counts must be integers, got (1.0, 1, 0)",
+    ),
+    (
+        CampaignConfig,
+        {"inertia": (1, 2)},
+        InvalidSpec,
+        "inertia must have three counts (p, m, z), got (1, 2)",
+    ),
 ]
 
 
@@ -181,6 +210,11 @@ class TestImmutableRecords:
 def test_normalized_types():
     assert all(type(v) is float for v in Spectrum(values=[2, np.float64(1.5)]))
     assert all(type(i) is int for i in IndexSequence(indices=[np.int64(1), 3], n=3).indices)
+    spec = GeneratorSpec(n=np.int64(3), seed=np.uint64(7), inertia_target=[np.int64(1), 1, 1])
+    assert all(type(v) is int for v in (spec.n, spec.seed, *spec.inertia_target))
+    config = CampaignConfig(n_min=np.int32(2), n_max=np.int64(4))
+    assert all(type(v) is int for v in (config.n_min, config.n_max))
+    assert CampaignConfig(inertia=[np.int64(1), 1, 0]).inertia == (1, 1, 0)
 
 
 def test_spectrum_is_a_tuple_of_its_values():

@@ -4,7 +4,9 @@ Everything here is a pure function of sorted spectra: the selected-index
 bounds for the product of a Hermitian matrix with a PSD matrix, their
 reductions for one-signed spectra, the splitting-based upper bound and
 its dominance comparison, the two-eigenvalue and gap corollaries, the
-Ostrowski ratio check, and the classical sum/trace baselines they refine.
+Ostrowski ratio check, and the classical sum/trace baselines they refine;
+and how a check of them is judged: every check's slack tolerance
+(check_tolerance) and the dominance decision (dominance).
 
 All indices on the public surface are 1-based.  Summations over an empty
 range contribute zero, and a spectrum value counts as nonnegative when it
@@ -47,6 +49,9 @@ from .linalg import Spectrum
 TOL_CLASS = 1e-9
 # Base for the magnitude-scaled verification tolerance.
 TOL_VERIFY_BASE = 1e-8
+# Base of the trace-consistency tolerance, which the verification base does
+# not set.
+TOL_TRACE_BASE = 1e-9
 
 
 class Inertia(namedtuple("Inertia", ["positive", "negative", "zero"])):
@@ -162,19 +167,31 @@ def _product_cut(rho_a, rho_b, tol: float):
     return tol * rho_a * rho_b
 
 
+def check_tolerance(base: float, scale, k):
+    """Every check's slack tolerance, base * (1 + scale * k), for sides that
+    add k terms of magnitude up to scale.  With rho the spectral radius
+    (_radius): rho(A) * rho(B) at the selection's k for the main bounds,
+    dominance, gap and trace bracket (verify_tolerance); rho(A) + rho(B) at
+    k for Wielandt; rho(B) at 1 for Ostrowski; ||A||_F * ||B||_F at 1, on
+    base TOL_TRACE_BASE, for trace consistency.  Arrays give arrays."""
+    return base * (1.0 + scale * k)
+
+
 def verify_tolerance(spec_a: Spectrum, spec_b: Spectrum, k, base: float = TOL_VERIFY_BASE):
-    """Slack tolerance scaled to the magnitude of a k-term product bound.
+    """Slack tolerance scaled to the magnitude of a k-term product bound
+    (check_tolerance at rho(A) * rho(B)).
 
     k may be an integer array, and the spectra (m, n) arrays (one radius per
     row); the result is then an array, entry by entry equal to the scalar one.
     """
-    return _verify_tolerance(_radius(spec_a), _radius(spec_b), k, base)
+    return check_tolerance(base, _radius(spec_a) * _radius(spec_b), k)
 
 
-def _verify_tolerance(rho_a, rho_b, k, base: float):
-    """verify_tolerance from the spectral radii (_radius) of A and B, for a
-    caller that computes each radius once for many checks."""
-    return base * (1.0 + rho_a * rho_b * k)
+def dominance(sums, tau):
+    """The dominance decision on selection_bounds or selection_bounds_batch
+    sums: the slack T2 - T1, and whether it is at least -tau (NaN fails)."""
+    slack = sums.t2 - sums.t1
+    return slack, slack >= -tau
 
 
 @np.errstate(over="ignore", invalid="ignore")

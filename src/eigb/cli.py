@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 from . import bounds as bnd
 from .errors import EigbError, NoSignChange, NotPositiveDefinite
 from .linalg import (
+    TOL_HERM,
     Spectrum,
     _eig_values,
     product_spectrum,
@@ -70,7 +71,7 @@ def _default_tol_verify() -> float:
 _TOLERANCE_FLAGS = {
     "tol_class": (bnd.TOL_CLASS, "relative threshold classifying eigenvalues as zero"),
     "tol_verify": (None, "base slack tolerance (env EIGB_TOL_VERIFY overrides the default)"),
-    "tol_herm": (1e-9, "relative hermiticity acceptance tolerance"),
+    "tol_herm": (TOL_HERM, "relative hermiticity acceptance tolerance"),
 }
 
 
@@ -130,7 +131,7 @@ def cmd_bounds(args) -> int:
     report, sums = bnd._bound_report(spec_a, spec_b, spec_ab, idx, args.tol_class)
     inertia = bnd.inertia_of(spec_a, args.tol_class)
     tau = bnd.verify_tolerance(spec_a, spec_b, idx.k, args.tol_verify)
-    dominance_ok = sums.t1 <= sums.t2 + tau
+    _, dominance_ok = bnd.dominance(sums, tau)
 
     gap_section = None
     try:

@@ -25,6 +25,7 @@ a stacked campaign reports exactly what one instance at a time would.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from collections import namedtuple
@@ -38,11 +39,13 @@ from .bounds import (
     IndexSequence,
     SelectionIndex,
     TOL_CLASS,
+    TOL_TRACE_BASE,
     TOL_VERIFY_BASE,
     _radius,
     _row_sums,
     _positions,
-    _verify_tolerance,
+    check_tolerance,
+    dominance,
     gap_bound_batch,
     inertia_counts,
     ostrowski_batch,
@@ -95,8 +98,8 @@ _RANGE = (0.1, 10.0)
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable splittable hash (splitmix64 finalizer) for per-instance seeds.
-    The master seed is read mod 2^64."""
-    x = (int(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    The master seed is an integer (see _integer), read mod 2^64."""
+    x = (_integer(master_seed, "master seed") + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -192,6 +195,18 @@ def _counts(values, what: str) -> tuple[int, int, int]:
     return counts
 
 
+def _magnitudes(values) -> tuple:
+    """An eigenvalue_range (lo, hi) as its two numbers; InvalidSpec unless
+    it is two real numbers (a string is not one)."""
+    try:
+        lo, hi = values
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+        raise InvalidSpec(f"eigenvalue_range must be two real numbers, got {values!r}")
+    return lo, hi
+
+
 class GeneratorSpec(
     namedtuple("GeneratorSpec", ["n", "seed", "eigenvalue_range", "inertia_target"])
 ):
@@ -213,7 +228,7 @@ class GeneratorSpec(
         n, seed = _integer(n, "dimension"), _integer(seed, "seed")
         if n < 1:
             raise InvalidSpec(f"dimension must be >= 1, got {n}")
-        lo, hi = eigenvalue_range
+        lo, hi = _magnitudes(eigenvalue_range)
         if not (0.0 <= lo <= hi):
             raise InvalidSpec(f"need 0 <= lo <= hi magnitudes, got [{lo}, {hi}]")
         if not math.isfinite(hi):
@@ -395,7 +410,8 @@ class SpectraStack(NamedTuple):
     """Eigendata computed once per (A, B) instance and shared across its
     selections, for m same-n instances: each spectrum an (m, n) array, one
     descending row per instance (spec_b clamped to nonnegative values,
-    spec_b_raw as computed); trace_product and norm_scale (m,)."""
+    spec_b_raw as computed); trace_product and norm_product (m,), the
+    product of the Frobenius norms of A and B."""
 
     spec_a: np.ndarray
     spec_b: np.ndarray
@@ -403,7 +419,7 @@ class SpectraStack(NamedTuple):
     spec_ab: np.ndarray
     spec_sum: np.ndarray
     trace_product: np.ndarray
-    norm_scale: np.ndarray
+    norm_product: np.ndarray
 
 
 def instance_spectra(a: HermitianMatrix, b: PSDMatrix) -> SpectraStack:
@@ -427,10 +443,10 @@ def _spectra_stack(pair: np.ndarray, b_values: np.ndarray, b_vectors: np.ndarray
     # The product of the norms overflows to inf at extreme scales.
     with np.errstate(over="ignore"):
         norms_a, norms_b = _frobenius_norms(pair)
-        norm_scales = 1.0 + norms_a * norms_b
+        norm_products = norms_a * norms_b
     # PSDMatrix.spectrum: eigenvalues of B below zero, within tolerance, read as zero.
     clamped = np.where(b_values < 0.0, 0.0, b_values)
-    stack = SpectraStack(values_a, clamped, b_values, values_ab, values_sum, traces, norm_scales)
+    stack = SpectraStack(values_a, clamped, b_values, values_ab, values_sum, traces, norm_products)
     _check_spectra(np.stack(stack[:5], axis=1))
     return stack
 
@@ -539,10 +555,10 @@ def check_selections(
     as with Python floats).  The checks that do not depend on the selection
     (gap, Ostrowski and the trace pair) are evaluated once.  Records are
     read off the columns, and built only when asked for:
-    SelectionChecks.record(r), or .failures.  Computational errors never
-    propagate: they end each record with a failed "computation" check.
-    This is a campaign's stacked check (_check_stack) on a stack of one
-    instance.
+    SelectionChecks.record(r), or .failures.  A gap check that raises
+    ConsistencyError does not propagate: it ends each record with a failed
+    "computation" check.  This is a campaign's stacked check (_check_stack)
+    on a stack of one instance.
 
     The selections of _exhaustive(n) are checked against the SelectionIndex
     cached with them.  Any other selections are first checked as
@@ -585,98 +601,76 @@ def _check_stack(sp: SpectraStack, index: SelectionIndex, tol: Tolerances) -> St
     sel = gathered[2]
     sums = selection_bounds_batch(a, b, index, tol.tol_class, rho_a, sel)
     inertia = sums.inertia
-    tau = _verify_tolerance(rho_a, rho_b, ks, tol.verify_base)
-    columns: list[CheckColumn] = []
-
-    def split_terms(i: int, r: int) -> str:
-        return f"T1={sums.t1[i, r].item()!r} T2={sums.t2[i, r].item()!r}"
-
-    try:
-        actual, w_actual, a_sums = _row_sums(gathered)
-        columns.append(_bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every))
+    tau = check_tolerance(tol.verify_base, rho_a * rho_b, ks)
+    actual, w_actual, a_sums = _row_sums(gathered)
+    slack, held = dominance(sums, tau)
+    columns = [
+        _bracket_column("main-bounds", sums.lower, actual, sums.upper, tau, every),
+        CheckColumn("dominance", every, held, slack, sums.t1, upper=sums.t2, upper_slack=slack),
+    ]
+    psd = every & (inertia[:, 1:2] == 0)
+    if psd.any():
         columns.append(
-            _upper_column("dominance", sums.upper, sums.split_upper, tau, every, split_terms)
+            _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, psd)
         )
-        psd = every & (inertia[:, 1:2] == 0)
-        if psd.any():
-            columns.append(
-                _reduction_column("reduction-psd", sums, sums.psd_lower, sums.psd_upper, psd)
-            )
-        stable = inertia[:, 0] == 0
-        if stable.any():
-            cut = (tol.tol_class * rho_a)[..., None]
-            exact = ~np.any(index.live & (sel >= -cut) & (sel != 0.0), axis=-2)
-            columns.append(
-                _reduction_column(
-                    "reduction-stable",
-                    sums,
-                    sums.stable_lower,
-                    sums.stable_upper,
-                    stable[:, None] & exact,
-                )
-            )
-        full = np.broadcast_to(ks == n, every.shape)
-        if full.any():
-            tr_lo, tr_up = trace_bounds_batch(a, b)
-            trace = sp.trace_product[:, None]
-            # Spectrum.sum: Python's sum of the values.
-            agreement = np.abs(trace - np.array([[sum(v)] for v in ab.tolist()]))
-            columns.append(
-                _bracket_column("trace-bracket", tr_lo[:, None], trace, tr_up[:, None], tau, full)
-            )
-            columns.append(
-                _upper_column(
-                    "trace-consistency", agreement, 1e-9 * sp.norm_scale[:, None], 0.0, full
-                )
-            )
+    stable = inertia[:, 0] == 0
+    if stable.any():
+        cut = (tol.tol_class * rho_a)[..., None]
+        exact = stable[:, None] & ~np.any(index.live & (sel >= -cut) & (sel != 0.0), axis=-2)
+        columns.append(
+            _reduction_column("reduction-stable", sums, sums.stable_lower, sums.stable_upper, exact)
+        )
+    full = np.broadcast_to(ks == n, every.shape)
+    if full.any():
+        tr_lo, tr_up = trace_bounds_batch(a, b)
+        trace = sp.trace_product[:, None]
+        # Spectrum.sum's order: left to right, from zero.
+        agreement = np.abs(trace - _row_sums(ab[:, :, None]))
+        tau_trace = check_tolerance(TOL_TRACE_BASE, sp.norm_product[:, None], 1)
+        columns.append(
+            _bracket_column("trace-bracket", tr_lo[:, None], trace, tr_up[:, None], tau, full)
+        )
+        columns.append(_upper_column("trace-consistency", agreement, tau_trace, 0.0, full))
 
-        gap = gap_bound_batch(a, b, ab, radii, tol.tol_class)
-        errors = gap.errors
-        inconsistent = np.zeros(m, dtype=bool)
-        inconsistent[list(errors)] = True
-        consistent = every & ~inconsistent[:, None]
-        if gap.applies.any():
-            columns.append(
-                _upper_column(
-                    "gap", gap.gap[:, None], gap.bound[:, None], tau, every & gap.applies[:, None]
-                )
+    gap = gap_bound_batch(a, b, ab, radii, tol.tol_class)
+    errors = gap.errors
+    inconsistent = np.zeros(m, dtype=bool)
+    inconsistent[list(errors)] = True
+    consistent = every & ~inconsistent[:, None]
+    if gap.applies.any():
+        columns.append(
+            _upper_column(
+                "gap", gap.gap[:, None], gap.bound[:, None], tau, every & gap.applies[:, None]
             )
+        )
 
-        ost = ostrowski_batch(a, ab, b, radii, tol.tol_class)
-        ost_applies = ost.definite & ost.used.any(axis=1)
-        if ost_applies.any():
-            columns.append(
-                _bracket_column(
-                    "ostrowski",
-                    ost.low[:, None],
-                    ost.offender[:, None],
-                    ost.high[:, None],
-                    # The Ostrowski ratios are bracketed by the spectrum of B.
-                    tol.verify_base * (1.0 + rho_b),
-                    consistent & ost_applies[:, None],
-                    (ost.worst_low[:, None], ost.worst_high[:, None]),
-                )
+    ost = ostrowski_batch(a, ab, b, radii, tol.tol_class)
+    ost_applies = ost.definite & ost.used.any(axis=1)
+    if ost_applies.any():
+        columns.append(
+            _bracket_column(
+                "ostrowski",
+                ost.low[:, None],
+                ost.offender[:, None],
+                ost.high[:, None],
+                check_tolerance(tol.verify_base, rho_b, 1),
+                consistent & ost_applies[:, None],
+                (ost.worst_low[:, None], ost.worst_high[:, None]),
             )
+        )
 
-        w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index, a_sums)
-        # The A + B bracket sums k terms of A and of B.
-        tau_sum = tol.verify_base * (1.0 + (rho_a + rho_b) * ks)
-        columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, consistent))
-        if errors:
-            columns.append(
-                CheckColumn(
-                    "computation",
-                    ~consistent,
-                    ~every,
-                    np.zeros(every.shape),
-                    0.0,
-                    detail=lambda i, r: _computation(errors[i]),
-                )
-            )
-    except EigbError as exc:
+    w_lo, w_up = wielandt_sum_bounds_batch(a, sp.spec_b_raw, index, a_sums)
+    tau_sum = check_tolerance(tol.verify_base, rho_a + rho_b, ks)
+    columns.append(_bracket_column("wielandt", w_lo, w_actual, w_up, tau_sum, consistent))
+    if errors:
         columns.append(
             CheckColumn(
-                "computation", every, ~every, np.zeros(every.shape), 0.0, detail=_computation(exc)
+                "computation",
+                ~consistent,
+                ~every,
+                np.zeros(every.shape),
+                0.0,
+                detail=lambda i, r: _computation(errors[i]),
             )
         )
 
@@ -1153,7 +1147,7 @@ def _plans(
     (seed, 3): words 1..3 of its stream.
     """
     index = np.arange(window.start, window.stop)
-    seed = _derived(np.uint64(int(master_seed) & _MASK64), index)
+    seed = _derived(np.uint64(master_seed & _MASK64), index)
     words = _words(seed)
     if config.inertia is None:
         u = np.empty((len(index), 2))
@@ -1248,7 +1242,8 @@ def run_campaign(
 
     Failures are collected rather than raised: slack statistics across the
     whole campaign are part of the result.  Identical inputs produce an
-    identical report.
+    identical report.  master_seed is an integer (see _integer), read mod
+    2^64.
 
     Up to STACK_WINDOW consecutive instances are planned at a time, then
     generated and solved in same-n stacks (_stacked_spectra), then checked
@@ -1263,6 +1258,7 @@ def run_campaign(
     """
     if count < 1:
         raise InvalidCount(f"instance count must be >= 1, got {count}")
+    master_seed = _integer(master_seed, "master seed")
     start = time.monotonic()
     stats: dict[str, CheckStats] = {}
     failures: list[VerificationRecord] = []

@@ -266,7 +266,7 @@ def run_checks(sp, idx, tol=Tolerances(), instance_id=0, seed=0):
     """The record of one selection of the one instance of a SpectraStack,
     check by check on Python floats through the formulas above."""
     spec_a, spec_b, spec_b_raw, spec_ab, spec_sum = (Spectrum(s[0].tolist()) for s in sp[:5])
-    trace_product, norm_scale = sp.trace_product[0].item(), sp.norm_scale[0].item()
+    trace_product, norm_scale = sp.trace_product[0].item(), 1.0 + sp.norm_product[0].item()
     checks = []
     n, k = idx.n, idx.k
     sums = selection_bounds(spec_a, spec_b, idx, tol.tol_class)
@@ -277,11 +277,7 @@ def run_checks(sp, idx, tol=Tolerances(), instance_id=0, seed=0):
     try:
         actual = selected_sum(spec_ab, idx)
         checks.append(_bracket_check("main-bounds", lower, actual, upper, tau))
-        checks.append(
-            _upper_check(
-                "dominance", upper, sums.split_upper, tau, detail=f"T1={sums.t1!r} T2={sums.t2!r}"
-            )
-        )
+        checks.append(_upper_check("dominance", sums.t1, sums.t2, tau))
         if inertia.negative == 0:
             red_lo, red_up = psd_product_bounds(spec_a, spec_b, idx, tol.tol_class)
             diff = max(abs(red_lo - lower), abs(red_up - upper))

@@ -394,7 +394,7 @@ class TestTraceBounds:
 def dominance(spec_a, spec_b, idx):
     """(T1, T2, dominance_ok) as `eigb bounds` reports them at the default tolerance."""
     sums = selection_bounds(spec_a, spec_b, idx)
-    return sums.t1, sums.t2, sums.t1 <= sums.t2 + verify_tolerance(spec_a, spec_b, idx.k)
+    return sums.t1, sums.t2, bounds.dominance(sums, verify_tolerance(spec_a, spec_b, idx.k))[1]
 
 
 class TestSplittingUpperBound:
@@ -457,6 +457,42 @@ class TestCompareSplitVsMain:
         )
         _, _, ok = dominance(spec_a, b.spectrum, idx)
         assert ok
+
+
+    def test_decided_on_the_second_summations(self):
+        # The first summation, shared by both upper bounds, overflows to inf;
+        # T1 and T2 do not, so the decision holds at tolerance 0 and fails
+        # only at a NaN tolerance.
+        spec = Spectrum(values=(1e200, 1.0))
+        sums = selection_bounds(spec, spec, idx_of((1,), 2))
+        assert sums.upper == sums.split_upper == float("inf")
+        assert bounds.dominance(sums, 0.0) == (0.0, True)
+        assert bounds.dominance(sums, float("nan")) == (0.0, False)
+
+    def test_batch_decision_entry_by_entry(self):
+        a, b = np.array([SA]), np.array([SB])
+        masks = selection_masks([(1,), (1, 3), (2, 3)], 3)
+        batch = selection_bounds_batch(a, b, selection_index(masks))
+        tau = verify_tolerance(a, b, selection_index(masks).ks)
+        slack, held = bounds.dominance(batch, tau)
+        for r, indices in enumerate([(1,), (1, 3), (2, 3)]):
+            idx = idx_of(indices, 3)
+            want = bounds.dominance(selection_bounds(SA, SB, idx), verify_tolerance(SA, SB, idx.k))
+            assert (slack[0, r].item(), held[0, r].item()) == want
+
+
+class TestCheckTolerance:
+    def test_verify_tolerance_reads_it(self):
+        for base, k in [(1e-8, 1), (0.25, 3), (0.0, 2)]:
+            want = bounds.check_tolerance(base, 4.0 * 3.0, k)
+            assert verify_tolerance(SA, SB, k, base) == want == base * (1.0 + 12.0 * k)
+
+    def test_arrays_entry_by_entry(self):
+        scale, ks = np.array([[2.0], [0.5]]), np.array([1, 2, 3])
+        got = bounds.check_tolerance(1e-8, scale, ks)
+        assert got.shape == (2, 3)
+        for i, r in np.ndindex(got.shape):
+            assert got[i, r] == bounds.check_tolerance(1e-8, scale[i, 0].item(), ks[r].item())
 
 
 class TestPairBounds:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigb import bounds
+from eigb import bounds, cli, linalg
 from eigb.cli import main
 from eigb.harness import (
     GeneratorSpec,
@@ -119,6 +119,13 @@ class TestBounds:
     def test_decreasing_indices_exit_2(self, example_files, capsys):
         a, b = example_files
         assert main(["bounds", "--a", a, "--b", b, "--indices", "3,1"]) == 2
+
+    def test_non_integer_indices_exit_2(self, example_files, capsys):
+        a, b = example_files
+        assert main(["bounds", "--a", a, "--b", b, "--indices", "1,x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: indices must be a comma list of integers, got '1,x'\n"
+        )
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.mat")
@@ -272,6 +279,16 @@ class TestVerify:
         assert captured.err == ""
         assert code in (0, 1) and captured.out
 
+    def test_dominance_at_extreme_scale(self, tmp_path, capsys):
+        # A = diag(1e200, 1) against B = diag(1, 1e200): both upper bounds of
+        # selections 1 and 1,2 overflow to inf, but dominance compares their
+        # second summations T1 = T2 = 0, as `bounds` does.
+        a_path, b_path = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a_path, np.diag([1e200, 1.0]))
+        save_matrix(b_path, np.diag([1.0, 1e200]))
+        assert main(["verify", "--a", str(a_path), "--b", str(b_path)]) == 0
+        assert capsys.readouterr().out == "checking all 3 selections on n=2\nall inequalities hold\n"
+
     def test_ostrowski_tolerance_scales_with_b(self, tmp_path, capsys):
         # The Ostrowski ratios are about 1e200 here, so their rounding error
         # (about 1e184) must be judged against a tolerance scaled by B.
@@ -294,6 +311,10 @@ class TestFuzz:
 
     def test_bad_inertia_exit_2(self, capsys):
         assert main(["fuzz", "--count", "1", "--inertia", "1,2"]) == 2
+
+    def test_non_integer_inertia_exit_2(self, capsys):
+        assert main(["fuzz", "--count", "1", "--inertia", "a,b,c"]) == 2
+        assert capsys.readouterr().err == "error: inertia must be p,m,z integers, got 'a,b,c'\n"
 
     def test_inertia_with_dimension_range_exit_2(self, capsys):
         # --inertia fixes n = p + m + z, so a dimension range beside it
@@ -475,6 +496,10 @@ class TestLapackCalls:
 class TestUsage:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
+
+    def test_tol_herm_default_is_the_linalg_constant(self):
+        for argv in (["example"], ["spectrum", "--a", "A"], ["verify", "--a", "A", "--b", "B"]):
+            assert cli._parser().parse_args(argv).tol_herm == linalg.TOL_HERM
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -22,6 +22,7 @@ from eigb.bounds import (
 )
 from eigb.errors import (
     ConsistencyError,
+    DimensionMismatch,
     EigbError,
     InvalidCount,
     InvalidIndexSequence,
@@ -80,6 +81,20 @@ class TestSeedDerivation:
     def test_master_separation(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
 
+    def test_float_master_seed_rejected(self):
+        # A float is not truncated to the integer below it.
+        for call in (lambda: derive_seed(1.7, 0), lambda: run_campaign(2, master_seed=1.7)):
+            with pytest.raises(InvalidSpec) as raised:
+                call()
+            assert str(raised.value) == "master seed must be an integer, got 1.7"
+
+    def test_master_seed_read_mod_2_64(self):
+        assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3)
+        assert derive_seed(2**64 + 5, 0) == derive_seed(np.int64(5), 0) == derive_seed(5, 0)
+        config = CampaignConfig(n_min=2, n_max=3)
+        want = run_campaign(2, config, master_seed=2**64 - 1).to_json_dict()
+        assert run_campaign(2, config, master_seed=-1).to_json_dict() == want
+
 
 class TestGeneratorSpec:
     def test_bad_inertia_sum(self):
@@ -93,6 +108,18 @@ class TestGeneratorSpec:
     def test_bad_dimension(self):
         with pytest.raises(InvalidSpec):
             GeneratorSpec(n=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "bad", [(1.0,), ("a", "b"), ("1", "2"), (0.1, 1.0, 2.0), "12", 5.0, None, (1j, 2.0)]
+    )
+    def test_malformed_range(self, bad):
+        with pytest.raises(InvalidSpec) as raised:
+            GeneratorSpec(n=2, seed=1, eigenvalue_range=bad)
+        assert str(raised.value) == f"eigenvalue_range must be two real numbers, got {bad!r}"
+
+    def test_range_of_any_real_numbers(self):
+        for good in [(0, 2), [0.5, 1.0], (np.float32(0.5), np.int64(3)), (Fraction(1, 2), 1.0)]:
+            assert GeneratorSpec(n=2, seed=1, eigenvalue_range=good).eigenvalue_range is good
 
 
 class TestGenHermitian:
@@ -909,6 +936,15 @@ class TestStackedChecks:
                 record = repr(run_checks(sp, IndexSequence(indices=c, n=n), tol, i, 100 + i))
                 assert repr(stacked.record(r)) == repr(alone.record(r)) == record
             assert [repr(f) for f in stacked.failures] == [repr(f) for f in alone.failures]
+
+    def test_mismatched_spectrum_of_b_raises(self):
+        # A hand-built stack whose B spectrum, clamped or raw, is shorter
+        # than the others is an input error, not a "computation" record.
+        sp = instance_spectra(validate_hermitian(A3), validate_psd(B3))
+        for field in ("spec_b", "spec_b_raw"):
+            bad = sp._replace(**{field: getattr(sp, field)[:, :-1]})
+            with pytest.raises(DimensionMismatch):
+                check_selections(bad, all_selections(3))
 
 
 class TestRunCampaign:

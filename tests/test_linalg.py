@@ -660,7 +660,7 @@ class TestStackedMatchesPerMatrix:
                 "spec_ab": product_spectrum(ha, pb).values,
                 "spec_sum": _eig_values((ha.matrix + pb.matrix)[None])[0],
                 "trace_product": np.trace(ha.matrix @ pb.matrix).real,
-                "norm_scale": 1.0 + frobenius_reference(ha.matrix) * frobenius_reference(pb.matrix),
+                "norm_product": frobenius_reference(ha.matrix) * frobenius_reference(pb.matrix),
             }
             for name, value in want.items():
                 assert same_bits(getattr(stacked, name)[i], value), (name, i)

@@ -458,7 +458,6 @@ class TestCompareSplitVsMain:
         _, _, ok = dominance(spec_a, b.spectrum, idx)
         assert ok
 
-
     def test_decided_on_the_second_summations(self):
         # The first summation, shared by both upper bounds, overflows to inf;
         # T1 and T2 do not, so the decision holds at tolerance 0 and fails

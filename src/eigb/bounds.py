@@ -43,7 +43,7 @@ from .errors import (
     NotStable,
     SignConditionViolated,
 )
-from .linalg import Spectrum
+from .linalg import Spectrum, _radius
 
 # Relative threshold below which an eigenvalue counts as zero.
 TOL_CLASS = 1e-9
@@ -390,8 +390,7 @@ def pair_bounds(
     with s < t; pairs each factor eigenvalue with an extreme eigenvalue
     of B.
     """
-    _require_same_dim(spec_a, spec_b)
-    _require_same_dim(spec_a, spec_ab)
+    _rows(spec_a, spec_b, spec_ab)  # only for its length check
     n = len(spec_a)
     if not (1 <= s < t <= n):
         raise IndexOutOfRange(f"need 1 <= s < t <= {n}, got s={s}, t={t}")
@@ -576,26 +575,24 @@ def selection_bounds_batch(
     inertia = inertia_counts(a, tol, radius)
     nu = n - inertia[:, 1]
     head = np.arange(n)[:, None] < kap[:, None, :]
-    tail = index.live & ~head
     late = _take(b, index.late)
-    # The eight pairing rows, written into one buffer: the four products of
+    # The seven pairing rows, written into one buffer: the four products of
     # the both-PSD and stable brackets (sel against b[n-1-t], b[t], b[k-1-t]
-    # and b[n-k+t]) and the main and T1 pairings spliced from them at kap.
-    # sel is 0.0 outside each selection and b is finite, so the products
-    # are too.  The buffer is position-major, so _row_sums adds one
-    # contiguous slab per position.
-    terms = np.moveaxis(np.empty((n, 8) + kap.shape), 0, -2)
-    lower, upper, t1, first, bottom, top, early, late_terms = terms
+    # and b[n-k+t]), the lower bound spliced from them at kap, and the upper
+    # bound's two summations.  sel is 0.0 outside each selection and b is
+    # finite, so the products are +-0.0 there, which change no total
+    # (_row_sums): T1 needs no mask there.  The buffer is position-major, so
+    # _row_sums adds one contiguous slab per position.
+    terms = np.moveaxis(np.empty((n, 7) + kap.shape), 0, -2)
+    lower, t1, first, bottom, top, early, late_terms = terms
     np.multiply(sel, b[:, ::-1, None], out=bottom)
     np.multiply(sel, b[:, :, None], out=top)
     np.multiply(sel, _take(b, index.early), out=early)
     np.multiply(sel, late, out=late_terms)
     np.copyto(lower, early)
     np.copyto(lower, bottom, where=head)
-    np.copyto(upper, late_terms)
-    np.copyto(upper, top, where=head)
-    t1.fill(0.0)
-    np.copyto(t1, late_terms, where=tail)
+    np.copyto(t1, late_terms)
+    np.copyto(t1, 0.0, where=head)
     first.fill(0.0)
     np.copyto(first, top, where=head)
     sums = _row_sums(terms)
@@ -608,15 +605,16 @@ def selection_bounds_batch(
     rest = np.where(use, a[:, low:, None] * late[..., low:, :], 0.0)
     return SelectionBoundsBatch(
         lower=sums[0],
-        upper=sums[1],
+        # The main upper bound is its first summation continued by T1.
+        upper=_row_sums(t1, sums[2]),
         kap=kap,
-        split_upper=_row_sums(rest, sums[3]),
-        t1=sums[2],
+        split_upper=_row_sums(rest, sums[2]),
+        t1=sums[1],
         t2=_row_sums(rest),
-        psd_lower=sums[4],
-        psd_upper=sums[5],
-        stable_lower=sums[6],
-        stable_upper=sums[7],
+        psd_lower=sums[3],
+        psd_upper=sums[4],
+        stable_lower=sums[5],
+        stable_upper=sums[6],
         inertia=inertia,
     )
 
@@ -782,31 +780,16 @@ def _take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _rows(*specs: Spectrum) -> list[np.ndarray]:
     """Each spectrum as a stack of one instance, (1, n); DimensionMismatch
     unless every one has the length of the first (checked in turn)."""
-    for spec in specs[1:]:
-        _require_same_dim(specs[0], spec)
-    return [np.array([spec]) for spec in specs]
+    rows = [np.array([spec]) for spec in specs]
+    for row in rows[1:]:
+        _require_same_shape(rows[0], row)
+    return rows
 
 
 def _index(idx: IndexSequence, values: np.ndarray) -> SelectionIndex:
     """The SelectionIndex of one selection, for a stack of spectra of its dimension."""
     _require_indexable(values, idx.n)
     return selection_index(selection_masks([idx.indices], idx.n))
-
-
-def _radius(spec):
-    """max(|first|, |last|) as Python's max picks it (the last only if it is
-    larger): a float for a Spectrum, an (m, 1) column for an (m, n) array."""
-    if isinstance(spec, np.ndarray):
-        first, last = np.abs(spec[:, :1]), np.abs(spec[:, -1:])
-        return np.where(last > first, last, first)
-    return max(abs(spec[0]), abs(spec[-1]))
-
-
-def _require_same_dim(spec_a: Spectrum, spec_b: Spectrum) -> None:
-    if len(spec_a) != len(spec_b):
-        raise DimensionMismatch(
-            f"spectra have different lengths: {len(spec_a)} vs {len(spec_b)}"
-        )
 
 
 def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:

@@ -41,7 +41,6 @@ from .bounds import (
     TOL_CLASS,
     TOL_TRACE_BASE,
     TOL_VERIFY_BASE,
-    _radius,
     _row_sums,
     _positions,
     check_tolerance,
@@ -72,6 +71,7 @@ from .linalg import (
     _frobenius_norms,
     _product_values,
     _psd_eig,
+    _radius,
     _same_size,
     _validated,
     validate_hermitian,
@@ -98,8 +98,9 @@ _RANGE = (0.1, 10.0)
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable splittable hash (splitmix64 finalizer) for per-instance seeds.
-    The master seed is an integer (see _integer), read mod 2^64."""
-    x = (_integer(master_seed, "master seed") + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    The master seed and the index are integers (see _integer), read mod 2^64."""
+    seed, index = _integer(master_seed, "master seed"), _integer(index, "index")
+    x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -342,11 +343,23 @@ def _exhaustive(n: int) -> tuple[tuple[tuple[int, ...], ...], SelectionIndex]:
     return cached
 
 
-class Tolerances(NamedTuple):
-    """Knobs shared by every check: zero classification and slack scaling."""
+class Tolerances(namedtuple("Tolerances", ["tol_class", "verify_base"])):
+    """Knobs shared by every check: zero classification and slack scaling.
+    Each is a nonnegative real number; InvalidSpec otherwise (NaN included)."""
 
-    tol_class: float = TOL_CLASS
-    verify_base: float = TOL_VERIFY_BASE
+    __slots__ = ()
+
+    def __new__(cls, tol_class: float = TOL_CLASS, verify_base: float = TOL_VERIFY_BASE):
+        for name, value in (("tol_class", tol_class), ("verify_base", verify_base)):
+            # Written as "not >= 0" so that NaN fails too.
+            if not (isinstance(value, numbers.Real) and value >= 0):
+                raise InvalidSpec(f"{name} must be a nonnegative real number, got {value!r}")
+        return super().__new__(cls, tol_class, verify_base)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too.
+        return cls(*iterable)
 
 
 class CheckResult(NamedTuple):

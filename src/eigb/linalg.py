@@ -14,6 +14,10 @@ A + B and B^(1/2) A B^(1/2), and so product_spectrum) and runs without
 them, through numpy.linalg.eigvalsh, which is faster.  The two modes share
 the tridiagonal reduction but not its eigensolver, so a values-only
 spectrum can differ from hermitian_eig(...).spectrum in the last bits.
+Both return each spectrum in ascending order, as numpy documents; it is
+reversed (with eigh's eigenvector columns), never sorted, and every
+spectrum passes Spectrum's checks (Spectrum, or _check_spectra for a
+stack), so an order LAPACK broke would raise, not pass.
 
 Validation, the eigensolver, the PSD square root and the product spectrum
 are written once, for stacks: arrays (m, n, n) of same-size matrices with
@@ -25,7 +29,6 @@ alone from each of them (the tests check this on the installed BLAS).
 
 from __future__ import annotations
 
-from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -61,11 +64,7 @@ class Spectrum(tuple):
         vals = tuple(float(v) for v in values)
         if len(vals) == 0:
             raise ValueError("spectrum must contain at least one value")
-        if not all(map(isfinite, vals)):
-            raise ValueError("spectrum values must be finite")
-        for a, b in zip(vals, vals[1:]):
-            if a < b:
-                raise ValueError("spectrum values must be non-increasing")
+        _check_spectra(np.array(vals))
         return super().__new__(cls, vals)
 
     def __repr__(self) -> str:
@@ -93,6 +92,15 @@ def _check_spectra(values: np.ndarray) -> None:
         if infinite[first]:
             raise ValueError("spectrum values must be finite")
         raise ValueError("spectrum values must be non-increasing")
+
+
+def _radius(spec):
+    """max(|first|, |last|) as Python's max picks it (the last only if it is
+    larger): a float for a Spectrum, an (m, 1) column for an (m, n) array."""
+    if isinstance(spec, np.ndarray):
+        first, last = np.abs(spec[:, :1]), np.abs(spec[:, -1:])
+        return np.where(last > first, last, first)
+    return max(abs(spec[0]), abs(spec[-1]))
 
 
 class EigenDecomposition(NamedTuple):
@@ -211,8 +219,8 @@ def _psd_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     TOL_PSD relative to its spectral radius (NotPositiveSemidefinite for the
     first that is not)."""
     values, vectors = _eig(m)
-    lowest, highest = values[:, -1], values[:, 0]
-    thresholds = TOL_PSD * np.where(-lowest > highest, -lowest, highest)
+    lowest = values[:, -1]
+    thresholds = TOL_PSD * _radius(values)[:, 0]
     rejected = lowest < -thresholds
     if rejected.any():
         i = int(np.argmax(rejected))
@@ -244,7 +252,8 @@ def hermitian_eig(a: HermitianMatrix) -> EigenDecomposition:
 
 def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (m, n), each row descending, and the matching eigenvector
-    columns (m, n, n) of a stack of Hermitian matrices.
+    columns (m, n, n) of a stack of Hermitian matrices: LAPACK's ascending
+    values and their columns, reversed.
 
     LAPACK runs on each M / 2^e (see _unit_scaled) and the eigenvalues are
     scaled back by 2^e, so the result does not depend on how M is scaled
@@ -253,8 +262,7 @@ def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NoConvergence.
     """
     (values, vectors), exponents = _lapack(eigh, m)
-    values, order = _finish_eig(values, exponents)
-    return values, _ordered_columns(vectors, order)
+    return _finish_eig(values, exponents), vectors[..., ::-1]
 
 
 def _eig_values(m: np.ndarray) -> np.ndarray:
@@ -264,7 +272,7 @@ def _eig_values(m: np.ndarray) -> np.ndarray:
     reads.  They agree with _eig's, and so with hermitian_eig(...).spectrum,
     to rounding (within 4 n eps rho), but can differ in the last bits."""
     values, exponents = _lapack(eigvalsh, m)
-    return _finish_eig(values, exponents)[0]
+    return _finish_eig(values, exponents)
 
 
 def _lapack(solve, m: np.ndarray):
@@ -277,22 +285,14 @@ def _lapack(solve, m: np.ndarray):
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
 
-def _finish_eig(values: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale the eigenvalues (m, n) of each M / 2^e back by 2^e (exponents as
-    _unit_scaled gives them) and sort each row descending, stably: the
-    sorted rows and the order (m, n) that sorts them."""
+def _finish_eig(values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Scale the ascending eigenvalues (m, n) of each M / 2^e back by 2^e
+    (exponents as _unit_scaled gives them), and reverse each row."""
     with np.errstate(over="ignore"):
         values = np.ldexp(values, exponents[..., 0])
     if not np.isfinite(values).all():
         raise NonFinite("eigenvalues exceed the floating-point range")
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return values[np.arange(len(values))[:, None], order], order
-
-
-def _ordered_columns(vectors: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The columns of each matrix of a stack (m, n, n) in the order of its row of order (m, n)."""
-    m, n = order.shape
-    return vectors[np.arange(m)[:, None, None], np.arange(n)[:, None], order[:, None, :]]
+    return values[:, ::-1]
 
 
 def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:

@@ -50,7 +50,6 @@ from eigb.linalg import (
     Spectrum,
     _decomposition,
     _finish_eig,
-    _ordered_columns,
     _unit_scaled,
 )
 
@@ -380,8 +379,11 @@ def jacobi_eig(a: HermitianMatrix) -> EigenDecomposition:
                 if abs(work[p, q]) > threshold:
                     _jacobi_rotate(work, vectors, p, q)
         sweeps += 1
-    values, order = _finish_eig(work.diagonal().real[None], exponents)
-    return _decomposition(values, _ordered_columns(vectors[None], order))
+    # The converged diagonal is in no order: sort it ascending, stably, as
+    # LAPACK returns its eigenvalues, and finish as _eig does.
+    order = np.argsort(work.diagonal().real, kind="stable")
+    values = _finish_eig(work.diagonal().real[order][None], exponents)
+    return _decomposition(values, vectors[None, :, order[::-1]])
 
 
 def _off_norm(a: np.ndarray) -> float:

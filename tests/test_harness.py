@@ -88,6 +88,19 @@ class TestSeedDerivation:
                 call()
             assert str(raised.value) == "master seed must be an integer, got 1.7"
 
+    @pytest.mark.parametrize("index", [0.5, "0", None])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(InvalidSpec) as raised:
+            derive_seed(1, index)
+        assert str(raised.value) == f"index must be an integer, got {index!r}"
+
+    def test_index_read_mod_2_64(self):
+        # A numpy integer is read as the Python integer it holds.
+        assert derive_seed(1, np.int64(3)) == derive_seed(1, np.uint64(3)) == derive_seed(1, 3)
+        assert derive_seed(1, 3) == 0x71C18690EE42C90B
+        assert derive_seed(1, -1) == derive_seed(1, 2**64 - 1) == 0x5692161D100B05E5
+        assert derive_seed(1, 2**70) == derive_seed(1, 0) == 0x910A2DEC89025CC1
+
     def test_master_seed_read_mod_2_64(self):
         assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3)
         assert derive_seed(2**64 + 5, 0) == derive_seed(np.int64(5), 0) == derive_seed(5, 0)
@@ -498,6 +511,12 @@ class TestCheckStats:
 
     SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 1.0, -1.0]
 
+    def test_no_evaluations(self):
+        # The mean of no slacks reads 0.0, with or without an empty add.
+        for stats in (CheckStats(name="x"), self.folded([(np.ones(0, bool), np.zeros(0))])):
+            assert (stats.count, stats.mean_slack, stats.min_slack) == (0, 0.0, math.inf)
+            assert type(stats.mean_slack) is float
+
     def folded(self, parts):
         stats = CheckStats(name="x")
         for passed, worst in parts:
@@ -773,11 +792,13 @@ class TestCheckSelections:
         assert_batch_matches(sp, all_selections(2))
 
     def test_negative_class_tolerance_rejected(self):
-        # A negative band makes the positive and negative counts overlap.
-        a = validate_hermitian(np.diag([0.0, -1.0, -2.0]))
-        sp = instance_spectra(a, validate_psd(np.diag([3.0, 2.0, 1.0])))
+        # A negative band makes the positive and negative counts overlap:
+        # Tolerances rejects it, and inertia_of, which takes a bare
+        # tolerance, raises Inertia's error.
+        with pytest.raises(InvalidSpec, match="tol_class must be a nonnegative real number"):
+            Tolerances(tol_class=-1.0)
         with pytest.raises(ValueError, match="inertia counts must be nonnegative"):
-            check_selections(sp, all_selections(3), Tolerances(tol_class=-1.0))
+            inertia_of(Spectrum((0.0, -1.0, -2.0)), -1.0)
 
     @pytest.mark.parametrize(
         "selection",

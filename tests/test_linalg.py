@@ -118,6 +118,10 @@ class TestValidateHermitian:
 
 
 class TestValidatePsd:
+    def test_dimension(self):
+        b = validate_psd(np.diag([3.0, 2.0, 0.0]))
+        assert b.n == b.hermitian.n == len(b.spectrum) == 3
+
     def test_small_negative_clamped(self):
         b = validate_psd(np.diag([2.0, -1e-12]))
         assert b.min_eigenvalue == pytest.approx(-1e-12, abs=1e-13)
@@ -481,28 +485,32 @@ def instance_stack(n, m=5, seed=0):
 
 
 class TestEigOrder:
-    """_eig sorts each row of eigenvalues descending, stably, and its
-    eigenvector columns with it; _eig_values sorts the values-only solve's
-    eigenvalues the same way."""
+    """_eig takes LAPACK's ascending eigenvalues and their eigenvector
+    columns in reverse, and _eig_values the values-only solve's eigenvalues:
+    nothing re-sorts them."""
 
-    def test_matches_take_along_axis(self):
-        from eigb.linalg import _finish_eig, _ordered_columns
+    def test_lapack_order_reversed(self):
+        from eigb.linalg import _eig, _eig_values
 
         rng = np.random.default_rng(5)
-        values = rng.standard_normal((6, 7))
-        # Ties, signed zeros among them: a stable sort keeps their order.
-        values[1] = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 1.0]
-        values[2] = -0.0
-        vectors = rng.standard_normal((6, 7, 7))
-        exponents = rng.integers(-3, 4, size=(6, 1, 1))
-        got, order = _finish_eig(values, exponents)
-        scaled = np.ldexp(values, exponents[..., 0])
-        want = np.argsort(-scaled, axis=-1, kind="stable")
-        assert order.tolist() == want.tolist()
-        assert same_bits(got, np.take_along_axis(scaled, want, axis=-1))
-        assert same_bits(
-            _ordered_columns(vectors, order), np.take_along_axis(vectors, want[:, None, :], axis=-1)
-        )
+        n = 5
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        # Repeated eigenvalues, signed zeros among them, at scales that
+        # LAPACK sees as M / 2^e.
+        diagonals = ([0.0] * n, [-0.0] * n, [-0.0, 0.0, 2.0, 2.0, -1.0], [3.0] * n)
+        stack = [np.diag(d).astype(np.complex128) for d in diagonals]
+        stack += [s * (q * [1.0, 1.0, 0.0, 0.0, -2.0]) @ q.conj().T for s in (1.0, 1e200, 1e-200)]
+        m = np.stack(stack)
+        e = np.frexp(np.abs(m.view(np.float64)).max(axis=(-2, -1)))[1]
+        work = np.ldexp(m.view(np.float64), -e[:, None, None]).view(np.complex128)
+        lapack_values, lapack_vectors = np.linalg.eigh(work)
+        values, vectors = _eig(m)
+        assert same_bits(values, np.ldexp(lapack_values, e[:, None])[:, ::-1])
+        assert same_bits(vectors, lapack_vectors[..., ::-1])
+        alone = np.ldexp(np.linalg.eigvalsh(work), e[:, None])[:, ::-1]
+        assert same_bits(_eig_values(m), alone)
+        for got in (values, alone):
+            assert ((got == 0.0) & np.signbit(got)).any() and ((got == 0.0) & ~np.signbit(got)).any()
 
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_values_alone(self, n):

@@ -137,6 +137,36 @@ INVALID = [
         InvalidSpec,
         "inertia target (1, 1, 0) does not sum to n=3",
     ),
+    (
+        Tolerances,
+        {"tol_class": -1.0},
+        InvalidSpec,
+        "tol_class must be a nonnegative real number, got -1.0",
+    ),
+    (
+        Tolerances,
+        {"tol_class": math.nan},
+        InvalidSpec,
+        "tol_class must be a nonnegative real number, got nan",
+    ),
+    (
+        Tolerances,
+        {"verify_base": -1.0},
+        InvalidSpec,
+        "verify_base must be a nonnegative real number, got -1.0",
+    ),
+    (
+        Tolerances,
+        {"verify_base": np.float64(math.nan)},
+        InvalidSpec,
+        "verify_base must be a nonnegative real number, got " + repr(np.float64(math.nan)),
+    ),
+    (
+        Tolerances,
+        {"verify_base": "1e-8"},
+        InvalidSpec,
+        "verify_base must be a nonnegative real number, got '1e-8'",
+    ),
     (CampaignConfig, {"n_min": 0}, InvalidSpec, "bad dimension range [0, 8]"),
     (CampaignConfig, {"n_min": 5, "n_max": 4}, InvalidSpec, "bad dimension range [5, 4]"),
     (CampaignConfig, {"inertia": (0, 0, 0)}, InvalidSpec, "bad inertia (0, 0, 0)"),
@@ -247,6 +277,7 @@ def test_validation_errors(cls, kwargs, error, message):
         (IndexSequence((1, 2), 3), {"indices": (2, 1)}, InvalidIndexSequence),
         (GeneratorSpec(n=3, seed=1), {"n": 0}, InvalidSpec),
         (CampaignConfig(), {"inertia": (2, 1, 0)}, InvalidSpec),
+        (Tolerances(), {"verify_base": -1.0}, InvalidSpec),
     ],
     ids=lambda v: type(v).__name__,
 )

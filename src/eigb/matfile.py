@@ -18,6 +18,12 @@ Grammar, as parsed here:
 Any violation raises :class:`ParseError` with its line and column (or
 :class:`WrongEntryCount`); text with no token at all raises
 :class:`ParseError` with no position.
+
+A well-formed text has its numbers converted by numpy's C text reader
+(``np.loadtxt``), which reads a field to the same bits as ``float()`` or
+rejects it; ``float()`` converts the fields that reader does not read
+(``1_0``, non-ASCII digits).  Any other text is walked token by token, which
+locates the error.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError, WrongEntryCount
+from .errors import NonFinite, NotSquare, ParseError, WrongEntryCount
 
 FORMAT_VERSION = "EIGB1"
 
@@ -100,7 +106,8 @@ _CLASSES = bytes(
     _SPACE if c.isspace() else {"(": _OPEN, ",": _COMMA, ")": _CLOSE}.get(c, 0)
     for c in map(chr, range(128))
 ) + bytes(128)
-_NUMBERS = str.maketrans("(),", "   ")
+# Every classed character becomes a space, so the numbers stand on one line.
+_NUMBERS = {c: " " for c in range(128) if _CLASSES[c]}
 
 
 def _step(kind, next_kind, apart):
@@ -119,10 +126,12 @@ _STEPS[[_step(_SPACE, _SPACE, 0), _step(_SPACE, _SPACE, 1), _step(_SPACE, _OPEN,
 
 
 def _parse_bulk(text: str) -> np.ndarray | None:
-    """Parse well-formed text with one structure check and one split.
+    """Parse well-formed text with one structure check and one conversion.
 
-    Returns None for any text that `_parse_tokenwise` would reject (and for
-    nothing else), without saying why.
+    numpy's text reader converts the numbers; a field it cannot read whole
+    (``1_0``, non-ASCII digits) sends them all through ``float()``'s grammar
+    instead.  Returns None for any text that `_parse_tokenwise` would reject
+    (and for nothing else), without saying why.
     """
     # Leading comment lines are cut by position.  A comment line that holds
     # a line end other than its last "\n", and any "#" after them, go
@@ -142,16 +151,16 @@ def _parse_bulk(text: str) -> np.ndarray | None:
         text = " ".join(text.split())
     if not text[-1:].isspace():
         text += " "
-    parts = text.translate(_NUMBERS).split()
+    head, _, rest = text.translate(_NUMBERS).lstrip().partition(" ")
     try:
-        n = int(parts[0])
-    except (IndexError, ValueError):
+        n = int(head)
+    except ValueError:
         return None
     # The classed bytes, in order, must read as the grammar's tokens: the
     # first and the last are whitespace, and every "(" opens a token
     # "(re,im)" with two nonempty parts and no whitespace, "," or
     # parenthesis inside.  Every other token holds no classed byte, so it is
-    # one part, and each complex entry is two.  (A lone surrogate, which
+    # one number, and each complex entry is two.  (A lone surrogate, which
     # only float() can reject, is encoded as any other non-ASCII character.)
     classes = np.frombuffer(
         text.encode("utf-8", "surrogatepass").translate(_CLASSES), dtype=np.uint8
@@ -159,21 +168,28 @@ def _parse_bulk(text: str) -> np.ndarray | None:
     pos = np.flatnonzero(classes != 0)
     kind = classes[pos]
     apart = pos[1:] - pos[:-1] > 1
-    # A Python int: n * n below may exceed any numpy integer.
+    # A number is a run of unclassed bytes: one ends at each classed byte
+    # that follows other bytes.  Python ints: n * n may exceed any numpy
+    # integer.
+    numbers = np.count_nonzero(apart) + int(pos[0] != 0)
     complex_count = int(np.count_nonzero(kind == _OPEN))
     if (
         n < 1
-        or len(parts) != 1 + n * n + complex_count
+        or numbers != 1 + n * n + complex_count
         or kind[0] != _SPACE
         or text.lstrip().startswith("(")  # the dimension is a complex literal
         or not _STEPS[_step(kind[:-1], kind[1:], apart)].all()
     ):
         return None
-    del parts[0]
+    # The reader reads a field to float()'s bits or raises; float() then
+    # decides, for what only it reads.
     try:
-        values = np.array(parts, dtype=np.float64)
+        values = np.loadtxt([rest], dtype=np.float64, comments=None, ndmin=1)
     except ValueError:
-        return None
+        try:
+            values = np.array(rest.split(), dtype=np.float64)
+        except ValueError:
+            return None
     if not np.isfinite(values).all():
         return None
     # Each number follows a run of classed bytes that ends in whitespace (a
@@ -204,8 +220,16 @@ def _format_entry(value: complex) -> str:
 
 
 def write_matrix(matrix) -> str:
-    """Serialize a square complex matrix; parse(write(m)) is entrywise identical."""
+    """Serialize a square complex matrix; parse(write(m)) is entrywise identical.
+
+    Raises NotSquare unless the matrix is n x n with n >= 1, and NonFinite
+    for a NaN or infinite entry: the format holds neither.
+    """
     m = np.asarray(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFinite("matrix contains NaN or infinite entries")
     n = m.shape[0]
     lines = [f"# {FORMAT_VERSION}", str(n)]
     for row in m:
@@ -228,5 +252,6 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, matrix) -> None:
+    text = write_matrix(matrix)  # raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_matrix(matrix))
+        fh.write(text)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigb.errors import EigbError, ParseError, WrongEntryCount
+from eigb.errors import EigbError, NonFinite, NotSquare, ParseError, WrongEntryCount
 from eigb.matfile import (
     _parse_bulk,
     _parse_tokenwise,
     load_matrix,
     parse_matrix,
+    save_matrix,
     write_matrix,
 )
 
@@ -110,6 +111,36 @@ def test_round_trip_signed_zeros(parse):
     again = parse(write_matrix(m))
     assert np.array_equal(np.signbit(again.real), np.signbit(m.real))
     assert np.array_equal(np.signbit(again.imag), np.signbit(m.imag))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,), (2, 2, 2)])
+def test_write_rejects_non_square(shape, tmp_path):
+    # The format holds only n x n matrices with n >= 1: anything else would
+    # be written as a file that parse_matrix rejects.
+    with pytest.raises(NotSquare):
+        write_matrix(np.ones(shape))
+    with pytest.raises(NotSquare):
+        save_matrix(tmp_path / "m.mat", np.ones(shape))
+    assert not (tmp_path / "m.mat").exists()
+
+
+@pytest.mark.parametrize(
+    "entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)]
+)
+def test_write_rejects_non_finite(entry, tmp_path):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = entry
+    with pytest.raises(NonFinite):
+        write_matrix(m)
+    with pytest.raises(NonFinite):
+        save_matrix(tmp_path / "m.mat", m)
+    assert not (tmp_path / "m.mat").exists()
+
+
+def test_save_load_round_trip(tmp_path):
+    m = np.array([[1.5, complex(2.0, -0.5)], [complex(2.0, 0.5), -3.0]])
+    save_matrix(tmp_path / "m.mat", m)
+    assert load_matrix(tmp_path / "m.mat").tobytes() == m.tobytes()
 
 
 def _outcome(parse, text):
@@ -354,4 +385,29 @@ def test_non_ascii_in_large_file(change):
     header, body = _valid_text(64).split("\n", 1)
     text = header + "\n" + body.replace(*change, 1)
     assert change[1] in text
+    _assert_parity(text)
+
+
+# Fields a converter more lenient than float() would read (or read to a
+# finite value), each one entry of a large file: numpy's reader must reject
+# them as the token walk does.
+_STRICT = ["1-2", "1e5e", "0x1p3", "1.5.3", "+-1", ".", "e5", "1e", "nan", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("form", ["{}", "({},1)", "(1,{})"])
+@pytest.mark.parametrize("field", _STRICT)
+def test_strict_fields_in_large_file(field, form):
+    text = _in_large_file("1\n" + form.format(field))
+    with pytest.raises(ParseError):
+        parse_matrix(text)
+    _assert_parity(text)
+
+
+@pytest.mark.parametrize("form", ["{}", "({},1)", "(1,{})"])
+@pytest.mark.parametrize("field", ["1_0", "\u0661\u0662"])
+def test_float_only_fields_in_large_file(field, form):
+    # float() reads these (10 and 12); numpy's reader does not, so the bulk
+    # path converts the numbers again through float()'s grammar.
+    text = _in_large_file("1\n" + form.format(field))
+    assert _parse_bulk(text) is not None
     _assert_parity(text)
